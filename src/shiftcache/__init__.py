@@ -4,7 +4,6 @@ against the overlap/averaging baseline."""
 
 from .cache import CacheMiss, FeatureCache, FreshnessFlags, StaleCacheError, build_mask
 from .denoiser import (
-    DeepFeatures,
     DenoiserInput,
     FlopTally,
     GarmentCondition,
@@ -12,19 +11,10 @@ from .denoiser import (
     ToyDenoiser,
     ToyDenoiserConfig,
     assemble_input,
-    reference_spatial_attention,
 )
 from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule, oracle_eps
 from .metrics import BenchRecord, flicker_index, ssim, throughput_model, video_ssim
-from .numerics import (
-    MASK_BLOCK,
-    AttentionMask,
-    MaskVariant,
-    reshape_spatial_temporal,
-    reshape_temporal_spatial,
-    sinusoidal_encoding,
-    softmax_attention,
-)
+from .numerics import MASK_BLOCK, AttentionMask, MaskVariant
 from .pose_select import (
     DEFAULT_JOINT_TRIPLES,
     JointTripleSpec,

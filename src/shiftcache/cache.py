@@ -42,78 +42,50 @@ class StaleCacheError(ValueError):
 
 
 class FeatureCache:
-    """Maps frame index -> (deep feature slice, step position it was computed at)."""
+    """Deep features of every frame in one preallocated [N, ...slice] array,
+    plus the step position each frame was last computed at (-1: never)."""
 
-    def __init__(self, staleness_cap: int = 2):
+    def __init__(self, n_frames: int, slice_shape: tuple[int, ...],
+                 staleness_cap: int = 2, dtype=np.float32):
         if staleness_cap < 1:
             raise ValueError("staleness cap must be >= 1")
         self.staleness_cap = staleness_cap
-        self._feats: dict[int, np.ndarray] = {}
-        self._computed_at: dict[int, int] = {}
-        self._slice_shape: tuple[int, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self._feats)
-
-    def store(self, frame_index: int, feats: np.ndarray, step_index: int) -> None:
-        feats = np.asarray(feats)
-        if self._slice_shape is None:
-            self._slice_shape = feats.shape
-        elif feats.shape != self._slice_shape:
-            raise ValueError(
-                f"feature slice shape {feats.shape} != cache slice shape {self._slice_shape}"
-            )
-        prev = self._computed_at.get(frame_index)
-        if prev is not None and step_index < prev:
-            raise ValueError(
-                f"cache write for frame {frame_index} moves computed_at backwards "
-                f"({prev} -> {step_index})"
-            )
-        self._feats[frame_index] = feats.copy()
-        self._computed_at[frame_index] = step_index
+        self._feats = np.zeros((n_frames,) + tuple(slice_shape), dtype=dtype)
+        self._computed_at = np.full(n_frames, -1, dtype=np.int64)
 
     def store_block(self, first_frame: int, feats: np.ndarray, step_index: int) -> None:
-        """Store consecutive frames [first_frame, first_frame + len(feats))
-        from one [L, ...slice] array with a single copy (entries are views
-        into that copy, which the cache owns)."""
-        block = np.array(feats, copy=True)
-        if self._slice_shape is None:
-            self._slice_shape = block.shape[1:]
-        elif block.shape[1:] != self._slice_shape:
-            raise ValueError(
-                f"feature slice shape {block.shape[1:]} != cache slice shape {self._slice_shape}"
-            )
-        for i in range(block.shape[0]):
-            frame = first_frame + i
-            prev = self._computed_at.get(frame)
-            if prev is not None and step_index < prev:
-                raise ValueError(
-                    f"cache write for frame {frame} moves computed_at backwards "
-                    f"({prev} -> {step_index})"
-                )
-            self._feats[frame] = block[i]
-            self._computed_at[frame] = step_index
-
-    def computed_at(self, frame_index: int) -> int:
-        if frame_index not in self._computed_at:
-            raise CacheMiss(frame_index)
-        return self._computed_at[frame_index]
+        """Copy consecutive frames [first_frame, first_frame + len(feats))
+        from one [L, ...slice] array into the cache."""
+        stop = first_frame + len(feats)
+        if feats.shape[1:] != self._feats.shape[1:]:
+            raise ValueError(f"feature slice shape {feats.shape[1:]} != cache slice "
+                             f"shape {self._feats.shape[1:]}")
+        if feats.dtype != self._feats.dtype:
+            raise ValueError(f"feature dtype {feats.dtype} != cache dtype {self._feats.dtype}")
+        if not 0 <= first_frame < stop <= len(self._feats):
+            raise ValueError(f"frames [{first_frame}, {stop}) outside the cache's "
+                             f"{len(self._feats)} frames")
+        prev = self._computed_at[first_frame:stop]
+        if np.any(prev > step_index):
+            frame = first_frame + int(np.argmax(prev))
+            raise ValueError(f"cache write for frame {frame} moves computed_at backwards "
+                             f"({int(prev.max())} -> {step_index})")
+        self._feats[first_frame:stop] = feats
+        self._computed_at[first_frame:stop] = step_index
 
     def fetch(self, frames, current_step_position: int):
-        """Concatenated features for ``frames`` plus their freshness flags.
+        """A copy of the features for ``frames`` plus their freshness flags.
 
         Returns (feats [len(frames), ...slice], computed_at [len(frames)],
         FreshnessFlags). Raises CacheMiss for unstored frames and
         StaleCacheError when any staleness exceeds the cap.
         """
-        frames = list(frames)
-        if not frames:
+        frames = np.asarray(frames, dtype=np.int64)
+        if frames.size == 0:
             raise ValueError("fetch needs at least one frame")
-        missing = [f for f in frames if f not in self._feats]
-        if missing:
-            raise CacheMiss(missing[0])
-        feats = np.stack([self._feats[f] for f in frames])
-        computed = np.array([self._computed_at[f] for f in frames], dtype=np.int64)
+        computed = self._computed_at[frames]
+        if np.any(computed < 0):
+            raise CacheMiss(int(frames[np.argmin(computed)]))
         staleness = current_step_position - computed
         if np.any(staleness < 0):
             raise ValueError("cache entry computed in the future of the requested step")
@@ -123,7 +95,7 @@ class FeatureCache:
                 f"frame {worst} staleness {int(staleness.max())} exceeds cap {self.staleness_cap}"
             )
         flags = FreshnessFlags(good=staleness <= GOOD_MAX_STALENESS)
-        return feats, computed, flags
+        return self._feats[frames], computed, flags
 
 
 def build_mask(variant: MaskVariant, flags: FreshnessFlags) -> AttentionMask:

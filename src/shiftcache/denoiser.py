@@ -74,11 +74,14 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / scale[..., None]
 
 
-def _attention_inner(q, k, v, mask_matrix, tally: FlopTally | None) -> np.ndarray:
-    """Softmax attention on projected [B, Q, C] queries vs [B, K, C] keys.
+def attention(q, k, v, mask: AttentionMask | None = None,
+              tally: FlopTally | None = None) -> np.ndarray:
+    """Softmax attention of projected [B, Q, C] queries over [B, K, C]
+    keys/values: the one kernel behind spatial and temporal attention.
 
-    The 1/sqrt(C) scale must already be folded into q. Normalization
-    divides the (small) output instead of the logits array, and the usual
+    The 1/sqrt(C) scale must already be folded into q; the optional [Q, K]
+    additive mask is shared across the batch axis. Normalization divides
+    the (small) output instead of the logits array, and the usual
     max-subtraction is skipped: inputs are RMS-normalized upstream, which
     bounds |logit| well below float32 exp overflow. Blocked mask entries
     push logits to the bottom of the float range, where exp underflows to
@@ -87,11 +90,13 @@ def _attention_inner(q, k, v, mask_matrix, tally: FlopTally | None) -> np.ndarra
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
     if tally is not None:
         tally.add(2 * q.size * k.shape[-2])
-    if mask_matrix is not None:
+    if mask is not None:
+        if mask.size != k.shape[-2]:
+            raise ValueError(f"mask size {mask.size} != sequence length {k.shape[-2]}")
         # adding MASK_BLOCK to bounded logits cannot overflow: the logit is
         # far below one ulp at that magnitude, so the sum rounds back to
         # MASK_BLOCK and exp() underflows it to an exact zero
-        logits += mask_matrix
+        logits += mask.matrix
     np.exp(logits, out=logits)
     denom = logits.sum(axis=-1, keepdims=True)
     out = np.matmul(logits, v)
@@ -130,18 +135,6 @@ class GarmentCondition:
     @classmethod
     def empty(cls, width: int) -> "GarmentCondition":
         return cls(garment_tokens=np.zeros((0, width), dtype=np.float32))
-
-
-@dataclass(frozen=True)
-class DeepFeatures:
-    """Deep-stage output for a chunk, tagged with when it was computed.
-
-    ``computed_at`` is a per-frame array of sampling-step positions; a fresh
-    full evaluation fills it with a single value.
-    """
-
-    feats: np.ndarray       # [L, C_d, H/2, W/2]
-    computed_at: np.ndarray  # [L] step positions
 
 
 def assemble_input(noise, masked_video, mask, pose) -> np.ndarray:
@@ -199,8 +192,8 @@ class BlockWeights:
     mlp: MlpWeights
 
 
-def _reference_attention_tokens(tokens, garment_tokens, w: SpatialAttentionWeights,
-                                tally: FlopTally | None = None) -> np.ndarray:
+def spatial_attention(tokens, garment_tokens, w: SpatialAttentionWeights,
+                      tally: FlopTally | None = None) -> np.ndarray:
     """Spatial attention on [L, HW, C] tokens with garment keys/values.
 
     Queries come from the frame tokens only; keys/values additionally see the
@@ -224,23 +217,11 @@ def _reference_attention_tokens(tokens, garment_tokens, w: SpatialAttentionWeigh
         kv_src = tokens
     k = _mm(kv_src, w.wk, tally)
     v = _mm(kv_src, w.wv, tally)
-    out = _attention_inner(q, k, v, None, tally)
+    out = attention(q, k, v, None, tally)
     return _mm(out, w.wo, tally)
 
 
-def reference_spatial_attention(feat: np.ndarray, garment: GarmentCondition,
-                                w: SpatialAttentionWeights) -> np.ndarray:
-    """Reference attention over [L, C, H, W]: spatial self-attention whose
-    keys/values are extended with the garment tokens. M = 0 reduces to plain
-    spatial self-attention."""
-    if feat.ndim != 4:
-        raise ValueError(f"expected [L, C, H, W], got {feat.shape}")
-    length, channels, h, w_dim = feat.shape
-    tokens = feat.reshape(length, channels, h * w_dim).transpose(0, 2, 1)
-    out = _reference_attention_tokens(tokens, garment.garment_tokens, w)
-    return np.ascontiguousarray(out.transpose(0, 2, 1).reshape(length, channels, h, w_dim))
-
-
+@dataclass(frozen=True)
 class ToyDenoiserConfig:
     """Sizing and seeding for the toy denoiser.
 
@@ -252,32 +233,22 @@ class ToyDenoiserConfig:
     ones, keeping per-block cost comparable across stages).
     """
 
-    def __init__(self, shallow_width=8, deep_width=12, shallow_blocks=2,
-                 deep_blocks=31, seed=0, deep_cost_share=0.75):
-        if shallow_blocks < 2:
-            raise ValueError("need at least one shallow block before and after the deep stage")
-        if deep_blocks < 1:
-            raise ValueError("need at least one deep block")
-        if shallow_width % 2 or deep_width % 2:
-            raise ValueError("widths must be even (sinusoidal encodings pair sin/cos)")
-        if not 0.0 < deep_cost_share < 1.0:
-            raise ValueError("deep_cost_share must lie in (0, 1)")
-        self.shallow_width = int(shallow_width)
-        self.deep_width = int(deep_width)
-        self.shallow_blocks = int(shallow_blocks)
-        self.deep_blocks = int(deep_blocks)
-        self.seed = int(seed)
-        self.deep_cost_share = float(deep_cost_share)
+    shallow_width: int = 8
+    deep_width: int = 12
+    shallow_blocks: int = 2
+    deep_blocks: int = 31
+    seed: int = 0
+    deep_cost_share: float = 0.75
 
-    def to_dict(self) -> dict:
-        return {
-            "shallow_width": self.shallow_width,
-            "deep_width": self.deep_width,
-            "shallow_blocks": self.shallow_blocks,
-            "deep_blocks": self.deep_blocks,
-            "seed": self.seed,
-            "deep_cost_share": self.deep_cost_share,
-        }
+    def __post_init__(self):
+        if self.shallow_blocks < 2:
+            raise ValueError("need at least one shallow block before and after the deep stage")
+        if self.deep_blocks < 1:
+            raise ValueError("need at least one deep block")
+        if self.shallow_width % 2 or self.deep_width % 2:
+            raise ValueError("widths must be even (sinusoidal encodings pair sin/cos)")
+        if not 0.0 < self.deep_cost_share < 1.0:
+            raise ValueError("deep_cost_share must lie in (0, 1)")
 
 
 class ToyDenoiser:
@@ -285,8 +256,8 @@ class ToyDenoiser:
 
     def __init__(self, config: ToyDenoiserConfig):
         self.config = config
-        self.temporal_identity = False  # test hook: replace temporal attention with identity
         self._pe_cache: dict = {}
+        self._cost_cache: dict = {}
         rng = np.random.default_rng(config.seed)
         cf, cd = config.shallow_width, config.deep_width
 
@@ -329,8 +300,6 @@ class ToyDenoiser:
     def _temporal(self, tokens, weights: TemporalAttentionWeights, pos_enc,
                   mask: AttentionMask | None, tally) -> np.ndarray:
         """Temporal self-attention over the [(HW), L, C] view of [L, HW, C] tokens."""
-        if self.temporal_identity:
-            return tokens
         x = np.ascontiguousarray(tokens.transpose(1, 0, 2))  # [HW, L, C]
         n = _rms_norm(x)
         n += pos_enc[None, :, :]
@@ -338,20 +307,14 @@ class ToyDenoiser:
         q *= np.float32(1.0 / np.sqrt(n.shape[-1]))
         k = _mm(n, weights.wk, tally)
         v = _mm(n, weights.wv, tally)
-        if mask is not None:
-            if mask.size != x.shape[1]:
-                raise ValueError(f"mask size {mask.size} != chunk length {x.shape[1]}")
-            mask_matrix = mask.matrix
-        else:
-            mask_matrix = None
-        out = _attention_inner(q, k, v, mask_matrix, tally)
+        out = attention(q, k, v, mask, tally)
         x += _mm(out, weights.wo, tally)
         return np.ascontiguousarray(x.transpose(1, 0, 2))
 
     def _block(self, tokens, weights: BlockWeights, g_tokens, pos_enc,
                mask: AttentionMask | None, tally) -> np.ndarray:
-        tokens = tokens + _reference_attention_tokens(_rms_norm(tokens), g_tokens,
-                                                      weights.spatial, tally)
+        tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens,
+                                            weights.spatial, tally)
         tokens = self._temporal(tokens, weights.temporal, pos_enc, mask, tally)
         hidden = _mm(_rms_norm(tokens), weights.mlp.w1, tally)
         np.maximum(hidden, 0.0, out=hidden)
@@ -436,7 +399,7 @@ class ToyDenoiser:
     def denoise_full(self, inp: DenoiserInput, garment: GarmentCondition,
                      mask: AttentionMask | None = None,
                      tally: FlopTally | None = None):
-        """Full forward pass. Returns (eps [L,4,H,W], DeepFeatures)."""
+        """Full forward pass. Returns (eps [L,4,H,W], deep features [L,C_d,H/2,W/2])."""
         tokens, g, hw = self._shallow_in(inp, garment, mask, tally)
         if tally is not None:
             tally._in_deep = True
@@ -446,15 +409,14 @@ class ToyDenoiser:
         eps = self._shallow_out(tokens, deep_tokens, g, hw, inp.frame_offsets, mask, tally)
         if not np.all(np.isfinite(eps)):
             raise FloatingPointError("denoiser produced non-finite output")
-        feats = self._deep_to_feats(deep_tokens, hw)
-        computed = np.full(inp.length, inp.step_index, dtype=np.int64)
-        return eps, DeepFeatures(feats=feats, computed_at=computed)
+        return eps, self._deep_to_feats(deep_tokens, hw)
 
-    def denoise_partial(self, inp: DenoiserInput, cached: DeepFeatures,
+    def denoise_partial(self, inp: DenoiserInput, cached: np.ndarray,
                         flags: FreshnessFlags, mask_variant: MaskVariant,
                         garment: GarmentCondition,
                         tally: FlopTally | None = None) -> np.ndarray:
-        """Partial pass: shallow-in, cached deep features, masked shallow-out.
+        """Partial pass: shallow-in, cached [L,C_d,H/2,W/2] deep features,
+        masked shallow-out.
 
         The deep stage never runs (and its FLOP bucket is untouched); the
         freshness mask applies to temporal attention after the injection.
@@ -464,13 +426,13 @@ class ToyDenoiser:
             raise ValueError(f"flags length {len(flags)} != chunk length {length}")
         h, w = inp.noise_latent.shape[2], inp.noise_latent.shape[3]
         expected = (length,) + self.deep_feature_shape(h, w)
-        if cached.feats.shape != expected:
+        if cached.shape != expected:
             raise ValueError(
-                f"cached deep features shape {cached.feats.shape} != expected {expected}"
+                f"cached deep features shape {cached.shape} != expected {expected}"
             )
         mask = build_mask(mask_variant, flags)
         tokens, g, hw = self._shallow_in(inp, garment, None, tally)
-        deep_tokens = self._feats_to_deep(cached.feats)
+        deep_tokens = self._feats_to_deep(cached)
         eps = self._shallow_out(tokens, deep_tokens, g, hw, inp.frame_offsets, mask, tally)
         if not np.all(np.isfinite(eps)):
             raise FloatingPointError("denoiser produced non-finite output")
@@ -482,9 +444,7 @@ class ToyDenoiser:
         """Measured matmul FLOPs for one chunk: (full deep, full shallow,
         partial shallow). Runs tiny zero-input evaluations once per shape."""
         key = (length, h, w, garment_count)
-        cache = getattr(self, "_cost_cache", None)
-        if cache is None:
-            cache = self._cost_cache = {}
+        cache = self._cost_cache
         if key not in cache:
             zeros = np.zeros((length, 4, h, w), dtype=np.float32)
             inp = DenoiserInput(

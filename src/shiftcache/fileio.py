@@ -6,6 +6,7 @@ Latent files ("LVT1"): magic | u8 dtype tag (0=f32, 1=f64) | u32 rank (=4) |
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -144,9 +145,25 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise FormatError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _typed(doc: dict, key: str, default, where: str = ""):
+    """``doc[key]``, or ``default`` when absent, which must have the type of
+    ``default`` exactly: no bool for an int, no float or string for either.
+    An int is accepted for a float. Raises FormatError naming the key."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    kind = type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise FormatError(f'"{where}{key}" must be {kind.__name__}, got {value!r}')
+    return value
+
+
 def config_from_dict(doc: dict) -> EngineConfig:
-    """Build an EngineConfig from a JSON document; unknown keys are rejected
-    and every omitted key takes its documented default."""
+    """Build an EngineConfig from a JSON document; unknown keys and values of
+    the wrong type are rejected, and every omitted key takes its documented
+    default."""
     if not isinstance(doc, dict):
         raise FormatError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
@@ -160,36 +177,22 @@ def config_from_dict(doc: dict) -> EngineConfig:
     _reject_unknown(latent_doc, _LATENT_KEYS, "latent block")
 
     defaults = EngineConfig()
-    toy_defaults = defaults.toy.to_dict()
-    toy = ToyDenoiserConfig(**{**toy_defaults, **toy_doc})
+    toy = ToyDenoiserConfig(**{key: _typed(toy_doc, key, default, "toy.")
+                               for key, default in dataclasses.asdict(defaults.toy).items()})
 
-    mask_name = doc.get("mask_variant", defaults.mask_variant.value)
+    mask_name = _typed(doc, "mask_variant", defaults.mask_variant.value)
     try:
         mask_variant = MaskVariant(mask_name)
     except ValueError:
         raise FormatError(f"unknown mask_variant {mask_name!r}") from None
 
     config = EngineConfig(
-        n_total=int(doc.get("n_total", defaults.n_total)),
-        chunk_len=int(doc.get("chunk_len", defaults.chunk_len)),
-        policy=str(doc.get("policy", defaults.policy)),
-        overlap_s=int(doc.get("overlap_s", defaults.overlap_s)),
-        delta=int(doc.get("delta", defaults.delta)),
-        shift_mode=str(doc.get("shift_mode", defaults.shift_mode)),
-        partial_fraction=float(doc.get("partial_fraction", defaults.partial_fraction)),
-        hard_skip=bool(doc.get("hard_skip", defaults.hard_skip)),
+        **{key: _typed(doc, key, getattr(defaults, key))
+           for key in _TOP_KEYS - {"mask_variant", "toy", "latent"}},
         mask_variant=mask_variant,
-        staleness_cap=int(doc.get("staleness_cap", defaults.staleness_cap)),
-        seed=int(doc.get("seed", defaults.seed)),
-        ddim_steps=int(doc.get("ddim_steps", defaults.ddim_steps)),
-        denoiser=str(doc.get("denoiser", defaults.denoiser)),
         toy=toy,
-        latent_h=int(latent_doc.get("h", defaults.latent_h)),
-        latent_w=int(latent_doc.get("w", defaults.latent_w)),
-        garment_tokens=int(doc.get("garment_tokens", defaults.garment_tokens)),
-        t_train=int(doc.get("t_train", defaults.t_train)),
-        beta_start=float(doc.get("beta_start", defaults.beta_start)),
-        beta_end=float(doc.get("beta_end", defaults.beta_end)),
+        latent_h=_typed(latent_doc, "h", defaults.latent_h, "latent."),
+        latent_w=_typed(latent_doc, "w", defaults.latent_w, "latent."),
     )
     config.validate()
     return config
@@ -220,7 +223,7 @@ def config_to_dict(config: EngineConfig) -> dict:
         "seed": config.seed,
         "ddim_steps": config.ddim_steps,
         "denoiser": config.denoiser,
-        "toy": config.toy.to_dict(),
+        "toy": dataclasses.asdict(config.toy),
         "latent": {"h": config.latent_h, "w": config.latent_w},
         "garment_tokens": config.garment_tokens,
         "t_train": config.t_train,

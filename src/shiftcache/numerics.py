@@ -1,9 +1,8 @@
-"""Dense-array primitives: masked softmax attention, sinusoidal frame
-encoding, and the spatial<->temporal token reshape.
+"""Dense-array primitives: the additive attention mask and the sinusoidal
+frame encoding.
 
-Everything here is a pure function over numpy arrays (float32 by default,
-float64 supported throughout for high-precision checks). Learned
-projections deliberately live one level up, in the denoiser.
+Everything here is pure numpy (float32 by default). The attention kernel
+that applies these masks lives in the denoiser, next to the projections.
 """
 
 from __future__ import annotations
@@ -51,71 +50,12 @@ class AttentionMask:
         return self.matrix == MASK_BLOCK
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilized softmax. Rows of -inf-like logits are rejected
-    upstream (see softmax_attention), so no NaN guards here.
-
-    Blocked entries sit at MASK_BLOCK; subtracting the row max pushes them
-    past float32 range to -inf, and exp() turns them into exact zeros. That
-    overflow is intended, so the warning is silenced.
-    """
-    with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=axis, keepdims=True)
-        np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
-    return shifted
-
-
-def softmax_attention(q, k, v, mask: AttentionMask | None = None) -> np.ndarray:
-    """Scaled dot-product attention over [B, L, C] arrays.
-
-    out[b, i] = sum_j softmax_j(q[b,i] . k[b,j] / sqrt(C) + mask[i,j]) v[b,j]
-
-    The optional mask is additive and shared across the batch axis. Raises
-    on shape disagreement and on masks that block an entire query row.
-    """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
-        raise ValueError(
-            f"q/k/v must share a [B, L, C] shape, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    _, length, channels = q.shape
-    if mask is not None:
-        if mask.size != length:
-            raise ValueError(f"mask size {mask.size} != sequence length {length}")
-
-    scale = 1.0 / np.sqrt(np.asarray(channels, dtype=q.dtype))
-    logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    logits *= scale
-    if mask is not None:
-        with np.errstate(over="ignore"):
-            logits += mask.matrix.astype(logits.dtype)
-    weights = softmax(logits, axis=-1)
-    return np.matmul(weights, v)
-
-
-def sinusoidal_encoding(frame_index: int, dim: int) -> np.ndarray:
-    """Interleaved sin/cos positional code at geometric frequencies.
-
-    enc[2i] = sin(t / 10000^(2i/dim)), enc[2i+1] = cos(same), as float32.
-    """
-    if dim % 2 != 0 or dim <= 0:
-        raise ValueError(f"encoding dim must be a positive even integer, got {dim}")
-    if frame_index < 0:
-        raise ValueError(f"frame index must be >= 0, got {frame_index}")
-    half = np.arange(dim // 2, dtype=np.float64)
-    freqs = np.power(10000.0, -2.0 * half / dim)
-    angles = frame_index * freqs
-    enc = np.empty(dim, dtype=np.float64)
-    enc[0::2] = np.sin(angles)
-    enc[1::2] = np.cos(angles)
-    return enc.astype(np.float32)
-
-
 def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
-    """Vectorized sinusoidal_encoding -> [len(frame_indices), dim]."""
+    """Interleaved sin/cos codes at geometric frequencies, one row per frame.
+
+    enc[f, 2i] = sin(t_f / 10000^(2i/dim)), enc[f, 2i+1] = cos(same), as
+    float32 of shape [len(frame_indices), dim].
+    """
     idx = np.asarray(frame_indices)
     if idx.ndim != 1:
         raise ValueError("frame_indices must be one-dimensional")
@@ -130,24 +70,3 @@ def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles)
     return enc.astype(np.float32)
-
-
-def reshape_spatial_temporal(x: np.ndarray) -> np.ndarray:
-    """[L, C, H, W] -> [(H*W), L, C] so attention can run along frames.
-
-    Position p = h*W + w of the output batch axis holds x[:, :, h, w].
-    """
-    if x.ndim != 4:
-        raise ValueError(f"expected [L, C, H, W], got shape {x.shape}")
-    length, channels, h, w = x.shape
-    return np.ascontiguousarray(x.transpose(2, 3, 0, 1).reshape(h * w, length, channels))
-
-
-def reshape_temporal_spatial(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Inverse of reshape_spatial_temporal: [(H*W), L, C] -> [L, C, H, W]."""
-    if x.ndim != 3:
-        raise ValueError(f"expected [(H*W), L, C], got shape {x.shape}")
-    positions, length, channels = x.shape
-    if positions != h * w:
-        raise ValueError(f"batch axis {positions} != H*W = {h * w}")
-    return np.ascontiguousarray(x.reshape(h, w, length, channels).transpose(2, 3, 0, 1))

@@ -27,7 +27,6 @@ from scipy.ndimage import gaussian_filter
 
 from .cache import FeatureCache
 from .denoiser import (
-    DeepFeatures,
     DenoiserInput,
     FlopTally,
     GarmentCondition,
@@ -147,28 +146,40 @@ def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
 
 
 @dataclass
-class MarkingStats:
+class FreshnessRecord:
+    """The run's one record of deep-feature freshness, from the marking pass.
+
+    ``trace[k, f]`` is the staleness of the deep features used for frame f
+    at step k (0 when the frame is fully computed that step), and
+    ``last_full[f]`` the step frame f was last fully computed at (-1 before
+    the first step).
+    """
+
+    trace: np.ndarray      # [steps, N]
+    last_full: np.ndarray  # [N]
     eligible_decisions: int = 0
     bernoulli_partials: int = 0
     forced_full: int = 0
 
 
 def mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: int,
-                 chunk_len: int) -> tuple[list[list[Chunk]], MarkingStats]:
+                 chunk_len: int) -> tuple[list[list[Chunk]], FreshnessRecord]:
     """Annotate per-step plans with partial-computation marks.
 
     Rules, applied in step order with a per-frame freshness simulation:
     first and last steps stay full; short edge chunks stay full; a chunk
     whose members would exceed ``staleness_cap`` steps since their last
     full computation is forced full; everything else flips an independent
-    seeded coin with probability ``p``.
+    seeded coin with probability ``p``. The simulation is returned as the
+    run's FreshnessRecord.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"partial fraction must lie in [0, 1], got {p}")
     num_steps = len(plans)
     n_total = max(c.stop for c in plans[0]) if plans else 0
-    last_full = np.zeros(n_total, dtype=np.int64)
-    stats = MarkingStats()
+    record = FreshnessRecord(trace=np.zeros((num_steps, n_total), dtype=np.int64),
+                             last_full=np.full(n_total, -1, dtype=np.int64))
+    last_full = record.last_full
     marked: list[list[Chunk]] = []
     for k, chunks in enumerate(plans):
         rng = np.random.default_rng([seed, _STREAM_MARK, k])
@@ -179,17 +190,19 @@ def mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: i
             if interior:
                 worst = k - int(last_full[chunk.start:chunk.stop].min())
                 if worst > staleness_cap:
-                    stats.forced_full += 1
+                    record.forced_full += 1
                 else:
-                    stats.eligible_decisions += 1
+                    record.eligible_decisions += 1
                     if rng.random() < p:
                         mode = ChunkMode.PARTIAL
-                        stats.bernoulli_partials += 1
+                        record.bernoulli_partials += 1
             if mode is ChunkMode.FULL:
                 last_full[chunk.start:chunk.stop] = k
+            else:
+                record.trace[k, chunk.start:chunk.stop] = k - last_full[chunk.start:chunk.stop]
             step_out.append(replace(chunk, mode=mode))
         marked.append(step_out)
-    return marked, stats
+    return marked, record
 
 
 @dataclass
@@ -260,8 +273,8 @@ class RunStats:
     """Counters and traces from one completed inference run.
 
     FLOP counters track matmul FLOPs as reported by the denoiser.
-    ``freshness_trace[k, f]`` is the staleness of the deep features used
-    for frame f at step k (0 when the frame was fully computed that step).
+    ``freshness_trace`` and ``forced_full`` come from the plan's
+    FreshnessRecord.
     """
 
     n_total: int
@@ -277,8 +290,6 @@ class RunStats:
     shallow_flops: int = 0
     wall_seconds: float = 0.0
     freshness_trace: np.ndarray | None = None
-    eligible_decisions: int = 0
-    bernoulli_partials: int = 0
     forced_full: int = 0
 
     @property
@@ -332,33 +343,42 @@ def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
                       garment=garment, target_x0=target)
 
 
-def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], MarkingStats]:
-    """Per-step chunk plans for a config, with partial marks applied."""
+def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]:
+    """Per-step chunk plans for a config, with partial marks applied, and
+    the freshness record of the marking pass."""
     config.validate()
     steps = config.ddim_steps
     if config.policy == "overlap":
+        # every frame is fully computed at every step: nothing to simulate
         base = plan_overlap(config.n_total, config.chunk_len, config.overlap_s)
         plans = [ChunkPlan(step_index=k, chunks=tuple(base)) for k in range(steps)]
-        return plans, MarkingStats()
+        record = FreshnessRecord(trace=np.zeros((steps, config.n_total), dtype=np.int64),
+                                 last_full=np.full(config.n_total, steps - 1, dtype=np.int64))
+        return plans, record
     raw = [
         plan_shift(config.n_total, config.chunk_len, config.delta, k,
                    mode=config.shift_mode, seed=config.seed)
         for k in range(steps)
     ]
-    marked, stats = mark_partial(raw, config.partial_fraction, config.staleness_cap,
-                                 config.seed, config.chunk_len)
+    marked, record = mark_partial(raw, config.partial_fraction, config.staleness_cap,
+                                  config.seed, config.chunk_len)
     plans = [ChunkPlan(step_index=k, chunks=tuple(step)) for k, step in enumerate(marked)]
-    return plans, stats
+    return plans, record
 
 
 def _worker_count() -> int:
-    # Default is serial: at desk scale the chunk evals are small numpy ops
-    # and GIL contention makes a thread-per-chunk pool measurably slower.
-    # SHIFTCACHE_THREADS opts in to concurrent chunk evaluation.
+    """Chunk workers per step: SHIFTCACHE_THREADS, an integer >= 1, capped
+    at the CPUs this process may run on. Unset or empty means serial."""
     env = os.environ.get("SHIFTCACHE_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"SHIFTCACHE_THREADS must be an integer >= 1, got {env!r}")
+    return min(count, len(os.sched_getaffinity(0)))
 
 
 def run_inference(config: EngineConfig, conditions: Conditions | None = None,
@@ -377,7 +397,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     steps = sched.num_steps
     n = config.n_total
 
-    plans, marking = build_plans(config)
+    plans, freshness = build_plans(config)
 
     if config.denoiser == "toy":
         toy = ToyDenoiser(config.toy)
@@ -389,18 +409,19 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     rng = np.random.default_rng([config.seed, _STREAM_NOISE])
     z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
 
-    cache = FeatureCache(staleness_cap=config.staleness_cap)
-    use_cache = config.policy == "shift" and toy is not None and not config.hard_skip
+    cache = None
+    if config.policy == "shift" and toy is not None and not config.hard_skip:
+        # deep features take the widest dtype of the latents and conditions
+        feat_dtype = np.result_type(z, conditions.masked_video, conditions.binary_mask,
+                                    conditions.pose)
+        cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
+                             staleness_cap=config.staleness_cap, dtype=feat_dtype)
     stats = RunStats(
         n_total=n, chunk_len=config.chunk_len, steps=steps,
         latent_h=config.latent_h, latent_w=config.latent_w,
         garment_count=config.garment_tokens,
-        eligible_decisions=marking.eligible_decisions,
-        bernoulli_partials=marking.bernoulli_partials,
-        forced_full=marking.forced_full,
+        freshness_trace=freshness.trace, forced_full=freshness.forced_full,
     )
-    trace = np.zeros((steps, n), dtype=np.int64)
-    last_full = np.zeros(n, dtype=np.int64)
 
     workers = _worker_count()
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -410,7 +431,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         offsets = np.arange(chunk.start, chunk.stop)
         if oracle is not None:
             eps = oracle.eps_for(z_step[sl], step_index, offsets)
-            return eps, None, None, FlopTally()
+            return eps, None, FlopTally()
         inp = DenoiserInput(
             noise_latent=z_step[sl],
             masked_video_latent=conditions.masked_video[sl],
@@ -421,13 +442,12 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         )
         tally = FlopTally()
         if chunk.mode is ChunkMode.FULL:
-            eps, deep = toy.denoise_full(inp, conditions.garment, tally=tally)
-            return eps, deep, None, tally
-        feats, computed, flags = cache.fetch(chunk.frames(), step_index)
-        cached = DeepFeatures(feats=feats, computed_at=computed)
-        eps = toy.denoise_partial(inp, cached, flags, config.mask_variant,
+            eps, feats = toy.denoise_full(inp, conditions.garment, tally=tally)
+            return eps, feats, tally
+        feats, _, flags = cache.fetch(chunk.frames(), step_index)
+        eps = toy.denoise_partial(inp, feats, flags, config.mask_variant,
                                   conditions.garment, tally=tally)
-        return eps, None, flags, tally
+        return eps, None, tally
 
     t_start = time.perf_counter()
     try:
@@ -447,21 +467,19 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                 eps_all = aggregate_overlaps([r[0] for r in results], todo, n)
             else:
                 eps_all = np.empty_like(z)
-                for (eps, _, _, _), chunk in zip(results, todo):
+                for (eps, _, _), chunk in zip(results, todo):
                     eps_all[chunk.start:chunk.stop] = eps
 
             # Post-barrier bookkeeping, committed in chunk order.
-            for (eps, deep, flags, tally), chunk in zip(results, todo):
+            for (_, feats, tally), chunk in zip(results, todo):
                 stats.deep_flops += tally.deep
                 stats.shallow_flops += tally.shallow
                 if chunk.mode is ChunkMode.FULL:
                     stats.full_chunk_evals += 1
-                    if use_cache:
-                        cache.store_block(chunk.start, deep.feats, k)
-                    last_full[chunk.start:chunk.stop] = k
+                    if cache is not None:
+                        cache.store_block(chunk.start, feats, k)
                 else:
                     stats.partial_chunk_evals += 1
-                    trace[k, chunk.start:chunk.stop] = k - last_full[chunk.start:chunk.stop]
 
             if skipped:
                 # naive-skip ablation: dropped frames miss this DDIM update
@@ -469,9 +487,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                 updated = np.zeros(n, dtype=bool)
                 for chunk in todo:
                     updated[chunk.start:chunk.stop] = True
-                for chunk in skipped:
-                    trace[k, chunk.start:chunk.stop] = \
-                        k - last_full[chunk.start:chunk.stop]
                 z = z.copy()
                 z[updated] = ddim_step(z[updated], eps_all[updated], k, sched)
             else:
@@ -480,7 +495,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         if pool is not None:
             pool.shutdown(wait=False)
     stats.wall_seconds = time.perf_counter() - t_start
-    stats.freshness_trace = trace
 
-    video = LatentVideo(z=z, freshness=last_full)
+    video = LatentVideo(z=z, freshness=freshness.last_full)
     return video, stats

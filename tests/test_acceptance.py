@@ -15,15 +15,15 @@ import numpy as np
 from shiftcache.cache import FeatureCache, FreshnessFlags, build_mask
 from shiftcache.cli import main as cli_main
 from shiftcache.denoiser import (
-    DeepFeatures,
     DenoiserInput,
     GarmentCondition,
     ToyDenoiser,
     ToyDenoiserConfig,
+    attention,
 )
 from shiftcache.diffusion import ddim_step, make_schedule
 from shiftcache.metrics import throughput_model
-from shiftcache.numerics import MaskVariant, softmax_attention
+from shiftcache.numerics import MaskVariant
 from shiftcache.pose_select import (
     JointTripleSpec,
     KeypointFrame,
@@ -234,9 +234,10 @@ def test_criterion_5_scheduling_invariants():
 
 def test_criterion_6_mask_structure_suite():
     """500 random freshness partitions x 4 variants: definitions, no blocked
-    rows, full-mask equivalence, half-mask information-flow exactness."""
+    rows, and on the engine's attention kernel, full-mask equivalence and
+    half-mask information-flow exactness for every partition."""
     rng = np.random.default_rng(7)
-    equivalence_checked = 0
+    equivalence_checked = exactness_checked = 0
     for i in range(500):
         length = int(rng.integers(1, 25))
         good = rng.random(length) < rng.random()
@@ -265,22 +266,22 @@ def test_criterion_6_mask_structure_suite():
                 idx = np.arange(length)
                 np.testing.assert_array_equal(blocked, idx[None, :] < idx[:, None])
 
-        if i % 25 == 0:
-            q = rng.standard_normal((2, length, 6)).astype(np.float32)
-            k = rng.standard_normal((2, length, 6)).astype(np.float32)
-            v = rng.standard_normal((2, length, 6)).astype(np.float32)
-            full = build_mask(MaskVariant.FULL, flags)
-            diff = np.abs(softmax_attention(q, k, v, full) - softmax_attention(q, k, v))
-            assert diff.max() <= 1e-6, "full mask must equal unmasked attention"
-            if good.any() and not good.all():
-                half = build_mask(MaskVariant.HALF, flags)
-                base = softmax_attention(q, k, v, half)
-                v2 = v.copy()
-                v2[:, ~good, :] += 50.0
-                np.testing.assert_array_equal(
-                    softmax_attention(q, k, v2, half), base)
-            equivalence_checked += 1
-    report(6, True, f"500 partitions x 4 variants; {equivalence_checked} attention checks")
+        q = rng.standard_normal((2, length, 6)).astype(np.float32) / np.float32(math.sqrt(6))
+        k = rng.standard_normal((2, length, 6)).astype(np.float32)
+        v = rng.standard_normal((2, length, 6)).astype(np.float32)
+        full = build_mask(MaskVariant.FULL, flags)
+        diff = np.abs(attention(q, k, v, full) - attention(q, k, v))
+        assert diff.max() <= 1e-6, "full mask must equal unmasked attention"
+        if good.any() and not good.all():
+            half = build_mask(MaskVariant.HALF, flags)
+            base = attention(q, k, v, half)
+            v2 = v.copy()
+            v2[:, ~good, :] += 50.0
+            np.testing.assert_array_equal(attention(q, k, v2, half), base)
+            exactness_checked += 1
+        equivalence_checked += 1
+    report(6, True, f"500 partitions x 4 variants; {equivalence_checked} full-mask and "
+                    f"{exactness_checked} half-mask exactness checks on the engine kernel")
 
 
 def test_criterion_7_partial_compute_sanity():
@@ -304,23 +305,20 @@ def test_criterion_7_partial_compute_sanity():
         inp = DenoiserInput(z, video, mask_img, pose, 3, np.arange(L))
 
         eps_full, deep = d.denoise_full(inp, garment)
-        cache = FeatureCache(staleness_cap=2)
-        cache.store_block(0, deep.feats, 3)
-        feats, computed, flags = cache.fetch(range(L), 3)
-        eps_part = d.denoise_partial(inp, DeepFeatures(feats, computed), flags,
-                                     MaskVariant.FULL, garment)
+        cache = FeatureCache(L, d.deep_feature_shape(h, w), staleness_cap=2)
+        cache.store_block(0, deep, 3)
+        feats, _, flags = cache.fetch(range(L), 3)
+        eps_part = d.denoise_partial(inp, feats, flags, MaskVariant.FULL, garment)
         rel = float(np.linalg.norm(eps_part - eps_full) / np.linalg.norm(eps_full))
         worst_rel = max(worst_rel, rel)
 
         z_next = ddim_step(z, eps_full, 3, sched)
         inp_next = DenoiserInput(z_next, video, mask_img, pose, 4, np.arange(L))
         eps_ref, _ = d.denoise_full(inp_next, garment)
-        feats, computed, flags = cache.fetch(range(L), 4)
-        eps_stale = d.denoise_partial(inp_next, DeepFeatures(feats, computed), flags,
-                                      MaskVariant.FULL, garment)
-        eps_zero = d.denoise_partial(
-            inp_next, DeepFeatures(np.zeros_like(feats), computed), flags,
-            MaskVariant.FULL, garment)
+        feats, _, flags = cache.fetch(range(L), 4)
+        eps_stale = d.denoise_partial(inp_next, feats, flags, MaskVariant.FULL, garment)
+        eps_zero = d.denoise_partial(inp_next, np.zeros_like(feats), flags,
+                                     MaskVariant.FULL, garment)
         if np.linalg.norm(eps_stale - eps_ref) < np.linalg.norm(eps_zero - eps_ref):
             stale_wins += 1
     ok = worst_rel < 1e-5 and stale_wins == 10

@@ -10,77 +10,92 @@ from shiftcache.cache import (
     StaleCacheError,
     build_mask,
 )
-from shiftcache.numerics import MASK_BLOCK, MaskVariant, softmax_attention
+from shiftcache.denoiser import attention
+from shiftcache.numerics import MASK_BLOCK, MaskVariant
 
 SLICE = (3, 2, 2)
+N_FRAMES = 16
 
 
-def _feats(value):
-    return np.full(SLICE, value, dtype=np.float32)
+def _feats(value, frames=1):
+    return np.full((frames,) + SLICE, value, dtype=np.float32)
+
+
+def _cache(staleness_cap=2):
+    return FeatureCache(N_FRAMES, SLICE, staleness_cap=staleness_cap)
 
 
 class TestFeatureCache:
     def test_store_then_fetch_next_step_is_good(self):
-        cache = FeatureCache()
-        cache.store(0, _feats(1.0), step_index=3)
+        cache = _cache()
+        cache.store_block(0, _feats(1.0), step_index=3)
         feats, computed, flags = cache.fetch([0], current_step_position=4)
         assert computed.tolist() == [3]
         assert flags.good.tolist() == [True]
-        np.testing.assert_array_equal(feats[0], _feats(1.0))
+        np.testing.assert_array_equal(feats, _feats(1.0))
 
     def test_last_writer_wins(self):
-        cache = FeatureCache()
-        cache.store(5, _feats(1.0), step_index=1)
-        cache.store(5, _feats(2.0), step_index=2)
+        cache = _cache()
+        cache.store_block(5, _feats(1.0), step_index=1)
+        cache.store_block(5, _feats(2.0), step_index=2)
         feats, _, _ = cache.fetch([5], current_step_position=3)
-        np.testing.assert_array_equal(feats[0], _feats(2.0))
+        np.testing.assert_array_equal(feats, _feats(2.0))
 
     def test_staleness_two_flagged_bad(self):
-        cache = FeatureCache()
-        cache.store(1, _feats(0.5), step_index=2)
+        cache = _cache()
+        cache.store_block(1, _feats(0.5), step_index=2)
         _, _, flags = cache.fetch([1], current_step_position=4)
         assert flags.good.tolist() == [False]
 
     def test_mixed_halves_delta_half_chunk(self):
         # First half last fully computed two steps ago, second half one step
         # ago: flags come out [bad x 4, good x 4].
-        cache = FeatureCache()
-        for f in range(4):
-            cache.store(f, _feats(f), step_index=5)
-        for f in range(4, 8):
-            cache.store(f, _feats(f), step_index=6)
+        cache = _cache()
+        cache.store_block(0, _feats(0.0, frames=4), step_index=5)
+        cache.store_block(4, _feats(1.0, frames=4), step_index=6)
         _, _, flags = cache.fetch(range(8), current_step_position=7)
         assert flags.good.tolist() == [False] * 4 + [True] * 4
 
     def test_cache_miss(self):
-        cache = FeatureCache()
+        cache = _cache()
+        cache.store_block(0, _feats(1.0), step_index=0)
         with pytest.raises(CacheMiss):
-            cache.fetch([0], current_step_position=1)
+            cache.fetch([0, 1], current_step_position=1)
 
     def test_staleness_over_cap_rejected(self):
-        cache = FeatureCache(staleness_cap=2)
-        cache.store(0, _feats(1.0), step_index=0)
+        cache = _cache(staleness_cap=2)
+        cache.store_block(0, _feats(1.0), step_index=0)
         with pytest.raises(StaleCacheError):
             cache.fetch([0], current_step_position=3)
 
     def test_slice_shape_enforced(self):
-        cache = FeatureCache()
-        cache.store(0, _feats(1.0), step_index=0)
+        cache = _cache()
         with pytest.raises(ValueError, match="slice shape"):
-            cache.store(1, np.zeros((3, 2, 3), dtype=np.float32), step_index=0)
+            cache.store_block(1, np.zeros((1, 3, 2, 3), dtype=np.float32), step_index=0)
+        with pytest.raises(ValueError, match="dtype"):
+            cache.store_block(1, np.zeros((1,) + SLICE), step_index=0)
+        with pytest.raises(ValueError, match="outside"):
+            cache.store_block(N_FRAMES - 1, _feats(1.0, frames=2), step_index=0)
 
     def test_computed_at_monotonic_per_frame(self):
-        cache = FeatureCache()
-        cache.store(0, _feats(1.0), step_index=4)
-        with pytest.raises(ValueError, match="backwards"):
-            cache.store(0, _feats(1.0), step_index=3)
+        # frame 2 alone would go back: the whole block write is refused
+        cache = _cache()
+        cache.store_block(2, _feats(1.0), step_index=4)
+        cache.store_block(0, _feats(1.0, frames=2), step_index=3)
+        with pytest.raises(ValueError, match="frame 2 moves computed_at backwards"):
+            cache.store_block(0, _feats(2.0, frames=4), step_index=3)
+        feats, computed, _ = cache.fetch(range(3), current_step_position=4)
+        assert computed.tolist() == [3, 3, 4]
+        np.testing.assert_array_equal(feats, _feats(1.0, frames=3))
+        with pytest.raises(CacheMiss):
+            cache.fetch([3], current_step_position=4)
 
     def test_store_block_matches_per_frame_store(self):
         block = np.random.default_rng(0).standard_normal((4,) + SLICE).astype(np.float32)
-        a, b = FeatureCache(), FeatureCache()
+        a, b = _cache(), _cache()
         a.store_block(10, block, step_index=2)
         for i in range(4):
-            b.store(10 + i, block[i], step_index=2)
+            b.store_block(10 + i, block[i:i + 1], step_index=2)
         fa, ca, _ = a.fetch(range(10, 14), 3)
         fb, cb, _ = b.fetch(range(10, 14), 3)
         np.testing.assert_array_equal(fa, fb)
@@ -88,11 +103,13 @@ class TestFeatureCache:
 
     def test_store_block_copies(self):
         block = np.ones((2,) + SLICE, dtype=np.float32)
-        cache = FeatureCache()
+        cache = _cache()
         cache.store_block(0, block, step_index=0)
         block[:] = 7.0
         feats, _, _ = cache.fetch([0, 1], 1)
         np.testing.assert_array_equal(feats, np.ones((2,) + SLICE, dtype=np.float32))
+        feats[:] = 9.0  # fetch returns a copy, not a view of the cache
+        np.testing.assert_array_equal(cache.fetch([0, 1], 1)[0], np.ones((2,) + SLICE))
 
 
 def flags_of(pattern: str) -> FreshnessFlags:
@@ -168,10 +185,10 @@ class TestBuildMask:
         q = rng.standard_normal((3, L, 8)).astype(np.float32)
         k = rng.standard_normal((3, L, 8)).astype(np.float32)
         v = rng.standard_normal((3, L, 8)).astype(np.float32)
-        base = softmax_attention(q, k, v, mask)
+        base = attention(q, k, v, mask)
         v2 = v.copy()
         v2[:, ~flags.good, :] += 100.0
-        np.testing.assert_array_equal(softmax_attention(q, k, v2, mask), base)
+        np.testing.assert_array_equal(attention(q, k, v2, mask), base)
 
     def test_full_mask_equals_unmasked_attention(self):
         rng = np.random.default_rng(12)
@@ -179,5 +196,4 @@ class TestBuildMask:
         q = rng.standard_normal((2, 4, 6)).astype(np.float32)
         k = rng.standard_normal((2, 4, 6)).astype(np.float32)
         v = rng.standard_normal((2, 4, 6)).astype(np.float32)
-        np.testing.assert_allclose(
-            softmax_attention(q, k, v, mask), softmax_attention(q, k, v), atol=1e-6)
+        np.testing.assert_allclose(attention(q, k, v, mask), attention(q, k, v), atol=1e-6)

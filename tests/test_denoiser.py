@@ -1,11 +1,11 @@
 import math
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
 from shiftcache.cache import FreshnessFlags
 from shiftcache.denoiser import (
-    DeepFeatures,
     DenoiserInput,
     FlopTally,
     GarmentCondition,
@@ -14,7 +14,7 @@ from shiftcache.denoiser import (
     ToyDenoiser,
     ToyDenoiserConfig,
     assemble_input,
-    reference_spatial_attention,
+    spatial_attention,
 )
 from shiftcache.diffusion import make_schedule, oracle_eps
 from shiftcache.numerics import MaskVariant
@@ -84,20 +84,28 @@ class TestAssembleInput:
                            inp.binary_mask, inp.pose_features)
 
 
+def _tokens(feat):
+    """[L, C, H, W] -> the [L, H*W, C] tokens spatial_attention takes."""
+    length, channels = feat.shape[:2]
+    return feat.reshape(length, channels, -1).transpose(0, 2, 1)
+
+
 class TestReferenceSpatialAttention:
+    """denoiser.spatial_attention: the engine's spatial attention, whose
+    keys/values also see the garment (reference) tokens."""
+
     def test_two_key_closed_form(self):
         # L=1, H=W=1, M=1, identity projections, C=1: attention over one
         # frame token and one garment token, hand-checkable 2-key softmax.
         eye = np.eye(1, dtype=np.float32)
         w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=None)
         a, g = 0.7, -0.3
-        feat = np.full((1, 1, 1, 1), a, dtype=np.float32)
-        garment = GarmentCondition(np.full((1, 1), g, dtype=np.float32))
-        out = reference_spatial_attention(feat, garment, w)
+        tokens = np.full((1, 1, 1), a, dtype=np.float32)
+        out = spatial_attention(tokens, np.full((1, 1), g, dtype=np.float32), w)
         la, lg = a * a, a * g  # scale = 1/sqrt(1)
         wa = math.exp(la) / (math.exp(la) + math.exp(lg))
         expected = wa * a + (1 - wa) * g
-        np.testing.assert_allclose(out[0, 0, 0, 0], expected, rtol=1e-5)
+        np.testing.assert_allclose(out[0, 0, 0], expected, rtol=1e-5)
 
     def test_empty_garment_matches_plain_self_attention(self):
         # independent oracle: float64 softmax attention written out here
@@ -111,9 +119,9 @@ class TestReferenceSpatialAttention:
             wg=None,
         )
         feat = rng.standard_normal((2, c, 3, 3)).astype(np.float32)
-        out = reference_spatial_attention(feat, GarmentCondition.empty(c), w)
+        out = spatial_attention(_tokens(feat), GarmentCondition.empty(c).garment_tokens, w)
 
-        tokens = feat.reshape(2, c, 9).transpose(0, 2, 1).astype(np.float64)
+        tokens = _tokens(feat).astype(np.float64)
         q = tokens @ w.wq.astype(np.float64)
         k = tokens @ w.wk.astype(np.float64)
         v = tokens @ w.wv.astype(np.float64)
@@ -121,7 +129,6 @@ class TestReferenceSpatialAttention:
         weights = np.exp(logits - logits.max(-1, keepdims=True))
         weights /= weights.sum(-1, keepdims=True)
         expected = ((weights @ v) @ w.wo.astype(np.float64))
-        expected = expected.transpose(0, 2, 1).reshape(2, c, 3, 3)
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
     def test_garment_tokens_shared_across_frames(self):
@@ -131,28 +138,25 @@ class TestReferenceSpatialAttention:
         rng = np.random.default_rng(4)
         frame = rng.standard_normal((1, cfg.shallow_width, 2, 2)).astype(np.float32)
         feat = np.concatenate([frame, frame], axis=0)  # two identical frames
-        garment = GarmentCondition(
-            rng.standard_normal((3, cfg.shallow_width)).astype(np.float32))
-        out = reference_spatial_attention(feat, garment, w)
+        garment = rng.standard_normal((3, cfg.shallow_width)).astype(np.float32)
+        out = spatial_attention(_tokens(feat), garment, w)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_width_mismatch_rejected(self):
         eye = np.eye(2, dtype=np.float32)
         w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=None)
-        feat = np.zeros((1, 2, 2, 2), dtype=np.float32)
-        garment = GarmentCondition(np.zeros((1, 3), dtype=np.float32))
+        tokens = np.zeros((1, 4, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="width"):
-            reference_spatial_attention(feat, garment, w)
+            spatial_attention(tokens, np.zeros((1, 3), dtype=np.float32), w)
 
 
 class TestToyDenoiserFull:
     def test_output_shapes(self):
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
-        eps, deep = d.denoise_full(make_input(), make_garment(cfg))
+        eps, feats = d.denoise_full(make_input(), make_garment(cfg))
         assert eps.shape == (L, 4, H, W)
-        assert deep.feats.shape == (L, cfg.deep_width, H // 2, W // 2)
-        assert deep.computed_at.tolist() == [0] * L
+        assert feats.shape == (L, cfg.deep_width, H // 2, W // 2)
 
     def test_determinism_across_instances(self):
         cfg = tiny_config(seed=7)
@@ -179,10 +183,14 @@ class TestToyDenoiserFull:
         with pytest.raises(ValueError, match="even"):
             d.deep_feature_shape(5, 4)
 
-    def test_temporal_identity_hook_gives_frame_locality(self):
+    def test_zero_temporal_output_gives_frame_locality(self):
+        # with every temporal output projection zeroed, temporal attention
+        # adds exactly 0 and nothing else mixes frames
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
-        d.temporal_identity = True
+        for stage in (d.shallow_in, d.deep, d.shallow_out):
+            stage[:] = [replace(b, temporal=replace(b.temporal, wo=np.zeros_like(b.temporal.wo)))
+                        for b in stage]
         garment = make_garment(cfg)
         inp = make_input(seed=5)
         base, _ = d.denoise_full(inp, garment)
@@ -277,9 +285,8 @@ class TestToyDenoiserPartial:
             eps_ref, _ = d.denoise_full(inp1, garment)
             flags = FreshnessFlags(good=np.ones(L, dtype=bool))
             eps_stale = d.denoise_partial(inp1, deep0, flags, MaskVariant.FULL, garment)
-            zeros = DeepFeatures(feats=np.zeros_like(deep0.feats),
-                                 computed_at=deep0.computed_at)
-            eps_zero = d.denoise_partial(inp1, zeros, flags, MaskVariant.FULL, garment)
+            eps_zero = d.denoise_partial(inp1, np.zeros_like(deep0), flags, MaskVariant.FULL,
+                                         garment)
             d_stale = np.linalg.norm(eps_stale - eps_ref)
             d_zero = np.linalg.norm(eps_zero - eps_ref)
             if d_stale < d_zero:
@@ -291,8 +298,7 @@ class TestToyDenoiserPartial:
         d = ToyDenoiser(cfg)
         garment = make_garment(cfg)
         inp = make_input()
-        bad = DeepFeatures(feats=np.zeros((L, cfg.deep_width, 3, 3), dtype=np.float32),
-                           computed_at=np.zeros(L, dtype=np.int64))
+        bad = np.zeros((L, cfg.deep_width, 3, 3), dtype=np.float32)
         flags = FreshnessFlags(good=np.ones(L, dtype=bool))
         with pytest.raises(ValueError, match="deep features shape"):
             d.denoise_partial(inp, bad, flags, MaskVariant.FULL, garment)
@@ -306,6 +312,26 @@ class TestToyDenoiserPartial:
         flags = FreshnessFlags(good=np.ones(L - 1, dtype=bool))
         with pytest.raises(ValueError, match="flags length"):
             d.denoise_partial(inp, deep, flags, MaskVariant.FULL, garment)
+
+
+class TestToyDenoiserConfig:
+    @pytest.mark.parametrize("kw,match", [
+        (dict(shallow_blocks=1), "shallow block"),
+        (dict(deep_blocks=0), "deep block"),
+        (dict(shallow_width=5), "even"),
+        (dict(deep_width=7), "even"),
+        (dict(deep_cost_share=1.0), "deep_cost_share"),
+    ])
+    def test_invalid_sizes_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ToyDenoiserConfig(**kw)
+
+    def test_frozen_value_object(self):
+        cfg = tiny_config(seed=3)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 4
+        assert ToyDenoiserConfig(**asdict(cfg)) == cfg
+        assert replace(cfg, seed=4) != cfg
 
 
 class TestCostModel:

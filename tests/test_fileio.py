@@ -1,13 +1,17 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcache import fileio
 from shiftcache.diffusion import LatentVideo
 from shiftcache.fileio import FormatError
 from shiftcache.numerics import MaskVariant
+from shiftcache.scheduler import EngineConfig
 
 
 def video(seed=0, dtype=np.float32):
@@ -172,6 +176,55 @@ class TestConfigFiles:
         path.write_text("{not json")
         with pytest.raises(FormatError, match="JSON"):
             fileio.load_config(path)
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"hard_skip": "false"}, "hard_skip"),
+        ({"hard_skip": 0}, "hard_skip"),
+        ({"n_total": 143.9}, "n_total"),
+        ({"n_total": 144.0}, "n_total"),
+        ({"seed": True}, "seed"),
+        ({"partial_fraction": "0.5"}, "partial_fraction"),
+        ({"partial_fraction": False}, "partial_fraction"),
+        ({"policy": 1}, "policy"),
+        ({"mask_variant": None}, "mask_variant"),
+        ({"toy": {"deep_width": "8"}}, "toy.deep_width"),
+        ({"toy": {"seed": 1.0}}, "toy.seed"),
+        ({"toy": {"deep_cost_share": True}}, "toy.deep_cost_share"),
+        ({"latent": {"h": 8.0}}, "latent.h"),
+    ])
+    def test_wrong_types_rejected_naming_the_key(self, doc, key):
+        with pytest.raises(FormatError, match=f'"{re.escape(key)}" must be'):
+            fileio.config_from_dict(doc)
+
+    def test_int_accepted_for_float(self):
+        config = fileio.config_from_dict({"partial_fraction": 1, "beta_start": 0})
+        assert type(config.partial_fraction) is float and config.partial_fraction == 1.0
+        assert type(config.beta_start) is float and config.beta_start == 0.0
+
+    @given(
+        key=st.sampled_from(
+            sorted(fileio._TOP_KEYS - {"mask_variant", "toy", "latent"})
+            + [f"toy.{k}" for k in sorted(fileio._TOY_KEYS)]
+            + [f"latent.{k}" for k in sorted(fileio._LATENT_KEYS)]),
+        value=st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.text(max_size=6), st.lists(st.integers(), max_size=2)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_values_load_exactly_or_are_rejected(self, key, value):
+        # a value either loads unchanged, with the default's exact type, or
+        # raises; nothing is coerced (an int may stand for a float)
+        block, _, name = key.rpartition(".")
+        doc = {block: {name: value}} if block else {name: value}
+        try:
+            config = fileio.config_from_dict(doc)
+        except ValueError:  # FormatError, or a range check in validate()
+            return
+        attr = f"latent_{name}" if block == "latent" else name
+        loaded, default = (getattr(c.toy if block == "toy" else c, attr)
+                           for c in (config, EngineConfig()))
+        assert type(loaded) is type(default)
+        assert loaded == value
 
 
 class TestPgm:

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcache.cache import FreshnessFlags, build_mask
+from shiftcache.denoiser import ToyDenoiser, _rms_norm, attention
 from shiftcache.numerics import (
     MASK_BLOCK,
     AttentionMask,
     MaskVariant,
-    reshape_spatial_temporal,
-    reshape_temporal_spatial,
-    sinusoidal_encoding,
     sinusoidal_encoding_batch,
-    softmax,
-    softmax_attention,
 )
 
 
@@ -25,23 +22,31 @@ def _mask(blocked_rows_cols, size, variant=MaskVariant.FULL):
     return AttentionMask(matrix=m, variant=variant)
 
 
+def _scaled(q):
+    # the engine kernel expects the 1/sqrt(C) scale folded into q
+    return q * np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype)
+
+
 class TestSoftmaxAttention:
-    def test_single_key_returns_value_exactly(self):
+    """The engine's attention kernel, denoiser.attention."""
+
+    def test_single_key_returns_value_to_rounding(self):
+        # one key gets weight w = exp(logit); the kernel normalizes after the
+        # matmul, so the output is (w * v) / w: v up to two float32 roundings
         rng = np.random.default_rng(0)
         q = rng.standard_normal((3, 1, 5)).astype(np.float32)
         k = rng.standard_normal((3, 1, 5)).astype(np.float32)
         v = rng.standard_normal((3, 1, 5)).astype(np.float32)
-        mask = _mask([], 1)
-        out = softmax_attention(q, k, v, mask)
-        np.testing.assert_array_equal(out, v)
+        out = attention(_scaled(q), k, v, _mask([], 1))
+        np.testing.assert_allclose(out, v, rtol=2 * np.finfo(np.float32).eps, atol=0)
 
     def test_zero_mask_matches_no_mask(self):
         rng = np.random.default_rng(1)
         q = rng.standard_normal((2, 6, 4)).astype(np.float32)
         k = rng.standard_normal((2, 6, 4)).astype(np.float32)
         v = rng.standard_normal((2, 6, 4)).astype(np.float32)
-        out_masked = softmax_attention(q, k, v, _mask([], 6))
-        out_plain = softmax_attention(q, k, v, None)
+        out_masked = attention(_scaled(q), k, v, _mask([], 6))
+        out_plain = attention(_scaled(q), k, v, None)
         np.testing.assert_allclose(out_masked, out_plain, atol=1e-6)
 
     def test_blocked_keys_get_zero_weight_two_key_hand_check(self):
@@ -54,7 +59,7 @@ class TestSoftmaxAttention:
         k = rng.standard_normal((1, L, C)).astype(np.float32)
         v = np.eye(L, dtype=np.float32)[None]
         blocked = [(i, j) for i in range(L) for j in (0, 1)]
-        out = softmax_attention(q, k, v, _mask(blocked, L))
+        out = attention(_scaled(q), k, v, _mask(blocked, L))
         np.testing.assert_allclose(out[0, :, 0], 0.0, atol=0)
         np.testing.assert_allclose(out[0, :, 1], 0.0, atol=0)
         for i in range(L):
@@ -69,18 +74,20 @@ class TestSoftmaxAttention:
         q = rng.standard_normal((2, 5, 3)).astype(np.float32)
         k = rng.standard_normal((2, 5, 3)).astype(np.float32)
         v = np.ones((2, 5, 3), dtype=np.float32)
-        out = softmax_attention(q, k, v)
+        out = attention(_scaled(q), k, v)
         np.testing.assert_allclose(out, 1.0, rtol=1e-5)
 
     def test_shape_mismatch_rejected(self):
-        q = np.zeros((1, 2, 3))
-        with pytest.raises(ValueError, match="share"):
-            softmax_attention(q, np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
+        q = np.zeros((1, 2, 3), dtype=np.float32)
+        with pytest.raises(ValueError):
+            attention(q, np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))  # q/k widths
+        with pytest.raises(ValueError):
+            attention(q, q, np.zeros((1, 3, 3)))  # k/v key counts
 
     def test_mask_size_mismatch_rejected(self):
         q = np.zeros((1, 3, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="mask size"):
-            softmax_attention(q, q, q, _mask([], 4))
+            attention(q, q, q, _mask([], 4))
 
     def test_fully_blocked_row_rejected_at_mask_construction(self):
         m = np.zeros((2, 2), dtype=np.float32)
@@ -95,57 +102,81 @@ class TestSoftmaxAttention:
             AttentionMask(matrix=m, variant=MaskVariant.HALF)
 
     def test_softmax_shift_invariance_per_query_row(self):
+        # adding u to every key shifts query i's logits by the constant
+        # q_i . u, which softmax ignores
         rng = np.random.default_rng(4)
-        logits = rng.standard_normal((3, 4, 6)).astype(np.float32)
-        shifted = logits.copy()
-        shifted[1, 2, :] += 7.5  # one query row, constant shift
-        np.testing.assert_allclose(softmax(shifted), softmax(logits), atol=1e-6)
+        q = _scaled(rng.standard_normal((3, 4, 6)).astype(np.float32))
+        k = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        v = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        u = rng.standard_normal(6).astype(np.float32)
+        np.testing.assert_allclose(attention(q, k + u, v), attention(q, k, v), atol=1e-5)
 
     def test_float64_supported(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((1, 3, 4))
-        out = softmax_attention(q, q, q)
+        out = attention(_scaled(q), q, q)
         assert out.dtype == np.float64
 
-    def test_matches_reference_sdpa(self):
-        torch = pytest.importorskip("torch")
-        rng = np.random.default_rng(6)
-        q = rng.standard_normal((2, 5, 8)).astype(np.float32)
-        k = rng.standard_normal((2, 5, 8)).astype(np.float32)
-        v = rng.standard_normal((2, 5, 8)).astype(np.float32)
-        mask = _mask([(0, 1), (0, 3), (2, 0), (4, 4)], 5, MaskVariant.QUARTER)
-        ours = softmax_attention(q, k, v, mask)
-        # torch's additive float mask rejects non-finite-safe extremes the
-        # same way: use a large negative stand-in for blocked entries
-        attn_mask = torch.from_numpy(
-            np.where(mask.blocked(), np.float32(-1e9), np.float32(0.0)))
-        ref = torch.nn.functional.scaled_dot_product_attention(
-            torch.from_numpy(q), torch.from_numpy(k), torch.from_numpy(v),
-            attn_mask=attn_mask)
-        np.testing.assert_allclose(ours, ref.numpy(), atol=2e-6)
+    # Tolerances, relative to max |v|, fixed per dtype in advance.
+    REFERENCE_TOLERANCE = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @given(
+        width=st.integers(1, 32).map(lambda half: 2 * half),
+        length=st.integers(1, 24),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        variant=st.sampled_from(list(MaskVariant)),
+        first_frame=st.integers(0, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_max_subtracted_float64_reference(self, width, length, dtype, variant,
+                                                      first_frame, seed):
+        # Inputs built as the engine's temporal attention builds them:
+        # RMS-normed tokens of any scale plus sinusoidal frame codes, then
+        # seeded 1/sqrt(fan_in) float32 projections. The kernel skips the
+        # max subtraction; the float64 reference here does not.
+        rng = np.random.default_rng(seed)
+        wq, wk, wv = ((rng.standard_normal((width, width)) / np.sqrt(width))
+                      .astype(np.float32) for _ in range(3))
+        x = rng.standard_normal((3, length, width)) * 10.0 ** rng.uniform(-3, 3)
+        n = _rms_norm(x.astype(dtype))
+        n += sinusoidal_encoding_batch(np.arange(first_frame, first_frame + length), width)
+        q = n @ wq
+        q *= np.float32(1.0 / np.sqrt(width))
+        k, v = n @ wk, n @ wv
+        mask = build_mask(variant, FreshnessFlags(good=rng.random(length) < rng.random()))
+
+        out = attention(q, k, v, mask)
+
+        logits = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
+        logits[:, mask.blocked()] = -np.inf
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        ref = (weights / weights.sum(axis=-1, keepdims=True)) @ v.astype(np.float64)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(
+            out, ref, rtol=0, atol=self.REFERENCE_TOLERANCE[dtype] * np.abs(v).max())
 
 
 class TestSinusoidalEncoding:
     def test_index_zero_dim_four(self):
-        np.testing.assert_array_equal(sinusoidal_encoding(0, 4), [0.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(sinusoidal_encoding_batch([0], 4)[0], [0.0, 1.0, 0.0, 1.0])
 
     def test_repeat_call_bit_identical(self):
-        a = sinusoidal_encoding(17, 32)
-        b = sinusoidal_encoding(17, 32)
+        a = sinusoidal_encoding_batch([17], 32)
+        b = sinusoidal_encoding_batch([17], 32)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_indices_distinct_codes(self):
-        a = sinusoidal_encoding(1, 64)
-        b = sinusoidal_encoding(2, 64)
+        a, b = sinusoidal_encoding_batch([1, 2], 64)
         assert np.linalg.norm(a - b) > 0
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            sinusoidal_encoding(0, 5)
+            sinusoidal_encoding_batch([0], 5)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            sinusoidal_encoding(-1, 4)
+            sinusoidal_encoding_batch([-1], 4)
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_injective_over_small_indices(self, dim):
@@ -155,20 +186,27 @@ class TestSinusoidalEncoding:
                 assert np.linalg.norm(codes[i] - codes[j]) > 1e-6
 
     def test_batch_matches_scalar(self):
+        # each row is the single-index code, and equals the closed form
         batch = sinusoidal_encoding_batch(np.array([0, 3, 11]), 12)
+        freqs = 10000.0 ** (-np.arange(0, 12, 2) / 12)
         for row, idx in zip(batch, (0, 3, 11)):
-            np.testing.assert_array_equal(row, sinusoidal_encoding(idx, 12))
+            np.testing.assert_array_equal(row, sinusoidal_encoding_batch([idx], 12)[0])
+            closed = np.stack([np.sin(idx * freqs), np.cos(idx * freqs)], axis=1).ravel()
+            np.testing.assert_array_equal(row, closed.astype(np.float32))
 
 
 class TestReshape:
+    """The engine's layout change between cached deep features
+    [L, C, H, W] and deep tokens [L, H*W, C]."""
+
     def test_enumerated_mapping(self):
-        # L=2, C=1, H=1, W=2: position p maps to x[:, :, p // W, p % W].
+        # L=2, C=1, H=1, W=2: token position p holds x[:, :, p // W, p % W].
         x = np.arange(4, dtype=np.float32).reshape(2, 1, 1, 2)
-        out = reshape_spatial_temporal(x)
+        out = ToyDenoiser._feats_to_deep(x)
         assert out.shape == (2, 2, 1)
         for p in range(2):
             for i in range(2):
-                assert out[p, i, 0] == x[i, 0, p // 2, p % 2]
+                assert out[i, p, 0] == x[i, 0, p // 2, p % 2]
 
     @given(
         l=st.integers(1, 4), c=st.integers(1, 3),
@@ -178,8 +216,9 @@ class TestReshape:
     def test_round_trip_bit_exact(self, l, c, h, w):
         rng = np.random.default_rng(l * 1000 + c * 100 + h * 10 + w)
         x = rng.standard_normal((l, c, h, w)).astype(np.float32)
+        # _deep_to_feats takes the full-resolution (2H, 2W) of the latents
         np.testing.assert_array_equal(
-            reshape_temporal_spatial(reshape_spatial_temporal(x), h, w), x)
+            ToyDenoiser._deep_to_feats(ToyDenoiser._feats_to_deep(x), (2 * h, 2 * w)), x)
 
     def test_spatial_permutation_equals_batch_permutation(self):
         rng = np.random.default_rng(6)
@@ -187,13 +226,14 @@ class TestReshape:
         perm = np.array([3, 1, 0, 2])  # positions p = h * W + w
         h_idx, w_idx = perm // 2, perm % 2
         x_perm = x[:, :, h_idx, w_idx].reshape(3, 2, 2, 2)
-        # permuting spatial positions before == permuting batch rows after
+        # permuting spatial positions before == permuting token positions,
+        # the batch axis of temporal attention, after
         np.testing.assert_array_equal(
-            reshape_spatial_temporal(x_perm),
-            reshape_spatial_temporal(x)[perm])
+            ToyDenoiser._feats_to_deep(x_perm),
+            ToyDenoiser._feats_to_deep(x)[:, perm])
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):
-            reshape_spatial_temporal(np.zeros((2, 3)))
+            ToyDenoiser._feats_to_deep(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            reshape_temporal_spatial(np.zeros((4, 2, 3)), 2, 3)
+            ToyDenoiser._deep_to_feats(np.zeros((4, 2, 3)), (2, 3))

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from shiftcache.denoiser import ToyDenoiserConfig
 from shiftcache.numerics import MaskVariant
+from shiftcache import scheduler
 from shiftcache.scheduler import (
     Chunk,
     ChunkMode,
     EngineConfig,
+    _worker_count,
     aggregate_overlaps,
+    build_plans,
     mark_partial,
     plan_overlap,
     plan_shift,
@@ -219,6 +222,21 @@ class TestMarkPartial:
         with pytest.raises(ValueError):
             mark_partial(all_full_plans(16, 8, 0, 3), 1.5, 2, 0, 8)
 
+    def test_record_replays_the_marks(self):
+        # the record's trace and last_full follow from the marks alone
+        plans, record = mark_partial(all_full_plans(40, 8, 3, 9, "random", 5), 0.6, 2, 5, 8)
+        last_full = np.full(40, -1)
+        for k, step in enumerate(plans):
+            expected = np.zeros(40, dtype=np.int64)
+            for c in step:
+                if c.mode is ChunkMode.PARTIAL:
+                    expected[c.start:c.stop] = k - last_full[c.start:c.stop]
+                else:
+                    last_full[c.start:c.stop] = k
+            np.testing.assert_array_equal(record.trace[k], expected)
+        np.testing.assert_array_equal(record.last_full, last_full)
+        assert record.trace.max() <= 2 and record.bernoulli_partials > 0
+
 
 def small_config(**kw):
     base = dict(n_total=24, chunk_len=8, policy="shift", delta=2, shift_mode="fixed",
@@ -324,6 +342,54 @@ class TestRunInference:
         cfg = small_config(partial_fraction=0.0, ddim_steps=4)
         video, _ = run_inference(cfg)
         np.testing.assert_array_equal(video.freshness, np.full(24, 3))
+
+    @pytest.mark.parametrize("kw", [dict(partial_fraction=0.6, shift_mode="random"),
+                                    dict(partial_fraction=0.6, hard_skip=True),
+                                    dict(policy="overlap", overlap_s=3)])
+    def test_freshness_comes_from_the_plan_record(self, kw):
+        cfg = small_config(ddim_steps=6, **kw)
+        _, record = build_plans(cfg)
+        video, stats = run_inference(cfg)
+        np.testing.assert_array_equal(stats.freshness_trace, record.trace)
+        np.testing.assert_array_equal(video.freshness, record.last_full)
+        assert stats.forced_full == record.forced_full
+
+    def test_overlap_runs_skip_marking_and_cache(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("overlap runs must not mark or cache")
+
+        monkeypatch.setattr(scheduler, "mark_partial", forbidden)
+        monkeypatch.setattr(scheduler, "FeatureCache", forbidden)
+        cfg = small_config(policy="overlap", overlap_s=4, ddim_steps=3)
+        run_inference(cfg)
+        run_inference(small_config(policy="overlap", overlap_s=4, denoiser="oracle"))
+        _, record = build_plans(cfg)
+        np.testing.assert_array_equal(record.trace, np.zeros((3, 24), dtype=np.int64))
+        np.testing.assert_array_equal(record.last_full, np.full(24, 2))
+
+
+class TestWorkerCount:
+    def test_unset_or_empty_is_serial(self, monkeypatch):
+        monkeypatch.delenv("SHIFTCACHE_THREADS", raising=False)
+        assert _worker_count() == 1
+        monkeypatch.setenv("SHIFTCACHE_THREADS", "")
+        assert _worker_count() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3", "1e3", "true"])
+    def test_invalid_rejected_naming_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("SHIFTCACHE_THREADS", value)
+        with pytest.raises(ValueError, match="SHIFTCACHE_THREADS"):
+            _worker_count()
+
+    def test_capped_at_available_cpus(self, monkeypatch):
+        # only the count is computed here; no pool is started
+        cpus = len(os.sched_getaffinity(0))
+        monkeypatch.setenv("SHIFTCACHE_THREADS", "1")
+        assert _worker_count() == 1
+        monkeypatch.setenv("SHIFTCACHE_THREADS", str(cpus))
+        assert _worker_count() == cpus
+        monkeypatch.setenv("SHIFTCACHE_THREADS", "100000")
+        assert _worker_count() == cpus
 
 
 class TestHardSkipAblation:
