@@ -53,6 +53,8 @@ def save_latents(path, video) -> None:
 
 
 def load_latents(path) -> LatentVideo:
+    """Read an LVT1 file. The format stores no freshness, so every frame
+    comes back as never computed (-1)."""
     blob = Path(path).read_bytes()
     header = 4 + 1 + 4 + 4 * LATENT_RANK
     if len(blob) < header:
@@ -80,7 +82,7 @@ def load_latents(path) -> LatentVideo:
             f"payload length {len(blob) - header} != dims product {count} x {dtype.itemsize}"
         )
     z = np.frombuffer(blob, dtype=dtype, count=count, offset=header).reshape(dims).copy()
-    return LatentVideo(z=z, freshness=np.zeros(dims[0], dtype=np.int64))
+    return LatentVideo(z=z, freshness=np.full(dims[0], -1, dtype=np.int64))
 
 
 # -- keypoints ---------------------------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
+from .numerics import correlate_symmetric
 from .scheduler import RunStats, plan_overlap
 
 SSIM_WINDOW = 11
@@ -30,8 +30,9 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
 
 
 def _windowed_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    out = correlate1d(img, window, axis=0, mode="nearest")
-    return correlate1d(out, window, axis=1, mode="nearest")
+    """Window-weighted local means over the last two axes."""
+    out = correlate_symmetric(img, window, -2, "edge")
+    return correlate_symmetric(out, window, -1, "edge")
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -58,12 +59,11 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
 
-    win = _gaussian_window()
-    mu_a = _windowed_mean(a, win)
-    mu_b = _windowed_mean(b, win)
-    var_a = _windowed_mean(a * a, win) - mu_a * mu_a
-    var_b = _windowed_mean(b * b, win) - mu_b * mu_b
-    cov = _windowed_mean(a * b, win) - mu_a * mu_b
+    mu_a, mu_b, mean_aa, mean_bb, mean_ab = _windowed_mean(
+        np.stack([a, b, a * a, b * b, a * b]), _gaussian_window())
+    var_a = mean_aa - mu_a * mu_a
+    var_b = mean_bb - mu_b * mu_b
+    cov = mean_ab - mu_a * mu_b
 
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)

@@ -1,5 +1,5 @@
-"""Dense-array primitives: the additive attention mask and the sinusoidal
-frame encoding.
+"""Dense-array primitives: the additive attention mask, the sinusoidal
+frame encoding and the separable smoothing filter.
 
 Everything here is pure numpy (float32 by default). The attention kernel
 that applies these masks lives in the denoiser, next to the projections.
@@ -70,3 +70,41 @@ def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles)
     return enc.astype(np.float32)
+
+
+def correlate_symmetric(x: np.ndarray, weights: np.ndarray, axis: int, mode: str) -> np.ndarray:
+    """Correlate ``x`` along ``axis`` with an odd-length symmetric kernel, in float64.
+
+    With radius r = len(weights) // 2 the result is
+    ``out[i] = x[i]*w[r]``, then ``out[i] += (x[i-j] + x[i+j])*w[r-j]`` for
+    j = r down to 1. That is the summation order of
+    ``scipy.ndimage.correlate1d`` for symmetric kernels, so results agree
+    with it bit for bit. ``mode`` extends ``x`` past its ends: ``"wrap"``
+    is periodic, ``"edge"`` repeats the end sample (scipy's ``"nearest"``).
+    Axes shorter than the radius are extended the same way.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] % 2 == 0 or not np.array_equal(w, w[::-1]):
+        raise ValueError("weights must be a one-dimensional symmetric kernel of odd length")
+    if mode not in ("wrap", "edge"):
+        raise ValueError(f"mode must be 'wrap' or 'edge', got {mode!r}")
+    x = np.asarray(x, dtype=np.float64)
+    axis = axis % x.ndim
+    r, n = w.shape[0] // 2, x.shape[axis]
+    source = np.arange(-r, n + r)  # padded position -> position in x
+    source = source % n if mode == "wrap" else np.clip(source, 0, n - 1)
+    padded = np.take(x, source, axis=axis)
+
+    def shifted(j):
+        """x[i + j] for every output position i."""
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(r + j, r + j + n)
+        return padded[tuple(index)]
+
+    out = shifted(0) * w[r]
+    term = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(shifted(-j), shifted(j), out=term)
+        term *= w[r - j]
+        out += term
+    return out

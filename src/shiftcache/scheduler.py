@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .cache import FeatureCache
 from .denoiser import (
@@ -35,13 +34,26 @@ from .denoiser import (
     ToyDenoiserConfig,
 )
 from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
-from .numerics import MaskVariant
+from .numerics import MaskVariant, correlate_symmetric
 
 # Seed-stream tags: keep distinct so config fields never alias each other.
 _STREAM_NOISE = 1
 _STREAM_SHIFT = 2
 _STREAM_MARK = 3
 _STREAM_CONDITIONS = 4
+
+# Spatial smoothing of the synthetic conditions: a Gaussian of sigma 1.5
+# truncated at 4 sigma (radius 6), normalized the way scipy.ndimage builds
+# its gaussian_filter kernel so the smoothed noise is bit-identical to it.
+_CONDITION_KERNEL = np.exp(-0.5 / 1.5 ** 2 * np.arange(-6, 7) ** 2)
+_CONDITION_KERNEL /= _CONDITION_KERNEL.sum()
+# Frames smoothed per pass. A pass filters axis 0 of a block laid out
+# [H, W, frames, C] (then [W, H, frames, C]), so every shifted slice is one
+# contiguous run. At the default 16x12 latent a block of 32 frames is
+# ~200 KB per array, so the padded input, the output and the temporary of
+# a pass stay in L2; smoothing all 2048 frames of a long video in one pass
+# spills to memory and runs about twice as slow.
+_SMOOTH_BLOCK_FRAMES = 32
 
 
 class ChunkMode(enum.Enum):
@@ -326,7 +338,14 @@ def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
 
     def smooth(channels):
         x = rng.standard_normal((n, channels, h, w))
-        x = gaussian_filter(x, sigma=(0, 0, 1.5, 1.5), mode="wrap")
+        for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
+            frames = slice(first, first + _SMOOTH_BLOCK_FRAMES)
+            # H, then W: the axis order of gaussian_filter, which the bits follow
+            block = correlate_symmetric(x[frames].transpose(2, 3, 0, 1),
+                                        _CONDITION_KERNEL, 0, "wrap")
+            block = correlate_symmetric(block.transpose(1, 0, 2, 3),
+                                        _CONDITION_KERNEL, 0, "wrap")
+            x[frames] = block.transpose(2, 3, 1, 0)
         x /= max(x.std(), 1e-12)
         return x.astype(dtype)
 

@@ -29,6 +29,16 @@ class TestLatentFiles:
         np.testing.assert_array_equal(loaded.z, v.z)
         assert loaded.z.dtype == np.dtype(dtype)
 
+    def test_round_trip_marks_frames_never_computed(self, tmp_path):
+        # LVT1 carries no freshness: 0 would claim "fully computed at step 0"
+        path = tmp_path / "v.lvt"
+        v = video()
+        v.freshness[:] = 5
+        fileio.save_latents(path, v)
+        loaded = fileio.load_latents(path)
+        np.testing.assert_array_equal(loaded.freshness, np.full(3, -1))
+        assert loaded.freshness.dtype == np.int64
+
     def test_accepts_bare_array(self, tmp_path):
         path = tmp_path / "v.lvt"
         z = video().z

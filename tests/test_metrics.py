@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,28 @@ TINY_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
 
 def image(seed=0, h=16, w=16):
     return np.random.default_rng(seed).standard_normal((h, w))
+
+
+def direct_ssim(a, b):
+    """SSIM as documented, by direct float64 sums over every valid 11x11
+    window: Gaussian weights of sigma 1.5, centred moments, K1=0.01,
+    K2=0.03 and the dynamic range of the two images together."""
+    x = np.arange(11) - 5.0
+    g = np.exp(-x * x / (2 * 1.5 ** 2))
+    weights = np.outer(g, g) / np.outer(g, g).sum()
+    pa, pb = sliding_window_view(a, (11, 11)), sliding_window_view(b, (11, 11))
+
+    def mean(patches):
+        return (patches * weights).sum(axis=(-2, -1))
+
+    mu_a, mu_b = mean(pa), mean(pb)
+    da, db = pa - mu_a[..., None, None], pb - mu_b[..., None, None]
+    var_a, var_b, cov = mean(da * da), mean(db * db), mean(da * db)
+    data_range = max(a.max(), b.max()) - min(a.min(), b.min())
+    c1, c2 = (0.01 * data_range) ** 2, (0.03 * data_range) ** 2
+    ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
+    return ssim_map.mean()
 
 
 class TestSsim:
@@ -71,6 +94,21 @@ class TestSsim:
                 a, b, win_size=11, gaussian_weights=True, sigma=1.5,
                 use_sample_covariance=False, data_range=data_range)
             assert ssim(a, b) == pytest.approx(expected, abs=1e-7)
+
+    @pytest.mark.parametrize("h,w", [(11, 11), (24, 20), (13, 30)])
+    def test_matches_direct_float64_reference(self, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        for noise in (0.1, 0.5, 2.0):
+            a = rng.standard_normal((h, w))
+            b = a + noise * rng.standard_normal((h, w))
+            assert ssim(a, b) == pytest.approx(direct_ssim(a, b), abs=1e-12)
+
+    def test_channels_averaged_before_the_direct_reference(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 16, 12))
+        b = a + 0.4 * rng.standard_normal((3, 16, 12))
+        assert ssim(a, b) == pytest.approx(
+            direct_ssim(a.mean(axis=0), b.mean(axis=0)), abs=1e-12)
 
     def test_video_ssim_means_over_frames(self):
         v = np.random.default_rng(4).standard_normal((3, 2, 16, 16))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from shiftcache.cache import FreshnessFlags, build_mask
 from shiftcache.denoiser import ToyDenoiser, _rms_norm, attention
@@ -11,8 +12,11 @@ from shiftcache.numerics import (
     MASK_BLOCK,
     AttentionMask,
     MaskVariant,
+    correlate_symmetric,
     sinusoidal_encoding_batch,
 )
+from shiftcache.metrics import _gaussian_window
+from shiftcache.scheduler import _CONDITION_KERNEL
 
 
 def _mask(blocked_rows_cols, size, variant=MaskVariant.FULL):
@@ -237,3 +241,56 @@ class TestReshape:
             ToyDenoiser._feats_to_deep(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             ToyDenoiser._deep_to_feats(np.zeros((4, 2, 3)), (2, 3))
+
+
+class TestCorrelateSymmetric:
+    """Bit-for-bit agreement with scipy.ndimage, which stays installed as a
+    test-only reference; the library itself runs on numpy alone."""
+
+    @pytest.mark.parametrize("h,w", [(2, 2), (4, 6), (8, 8), (16, 12), (6, 14), (2, 20)])
+    def test_matches_scipy_gaussian_filter_wrap(self, h, w):
+        x = np.random.default_rng(h * 100 + w).standard_normal((5, 4, h, w))
+        expected = ndimage.gaussian_filter(x, sigma=(0, 0, 1.5, 1.5), mode="wrap")
+        got = correlate_symmetric(correlate_symmetric(x, _CONDITION_KERNEL, 2, "wrap"),
+                                  _CONDITION_KERNEL, 3, "wrap")
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("h,w", [(11, 11), (16, 12), (24, 20), (3, 5)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy_correlate1d_nearest_with_ssim_window(self, h, w, axis):
+        img = np.random.default_rng(h * 100 + w).standard_normal((h, w))
+        window = _gaussian_window()
+        np.testing.assert_array_equal(
+            correlate_symmetric(img, window, axis, "edge"),
+            ndimage.correlate1d(img, window, axis=axis, mode="nearest"))
+
+    @given(seed=st.integers(0, 10_000), radius=st.integers(0, 7),
+           shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           mode=st.sampled_from(["wrap", "edge"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scipy_on_any_symmetric_kernel(self, seed, radius, shape, mode):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal(radius + 1)
+        weights = np.concatenate([half[:0:-1], half])  # symmetric, odd length
+        x = rng.standard_normal(shape)
+        axis = int(rng.integers(len(shape)))
+        scipy_mode = {"wrap": "wrap", "edge": "nearest"}[mode]
+        np.testing.assert_array_equal(
+            correlate_symmetric(x, weights, axis, mode),
+            ndimage.correlate1d(x, weights, axis=axis, mode=scipy_mode))
+
+    def test_result_is_float64_and_input_untouched(self):
+        x = np.arange(12, dtype=np.float32).reshape(3, 4)
+        before = x.copy()
+        out = correlate_symmetric(x, _gaussian_window(3, 1.0), -1, "edge")
+        assert out.dtype == np.float64 and out.shape == x.shape
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.5, 0.3], [[1.0]]])
+    def test_rejects_kernels_that_are_not_odd_and_symmetric(self, weights):
+        with pytest.raises(ValueError, match="symmetric kernel"):
+            correlate_symmetric(np.zeros((4, 4)), np.asarray(weights), 0, "wrap")
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            correlate_symmetric(np.zeros((4, 4)), np.ones(3) / 3, 0, "nearest")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from shiftcache.denoiser import ToyDenoiserConfig
 from shiftcache.numerics import MaskVariant
@@ -13,6 +14,8 @@ from shiftcache.scheduler import (
     Chunk,
     ChunkMode,
     EngineConfig,
+    _SMOOTH_BLOCK_FRAMES,
+    _STREAM_CONDITIONS,
     _worker_count,
     aggregate_overlaps,
     build_plans,
@@ -366,6 +369,25 @@ class TestRunInference:
         _, record = build_plans(cfg)
         np.testing.assert_array_equal(record.trace, np.zeros((3, 24), dtype=np.int64))
         np.testing.assert_array_equal(record.last_full, np.full(24, 2))
+
+
+class TestSynthesizeConditions:
+    @pytest.mark.parametrize("h,w", [(2, 2), (4, 6), (8, 8), (16, 12)])
+    def test_bit_identical_to_scipy_gaussian_filter(self, h, w):
+        # two full smoothing blocks and a short last one
+        n = 2 * _SMOOTH_BLOCK_FRAMES + 5
+        cfg = small_config(n_total=n, latent_h=h, latent_w=w, seed=3)
+        got = synthesize_conditions(cfg, dtype=np.float64)
+        rng = np.random.default_rng([cfg.seed, _STREAM_CONDITIONS])
+        expected = []
+        for _ in range(3):  # video, pose, target, drawn in this order
+            x = ndimage.gaussian_filter(rng.standard_normal((n, 4, h, w)),
+                                        sigma=(0, 0, 1.5, 1.5), mode="wrap")
+            expected.append(x / max(x.std(), 1e-12))
+        video, pose, target = expected
+        np.testing.assert_array_equal(got.masked_video, video * (1 - got.binary_mask))
+        np.testing.assert_array_equal(got.pose, pose)
+        np.testing.assert_array_equal(got.target_x0, target)
 
 
 class TestWorkerCount:
