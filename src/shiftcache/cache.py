@@ -130,4 +130,4 @@ def build_mask(variant: MaskVariant, flags: FreshnessFlags) -> AttentionMask:
         raise ValueError(f"unknown mask variant: {variant!r}")
 
     matrix = np.where(blocked, np.float32(MASK_BLOCK), np.float32(0.0))
-    return AttentionMask(matrix=matrix, variant=variant)
+    return AttentionMask(matrix=matrix)

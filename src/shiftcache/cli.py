@@ -2,8 +2,7 @@
 mask dumps, and keypoint-based frame selection.
 
 Every run prints its fully-resolved effective config as a JSON line, so
-any output can be reproduced from its own log. SHIFTCACHE_THREADS sets the
-per-step chunk worker count (default 1; results are identical either way).
+any output can be reproduced from its own log.
 """
 
 from __future__ import annotations

@@ -132,10 +132,6 @@ class GarmentCondition:
     def count(self) -> int:
         return self.garment_tokens.shape[0]
 
-    @classmethod
-    def empty(cls, width: int) -> "GarmentCondition":
-        return cls(garment_tokens=np.zeros((0, width), dtype=np.float32))
-
 
 def assemble_input(noise, masked_video, mask, pose) -> np.ndarray:
     """Concatenate conditioning into the fixed 13-channel layout.

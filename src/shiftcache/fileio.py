@@ -85,81 +85,110 @@ def load_latents(path) -> LatentVideo:
     return LatentVideo(z=z, freshness=np.full(dims[0], -1, dtype=np.int64))
 
 
+# -- typed JSON fields --------------------------------------------------------
+
+def _read_json(path, what: str):
+    """The JSON document in ``path``; a parse error is a FormatError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _exact(value, kind: type, where: str):
+    """``value``, which must have type ``kind`` exactly: no bool for an int,
+    no float or string for either. An int is accepted for a float. Raises
+    FormatError naming the field ``where``."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise FormatError(f'"{where}" must be {kind.__name__}, got {value!r}')
+    return value
+
+
+def _typed(doc: dict, key: str, default, where: str = ""):
+    """``doc[key]`` with the exact type of ``default``, or ``default`` when
+    the key is absent."""
+    return _exact(doc[key], type(default), where + key) if key in doc else default
+
+
+def _required(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]`` with the exact type ``kind``; the key must be present."""
+    if key not in doc:
+        raise FormatError(f'"{where}{key}" is missing')
+    return _exact(doc[key], kind, where + key)
+
+
 # -- keypoints ---------------------------------------------------------------
 
 def load_keypoints(path) -> list[KeypointFrame]:
-    """Parse {"frames": [{"frame_index": i, "joints": {name: [x, y, conf]}}]}."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Parse {"frames": [{"frame_index": i, "joints": {name: [x, y, conf]}}]}
+    with the config parser's exact types."""
+    doc = _read_json(path, "keypoints file")
     if not isinstance(doc, dict) or "frames" not in doc:
         raise FormatError('keypoints file must be an object with a "frames" list')
     frames = []
     seen = set()
-    for entry in doc["frames"]:
-        idx = entry.get("frame_index")
-        if not isinstance(idx, int):
-            raise FormatError(f"frame_index must be an integer, got {idx!r}")
+    for i, entry in enumerate(_exact(doc["frames"], list, "frames")):
+        where = f"frames[{i}]"
+        entry = _exact(entry, dict, where)
+        idx = _required(entry, "frame_index", int, where + ".")
         if idx in seen:
             raise FormatError(f"duplicate frame_index {idx}")
         seen.add(idx)
         joints = {}
-        for name, triple in entry.get("joints", {}).items():
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise FormatError(f"joint {name!r} must be [x, y, confidence]")
-            joints[name] = (float(triple[0]), float(triple[1]), float(triple[2]))
-        frames.append(KeypointFrame(frame_index=idx, joints=joints))
+        for name, triple in _typed(entry, "joints", {}, where + ".").items():
+            at = f"{where}.joints.{name}"
+            if type(triple) is not list or len(triple) != 3:
+                raise FormatError(f'"{at}" must be [x, y, confidence], got {triple!r}')
+            joints[name] = tuple(_exact(value, float, f"{at}.{axis}")
+                                 for value, axis in zip(triple, ("x", "y", "confidence")))
+        try:
+            frames.append(KeypointFrame(frame_index=idx, joints=joints))
+        except ValueError as exc:  # a non-finite coordinate or confidence out of range
+            raise FormatError(f'"{where}": {exc}') from None
     return frames
 
 
 def load_joint_specs(path) -> tuple[JointTripleSpec, ...]:
-    """Parse [{"name": ..., "triple": [a, b, c], "target_angle": deg}, ...]."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list) or not doc:
+    """Parse [{"name": ..., "triple": [a, b, c], "target_angle": deg}, ...]
+    with the config parser's exact types; "name" defaults to "a-b-c"."""
+    doc = _read_json(path, "joint spec file")
+    if type(doc) is not list or not doc:
         raise FormatError("joint spec file must be a non-empty list")
     specs = []
-    for entry in doc:
-        triple = entry.get("triple")
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise FormatError("each spec needs a 3-element joint triple")
-        specs.append(JointTripleSpec(
-            name=str(entry.get("name", "-".join(triple))),
-            triple=tuple(str(j) for j in triple),
-            target_angle=float(entry["target_angle"]),
-        ))
+    for i, entry in enumerate(doc):
+        where = f"[{i}]"
+        entry = _exact(entry, dict, where)
+        triple = _required(entry, "triple", list, where + ".")
+        if len(triple) != 3:
+            raise FormatError(f'"{where}.triple" must name 3 joints, got {triple!r}')
+        triple = tuple(_exact(joint, str, f"{where}.triple[{k}]")
+                       for k, joint in enumerate(triple))
+        name = _typed(entry, "name", "-".join(triple), where + ".")
+        angle = _required(entry, "target_angle", float, where + ".")
+        try:
+            specs.append(JointTripleSpec(name=name, triple=triple, target_angle=angle))
+        except ValueError as exc:  # target angle outside (0, 180]
+            raise FormatError(f'"{where}": {exc}') from None
     return tuple(specs)
 
 
 # -- config ------------------------------------------------------------------
 
-_TOY_KEYS = {"shallow_width", "deep_width", "shallow_blocks", "deep_blocks",
-             "seed", "deep_cost_share"}
+# The JSON keys are the dataclass fields, except that latent_h and latent_w
+# are written as the "latent" block {"h": ..., "w": ...}.
+_TOY_KEYS = {f.name for f in dataclasses.fields(ToyDenoiserConfig)}
 _LATENT_KEYS = {"h", "w"}
-_TOP_KEYS = {"n_total", "chunk_len", "policy", "overlap_s", "delta", "shift_mode",
-             "partial_fraction", "hard_skip", "mask_variant", "staleness_cap",
-             "seed", "ddim_steps", "denoiser", "toy", "latent", "garment_tokens",
-             "t_train", "beta_start", "beta_end"}
+_TOP_KEYS = ({f.name for f in dataclasses.fields(EngineConfig)}
+             - {"latent_h", "latent_w"} | {"latent"})
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise FormatError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _typed(doc: dict, key: str, default, where: str = ""):
-    """``doc[key]``, or ``default`` when absent, which must have the type of
-    ``default`` exactly: no bool for an int, no float or string for either.
-    An int is accepted for a float. Raises FormatError naming the key."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    kind = type(default)
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise FormatError(f'"{where}{key}" must be {kind.__name__}, got {value!r}')
-    return value
 
 
 def config_from_dict(doc: dict) -> EngineConfig:
@@ -201,37 +230,15 @@ def config_from_dict(doc: dict) -> EngineConfig:
 
 
 def load_config(path) -> EngineConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(doc)
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_to_dict(config: EngineConfig) -> dict:
     """Fully-resolved effective config, loadable back via config_from_dict."""
-    return {
-        "n_total": config.n_total,
-        "chunk_len": config.chunk_len,
-        "policy": config.policy,
-        "overlap_s": config.overlap_s,
-        "delta": config.delta,
-        "shift_mode": config.shift_mode,
-        "partial_fraction": config.partial_fraction,
-        "hard_skip": config.hard_skip,
-        "mask_variant": config.mask_variant.value,
-        "staleness_cap": config.staleness_cap,
-        "seed": config.seed,
-        "ddim_steps": config.ddim_steps,
-        "denoiser": config.denoiser,
-        "toy": dataclasses.asdict(config.toy),
-        "latent": {"h": config.latent_h, "w": config.latent_w},
-        "garment_tokens": config.garment_tokens,
-        "t_train": config.t_train,
-        "beta_start": config.beta_start,
-        "beta_end": config.beta_end,
-    }
+    doc = dataclasses.asdict(config)
+    doc["mask_variant"] = config.mask_variant.value
+    doc["latent"] = {"h": doc.pop("latent_h"), "w": doc.pop("latent_w")}
+    return doc
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -30,7 +30,6 @@ class AttentionMask:
     """L x L additive attention mask with entries in {0, MASK_BLOCK}."""
 
     matrix: np.ndarray
-    variant: MaskVariant
 
     def __post_init__(self):
         m = self.matrix

@@ -17,9 +17,7 @@ so identical configs reproduce bit-identical runs.
 from __future__ import annotations
 
 import enum
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -330,6 +328,21 @@ class Conditions:
     garment: GarmentCondition
     target_x0: np.ndarray      # [N, 4, H, W]
 
+    def check(self, config: EngineConfig) -> None:
+        """Raise ValueError naming the first field whose shape does not
+        match the config."""
+        n, h, w = config.n_total, config.latent_h, config.latent_w
+        for name, shape, expected in (
+                ("masked_video", self.masked_video.shape, (n, 4, h, w)),
+                ("binary_mask", self.binary_mask.shape, (n, 1, h, w)),
+                ("pose", self.pose.shape, (n, 4, h, w)),
+                ("target_x0", self.target_x0.shape, (n, 4, h, w)),
+                ("garment", self.garment.garment_tokens.shape,
+                 (config.garment_tokens, config.toy.shallow_width))):
+            if shape != expected:
+                raise ValueError(f"conditions.{name} has shape {shape}, "
+                                 f"expected {expected} for this config")
+
 
 def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
     """Seeded smooth-noise stand-ins for the real conditioning inputs."""
@@ -385,38 +398,23 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     return plans, record
 
 
-def _worker_count() -> int:
-    """Chunk workers per step: SHIFTCACHE_THREADS, an integer >= 1, capped
-    at the CPUs this process may run on. Unset or empty means serial."""
-    env = os.environ.get("SHIFTCACHE_THREADS")
-    if not env:
-        return 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"SHIFTCACHE_THREADS must be an integer >= 1, got {env!r}")
-    return min(count, len(os.sched_getaffinity(0)))
-
-
 def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    Per step: build the chunk plan, evaluate every chunk (full chunks write
-    the deep-feature cache on shift runs, partial chunks read it under the
-    configured mask variant), merge overlap predictions by averaging, then
-    apply one DDIM update per frame.
+    Per step, the chunks run one at a time in plan order: a full chunk
+    writes the deep-feature cache on shift runs as soon as it is evaluated,
+    a partial chunk reads it under the configured mask variant. The step's
+    predictions are averaged per frame (a single cover passes through
+    unchanged), then one DDIM update is applied per frame.
     """
-    config.validate()
+    plans, freshness = build_plans(config)
     if conditions is None:
         conditions = synthesize_conditions(config, dtype=dtype)
+    else:
+        conditions.check(config)
     sched = config.schedule()
-    steps = sched.num_steps
     n = config.n_total
-
-    plans, freshness = build_plans(config)
 
     if config.denoiser == "toy":
         toy = ToyDenoiser(config.toy)
@@ -435,85 +433,56 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                                     conditions.pose)
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
                              staleness_cap=config.staleness_cap, dtype=feat_dtype)
-    stats = RunStats(
-        n_total=n, chunk_len=config.chunk_len, steps=steps,
-        latent_h=config.latent_h, latent_w=config.latent_w,
-        garment_count=config.garment_tokens,
-        freshness_trace=freshness.trace, forced_full=freshness.forced_full,
-    )
+    tally = FlopTally()
 
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def eval_chunk(step_index, chunk, z_step):
+    def eval_chunk(step_index, chunk):
         sl = slice(chunk.start, chunk.stop)
         offsets = np.arange(chunk.start, chunk.stop)
         if oracle is not None:
-            eps = oracle.eps_for(z_step[sl], step_index, offsets)
-            return eps, None, FlopTally()
+            return oracle.eps_for(z[sl], step_index, offsets)
         inp = DenoiserInput(
-            noise_latent=z_step[sl],
+            noise_latent=z[sl],
             masked_video_latent=conditions.masked_video[sl],
             binary_mask=conditions.binary_mask[sl],
             pose_features=conditions.pose[sl],
             step_index=step_index,
             frame_offsets=offsets,
         )
-        tally = FlopTally()
         if chunk.mode is ChunkMode.FULL:
             eps, feats = toy.denoise_full(inp, conditions.garment, tally=tally)
-            return eps, feats, tally
+            if cache is not None:
+                cache.store_block(chunk.start, feats, step_index)
+            return eps
         feats, _, flags = cache.fetch(chunk.frames(), step_index)
-        eps = toy.denoise_partial(inp, feats, flags, config.mask_variant,
-                                  conditions.garment, tally=tally)
-        return eps, None, tally
+        return toy.denoise_partial(inp, feats, flags, config.mask_variant,
+                                   conditions.garment, tally=tally)
 
     t_start = time.perf_counter()
-    try:
-        for k in range(steps):
-            chunks = plans[k].chunks
-            if config.hard_skip:
-                todo = [c for c in chunks if c.mode is ChunkMode.FULL]
-                skipped = [c for c in chunks if c.mode is ChunkMode.PARTIAL]
-            else:
-                todo, skipped = list(chunks), []
-            if pool is not None and len(todo) > 1:
-                results = list(pool.map(lambda c: eval_chunk(k, c, z), todo))
-            else:
-                results = [eval_chunk(k, c, z) for c in todo]
+    for k, plan in enumerate(plans):
+        todo = [c for c in plan.chunks
+                if not (config.hard_skip and c.mode is ChunkMode.PARTIAL)]
+        eps = [eval_chunk(k, c) for c in todo]
+        if len(todo) == len(plan.chunks):
+            z = ddim_step(z, aggregate_overlaps(eps, todo, n), k, sched)
+        else:
+            # naive-skip ablation: frames of dropped chunks miss this DDIM
+            # update; shift chunks are disjoint, so each kept one updates in place
+            for chunk_eps, c in zip(eps, todo):
+                z[c.start:c.stop] = ddim_step(z[c.start:c.stop], chunk_eps, k, sched)
+    wall_seconds = time.perf_counter() - t_start
 
-            if config.policy == "overlap":
-                eps_all = aggregate_overlaps([r[0] for r in results], todo, n)
-            else:
-                eps_all = np.empty_like(z)
-                for (eps, _, _), chunk in zip(results, todo):
-                    eps_all[chunk.start:chunk.stop] = eps
-
-            # Post-barrier bookkeeping, committed in chunk order.
-            for (_, feats, tally), chunk in zip(results, todo):
-                stats.deep_flops += tally.deep
-                stats.shallow_flops += tally.shallow
-                if chunk.mode is ChunkMode.FULL:
-                    stats.full_chunk_evals += 1
-                    if cache is not None:
-                        cache.store_block(chunk.start, feats, k)
-                else:
-                    stats.partial_chunk_evals += 1
-
-            if skipped:
-                # naive-skip ablation: dropped frames miss this DDIM update
-                stats.skipped_chunk_evals += len(skipped)
-                updated = np.zeros(n, dtype=bool)
-                for chunk in todo:
-                    updated[chunk.start:chunk.stop] = True
-                z = z.copy()
-                z[updated] = ddim_step(z[updated], eps_all[updated], k, sched)
-            else:
-                z = ddim_step(z, eps_all, k, sched)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    stats.wall_seconds = time.perf_counter() - t_start
-
+    modes = [c.mode for plan in plans for c in plan.chunks]
+    partials = modes.count(ChunkMode.PARTIAL)
+    stats = RunStats(
+        n_total=n, chunk_len=config.chunk_len, steps=sched.num_steps,
+        latent_h=config.latent_h, latent_w=config.latent_w,
+        garment_count=config.garment_tokens,
+        full_chunk_evals=modes.count(ChunkMode.FULL),
+        partial_chunk_evals=0 if config.hard_skip else partials,
+        skipped_chunk_evals=partials if config.hard_skip else 0,
+        deep_flops=tally.deep, shallow_flops=tally.shallow,
+        wall_seconds=wall_seconds,
+        freshness_trace=freshness.trace, forced_full=freshness.forced_full,
+    )
     video = LatentVideo(z=z, freshness=freshness.last_full)
     return video, stats

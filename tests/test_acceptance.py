@@ -57,14 +57,9 @@ def report(criterion: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def force_serial(monkeypatch):
-    monkeypatch.setenv("SHIFTCACHE_THREADS", "1")
-
-
-def test_criterion_1_overlap_tradeoff_ratios(monkeypatch):
+def test_criterion_1_overlap_tradeoff_ratios():
     """Relative throughput for S in {4, 8, 15} vs S=0 within 10% of the
     reference FPS ratios, from eval counts of real toy runs at 16x12."""
-    force_serial(monkeypatch)
     t0 = time.perf_counter()
     stats = {}
     for s in (0, 4, 8, 15):
@@ -85,14 +80,13 @@ def test_criterion_1_overlap_tradeoff_ratios(monkeypatch):
     report(1, ok, "; ".join(details) + f"; suite wall {wall:.1f}s")
 
 
-def test_criterion_2_shiftcaching_wall_speedup(monkeypatch):
+def test_criterion_2_shiftcaching_wall_speedup():
     """Wall-clock speedup of random-shift p=0.5 over the S=0 full-compute
     baseline in [1.3, 1.8] (reference speedup ~1.47x = 2.270/1.544, the
     random-shift full-compute row vs its partially-computed row). The
     baseline is the same non-overlapping (S=0) random-shift schedule with
     partial computation off, so the measurement isolates exactly the
     partial-computation effect. Interleaved min-of-3 timing."""
-    force_serial(monkeypatch)
     # deep_cost_share target 0.75, achieved at the shape this run uses; the
     # wall measurement runs at 8x8 latents where per-block costs are uniform
     # enough for wall time to track the FLOP split
@@ -124,10 +118,9 @@ def test_criterion_2_shiftcaching_wall_speedup(monkeypatch):
            f" walls base {min(base_walls):.2f}s shift {min(shift_walls):.2f}s")
 
 
-def test_criterion_3_oracle_equivalence(monkeypatch):
+def test_criterion_3_oracle_equivalence():
     """Every policy with p=0 and the oracle denoiser recovers the target
     within 1e-4 max-abs in float32."""
-    force_serial(monkeypatch)
     policies = [("overlap", dict(overlap_s=s)) for s in (0, 4, 8, 15)]
     policies += [("shift", dict(delta=d, shift_mode="fixed")) for d in (0, 4, 8)]
     policies += [("shift", dict(delta=4, shift_mode="random"))]
@@ -144,10 +137,9 @@ def test_criterion_3_oracle_equivalence(monkeypatch):
     report(3, ok, f"worst max-abs error {worst:.2e} <= 1e-4 over {len(policies)} policies")
 
 
-def test_criterion_4_baseline_identity(monkeypatch):
+def test_criterion_4_baseline_identity():
     """Shift delta=0 p=0 and overlap S=0 are bit-identical with equal
     counters for 10 random configs."""
-    force_serial(monkeypatch)
     rng = np.random.default_rng(2024)
     checked = 0
     for _ in range(10):
@@ -326,10 +318,9 @@ def test_criterion_7_partial_compute_sanity():
                   f"stale cache beat zero features on {stale_wins}/10 seeds")
 
 
-def test_criterion_8_chunk_length_ablation(tmp_path, monkeypatch, capsys):
+def test_criterion_8_chunk_length_ablation(tmp_path, capsys):
     """Bench over chunk lengths 8/16/24 at S = L/4 orders fps_proxy the way
     the reference measurements do: fps(24) > fps(16) > fps(8)."""
-    force_serial(monkeypatch)
     cfg_path = tmp_path / "base.json"
     cfg_path.write_text(json.dumps({
         "n_total": 144, "chunk_len": 16, "policy": "overlap", "overlap_s": 0,
@@ -391,10 +382,9 @@ def test_criterion_9_pose_algorithm_suite():
                         " visibility-first ordering holds")
 
 
-def test_criterion_10_reproducibility(tmp_path, monkeypatch, capsys):
+def test_criterion_10_reproducibility(tmp_path, capsys):
     """Identical config+seed: byte-identical CSV (excluding wall-derived
     columns) and bit-identical latent files across two runs."""
-    force_serial(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "n_total": 32, "chunk_len": 8, "policy": "shift", "delta": 2,

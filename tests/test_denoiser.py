@@ -119,7 +119,7 @@ class TestReferenceSpatialAttention:
             wg=None,
         )
         feat = rng.standard_normal((2, c, 3, 3)).astype(np.float32)
-        out = spatial_attention(_tokens(feat), GarmentCondition.empty(c).garment_tokens, w)
+        out = spatial_attention(_tokens(feat), np.zeros((0, c), dtype=np.float32), w)
 
         tokens = _tokens(feat).astype(np.float64)
         q = tokens @ w.wq.astype(np.float64)
@@ -174,7 +174,7 @@ class TestToyDenoiserFull:
     def test_empty_garment_supported(self):
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
-        eps, _ = d.denoise_full(make_input(), GarmentCondition.empty(cfg.shallow_width))
+        eps, _ = d.denoise_full(make_input(), make_garment(cfg, count=0))
         assert np.all(np.isfinite(eps))
 
     def test_odd_latent_dims_rejected(self):

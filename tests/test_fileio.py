@@ -130,6 +130,79 @@ class TestKeypointsFiles:
         assert specs[0].triple == ("a", "b", "c")
         assert specs[0].target_angle == 90.0
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"frames": {"0": {}}}, "frames"),
+        ({"frames": [3]}, "frames[0]"),
+        ({"frames": [{"frame_index": True, "joints": {}}]}, "frames[0].frame_index"),
+        ({"frames": [{"frame_index": 1.0, "joints": {}}]}, "frames[0].frame_index"),
+        ({"frames": [{"joints": {}}]}, "frames[0].frame_index"),
+        ({"frames": [{"frame_index": 0}, {"frame_index": "1"}]}, "frames[1].frame_index"),
+        ({"frames": [{"frame_index": 0, "joints": [1, 2, 3]}]}, "frames[0].joints"),
+        ({"frames": [{"frame_index": 0, "joints": {"neck": ["x", 2.0, 0.9]}}]},
+         "frames[0].joints.neck.x"),
+        ({"frames": [{"frame_index": 0, "joints": {"neck": [1.0, None, 0.9]}}]},
+         "frames[0].joints.neck.y"),
+        ({"frames": [{"frame_index": 0, "joints": {"neck": [1.0, 2.0, True]}}]},
+         "frames[0].joints.neck.confidence"),
+    ])
+    def test_keypoint_types_strict_naming_the_field(self, tmp_path, doc, field):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f'"{re.escape(field)}" (must be|is missing)'):
+            fileio.load_keypoints(path)
+
+    @pytest.mark.parametrize("doc,field", [
+        (["spec"], "[0]"),
+        ([{"target_angle": 90.0}], "[0].triple"),
+        ([{"triple": "a-b-c", "target_angle": 90.0}], "[0].triple"),
+        ([{"triple": [1, 2, 3], "target_angle": 90.0}], "[0].triple[0]"),
+        ([{"triple": ["a", "b", "c"]}], "[0].target_angle"),
+        ([{"triple": ["a", "b", "c"], "target_angle": "90"}], "[0].target_angle"),
+        ([{"triple": ["a", "b", "c"], "target_angle": True}], "[0].target_angle"),
+        ([{"triple": ["a", "b", "c"], "target_angle": 90.0},
+          {"name": 7, "triple": ["a", "b", "c"], "target_angle": 90.0}], "[1].name"),
+    ])
+    def test_joint_spec_types_strict_naming_the_field(self, tmp_path, doc, field):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f'"{re.escape(field)}" (must be|is missing)'):
+            fileio.load_joint_specs(path)
+
+    @pytest.mark.parametrize("loader,text,entry", [
+        ("load_keypoints", '{"frames": [{"frame_index": 0}, {"frame_index": 1, '
+                           '"joints": {"neck": [NaN, 1.0, 0.5]}}]}', "frames[1]"),
+        ("load_keypoints", '{"frames": [{"frame_index": 0, '
+                           '"joints": {"neck": [0.0, 1.0, 1.5]}}]}', "frames[0]"),
+        ("load_joint_specs", '[{"triple": ["a", "b", "c"], "target_angle": 270}]', "[0]"),
+        ("load_joint_specs", '[{"triple": ["a", "b", "c"], "target_angle": 0}]', "[0]"),
+    ])
+    def test_out_of_range_values_rejected_naming_the_entry(self, tmp_path, loader, text,
+                                                           entry):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f'^"{re.escape(entry)}": '):
+            getattr(fileio, loader)(path)
+
+    @pytest.mark.parametrize("loader,what", [("load_keypoints", "keypoints file"),
+                                             ("load_joint_specs", "joint spec file")])
+    def test_invalid_json_reported(self, tmp_path, loader, what):
+        path = tmp_path / "f.json"
+        path.write_text('{"frames": [')
+        with pytest.raises(FormatError, match=f"{what} is not valid JSON"):
+            getattr(fileio, loader)(path)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        kp = tmp_path / "k.json"
+        kp.write_text(json.dumps({"frames": [{"frame_index": 0,
+                                              "joints": {"neck": [1, 2, 1]}}]}))
+        specs = tmp_path / "s.json"
+        specs.write_text(json.dumps([{"triple": ["a", "b", "c"], "target_angle": 90}]))
+        joint = fileio.load_keypoints(kp)[0].joints["neck"]
+        spec = fileio.load_joint_specs(specs)[0]
+        assert joint == (1.0, 2.0, 1.0) and all(type(v) is float for v in joint)
+        assert spec.name == "a-b-c"
+        assert type(spec.target_angle) is float and spec.target_angle == 90.0
+
 
 class TestConfigFiles:
     def test_defaults_applied(self, tmp_path):

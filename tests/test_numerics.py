@@ -19,11 +19,11 @@ from shiftcache.metrics import _gaussian_window
 from shiftcache.scheduler import _CONDITION_KERNEL
 
 
-def _mask(blocked_rows_cols, size, variant=MaskVariant.FULL):
+def _mask(blocked_rows_cols, size):
     m = np.zeros((size, size), dtype=np.float32)
     for (i, j) in blocked_rows_cols:
         m[i, j] = MASK_BLOCK
-    return AttentionMask(matrix=m, variant=variant)
+    return AttentionMask(matrix=m)
 
 
 def _scaled(q):
@@ -97,13 +97,13 @@ class TestSoftmaxAttention:
         m = np.zeros((2, 2), dtype=np.float32)
         m[0, :] = MASK_BLOCK
         with pytest.raises(ValueError, match="fully blocked"):
-            AttentionMask(matrix=m, variant=MaskVariant.HALF)
+            AttentionMask(matrix=m)
 
     def test_mask_entries_validated(self):
         m = np.zeros((2, 2), dtype=np.float32)
         m[0, 1] = -1.0
         with pytest.raises(ValueError, match="entries"):
-            AttentionMask(matrix=m, variant=MaskVariant.HALF)
+            AttentionMask(matrix=m)
 
     def test_softmax_shift_invariance_per_query_row(self):
         # adding u to every key shifts query i's logits by the constant

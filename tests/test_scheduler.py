@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from shiftcache.denoiser import ToyDenoiserConfig
+from shiftcache.denoiser import GarmentCondition, ToyDenoiser, ToyDenoiserConfig
 from shiftcache.numerics import MaskVariant
 from shiftcache import scheduler
 from shiftcache.scheduler import (
@@ -16,7 +16,6 @@ from shiftcache.scheduler import (
     EngineConfig,
     _SMOOTH_BLOCK_FRAMES,
     _STREAM_CONDITIONS,
-    _worker_count,
     aggregate_overlaps,
     build_plans,
     mark_partial,
@@ -304,25 +303,6 @@ class TestRunInference:
         assert sa.full_chunk_evals == sb.full_chunk_evals
         np.testing.assert_array_equal(sa.freshness_trace, sb.freshness_trace)
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = small_config(partial_fraction=0.5, ddim_steps=5, delta=3)
-        old = os.environ.get("SHIFTCACHE_THREADS")
-        try:
-            os.environ["SHIFTCACHE_THREADS"] = "1"
-            va, sa = run_inference(cfg)
-            os.environ["SHIFTCACHE_THREADS"] = "2"
-            vb, sb = run_inference(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("SHIFTCACHE_THREADS", None)
-            else:
-                os.environ["SHIFTCACHE_THREADS"] = old
-        np.testing.assert_array_equal(va.z, vb.z)
-        assert (sa.full_chunk_evals, sa.partial_chunk_evals, sa.deep_flops,
-                sa.shallow_flops) == \
-               (sb.full_chunk_evals, sb.partial_chunk_evals, sb.deep_flops,
-                sb.shallow_flops)
-
     def test_monotone_deep_cost_in_partial_fraction(self):
         # expectation over seeds: more partial marking, less deep compute
         lows, highs = [], []
@@ -371,6 +351,60 @@ class TestRunInference:
         np.testing.assert_array_equal(record.last_full, np.full(24, 2))
 
 
+class TestRunTally:
+    @pytest.mark.parametrize("kw", [dict(partial_fraction=0.5, mask_variant=MaskVariant.HALF),
+                                    dict(partial_fraction=0.5, hard_skip=True),
+                                    dict(policy="overlap", overlap_s=3)])
+    def test_flops_are_the_plan_sum_of_chunk_costs(self, kw):
+        # full chunks cost deep + shallow, partial chunks their partial
+        # shallow, skipped chunks nothing
+        cfg = small_config(ddim_steps=6, **kw)
+        plans, _ = build_plans(cfg)
+        toy = ToyDenoiser(cfg.toy)
+        deep = shallow = 0
+        modes = []
+        for plan in plans:
+            for chunk in plan.chunks:
+                full_deep, full_shallow, partial_shallow = toy.chunk_cost(
+                    chunk.length, cfg.latent_h, cfg.latent_w, cfg.garment_tokens)
+                modes.append(chunk.mode)
+                if chunk.mode is ChunkMode.FULL:
+                    deep += full_deep
+                    shallow += full_shallow
+                elif not cfg.hard_skip:
+                    shallow += partial_shallow
+        if cfg.partial_fraction > 0:
+            assert ChunkMode.PARTIAL in modes
+        _, stats = run_inference(cfg)
+        assert (stats.deep_flops, stats.shallow_flops) == (deep, shallow)
+        partials = modes.count(ChunkMode.PARTIAL)
+        assert stats.full_chunk_evals == modes.count(ChunkMode.FULL)
+        assert stats.partial_chunk_evals == (0 if cfg.hard_skip else partials)
+        assert stats.skipped_chunk_evals == (partials if cfg.hard_skip else 0)
+
+
+class TestCallerConditions:
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("name,shape", [
+        ("masked_video", (32, 4, 8, 8)),  # more frames than the config
+        ("masked_video", (24, 3, 8, 8)),
+        ("binary_mask", (24, 4, 8, 8)),
+        ("pose", (24, 4, 8, 6)),
+        ("target_x0", (16, 4, 8, 8)),
+        ("target_x0", (24, 4, 6, 8)),
+        ("garment", (7, 4)),              # more tokens than garment_tokens
+        ("garment", (4, 8)),
+    ])
+    def test_mismatched_shape_rejected_naming_the_field(self, denoiser, name, shape):
+        cfg = small_config(denoiser=denoiser, garment_tokens=4)
+        value = np.zeros(shape, dtype=np.float32)
+        if name == "garment":
+            value = GarmentCondition(garment_tokens=value)
+        conditions = dataclasses.replace(synthesize_conditions(cfg), **{name: value})
+        with pytest.raises(ValueError, match=f"conditions.{name} has shape"):
+            run_inference(cfg, conditions)
+
+
 class TestSynthesizeConditions:
     @pytest.mark.parametrize("h,w", [(2, 2), (4, 6), (8, 8), (16, 12)])
     def test_bit_identical_to_scipy_gaussian_filter(self, h, w):
@@ -388,30 +422,6 @@ class TestSynthesizeConditions:
         np.testing.assert_array_equal(got.masked_video, video * (1 - got.binary_mask))
         np.testing.assert_array_equal(got.pose, pose)
         np.testing.assert_array_equal(got.target_x0, target)
-
-
-class TestWorkerCount:
-    def test_unset_or_empty_is_serial(self, monkeypatch):
-        monkeypatch.delenv("SHIFTCACHE_THREADS", raising=False)
-        assert _worker_count() == 1
-        monkeypatch.setenv("SHIFTCACHE_THREADS", "")
-        assert _worker_count() == 1
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3", "1e3", "true"])
-    def test_invalid_rejected_naming_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("SHIFTCACHE_THREADS", value)
-        with pytest.raises(ValueError, match="SHIFTCACHE_THREADS"):
-            _worker_count()
-
-    def test_capped_at_available_cpus(self, monkeypatch):
-        # only the count is computed here; no pool is started
-        cpus = len(os.sched_getaffinity(0))
-        monkeypatch.setenv("SHIFTCACHE_THREADS", "1")
-        assert _worker_count() == 1
-        monkeypatch.setenv("SHIFTCACHE_THREADS", str(cpus))
-        assert _worker_count() == cpus
-        monkeypatch.setenv("SHIFTCACHE_THREADS", "100000")
-        assert _worker_count() == cpus
 
 
 class TestHardSkipAblation:
