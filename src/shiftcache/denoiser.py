@@ -475,6 +475,7 @@ class OracleDenoiser:
         self.target_x0 = target_x0
         self.sched = sched
 
-    def eps_for(self, noise_latent: np.ndarray, step_index: int, frame_offsets) -> np.ndarray:
-        target = self.target_x0[np.asarray(frame_offsets)]
-        return oracle_eps(noise_latent, step_index, target, self.sched)
+    def eps_for(self, noise_latent: np.ndarray, step_index: int, frames) -> np.ndarray:
+        """The oracle residual for the target frames ``frames`` selects: a
+        slice (a view, no copy) or an index array."""
+        return oracle_eps(noise_latent, step_index, self.target_x0[frames], self.sched)

@@ -96,11 +96,16 @@ def ddim_step(z_t: np.ndarray, eps_pred: np.ndarray, step_index: int, sched: Noi
         raise ValueError(f"latent/eps shape mismatch: {z_t.shape} vs {eps_pred.shape}")
     dtype = z_t.dtype
     abar_t = dtype.type(sched.alpha_bar_at(step_index))
-    x0_hat = (z_t - np.sqrt(1.0 - abar_t, dtype=dtype) * eps_pred) / np.sqrt(abar_t, dtype=dtype)
+    # one output buffer, the formula's operations in its order (same bits)
+    out = np.multiply(eps_pred, np.sqrt(1.0 - abar_t, dtype=dtype))
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(abar_t, dtype=dtype)
     if step_index == sched.num_steps - 1:
-        return x0_hat
+        return out
     abar_prev = dtype.type(sched.alpha_bar_at(step_index + 1))
-    return np.sqrt(abar_prev, dtype=dtype) * x0_hat + np.sqrt(1.0 - abar_prev, dtype=dtype) * eps_pred
+    out *= np.sqrt(abar_prev, dtype=dtype)
+    out += np.sqrt(1.0 - abar_prev, dtype=dtype) * eps_pred
+    return out
 
 
 def oracle_eps(z_t: np.ndarray, step_index: int, target_x0: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -117,4 +122,7 @@ def oracle_eps(z_t: np.ndarray, step_index: int, target_x0: np.ndarray, sched: N
         raise ValueError("alpha_bar == 1 at this step; oracle residual undefined")
     dtype = z_t.dtype
     abar_t = dtype.type(abar_t)
-    return (z_t - np.sqrt(abar_t, dtype=dtype) * target_x0) / np.sqrt(1.0 - abar_t, dtype=dtype)
+    out = np.multiply(target_x0, np.sqrt(abar_t, dtype=dtype))
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(1.0 - abar_t, dtype=dtype)
+    return out

@@ -137,22 +137,50 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
     return chunks
 
 
+class OverlapSum:
+    """Per-frame sum and cover count of one step's chunk predictions.
+
+    Each prediction is added as soon as its chunk is evaluated, so no
+    step holds its chunk predictions; ``mean`` divides once, in place.
+    The sum takes the first prediction's shape and dtype and is allocated
+    once, then zeroed by ``reset`` at every step.
+    """
+
+    def __init__(self, n_total: int):
+        self.total: np.ndarray | None = None   # [N, ...]
+        self.count = np.zeros(n_total, dtype=np.int64)
+
+    def reset(self) -> None:
+        if self.total is not None:
+            self.total.fill(0)
+        self.count.fill(0)
+
+    def add(self, chunk: Chunk, eps: np.ndarray) -> None:
+        if eps.shape[0] != chunk.length:
+            raise ValueError("eps length does not match its chunk")
+        if self.total is None:
+            self.total = np.zeros((len(self.count),) + eps.shape[1:], dtype=eps.dtype)
+        self.total[chunk.start:chunk.stop] += eps
+        self.count[chunk.start:chunk.stop] += 1
+
+    def mean(self) -> np.ndarray:
+        """The per-frame mean, in the sum's own buffer (valid until the
+        next ``reset``). A frame covered once divides by 1, which is exact."""
+        if np.any(self.count == 0):
+            raise ValueError(f"frame {int(np.argmin(self.count))} not covered by any chunk")
+        return np.divide(self.total, self.count.astype(self.total.dtype)[:, None, None, None],
+                         out=self.total)
+
+
 def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
                        n_total: int) -> np.ndarray:
     """Per-frame unweighted mean of every chunk prediction covering it."""
     if len(per_chunk_eps) != len(chunks):
         raise ValueError("one eps array per chunk required")
-    first = per_chunk_eps[0]
-    acc = np.zeros((n_total,) + first.shape[1:], dtype=first.dtype)
-    count = np.zeros(n_total, dtype=np.int64)
+    sums = OverlapSum(n_total)
     for eps, chunk in zip(per_chunk_eps, chunks):
-        if eps.shape[0] != chunk.length:
-            raise ValueError("eps length does not match its chunk")
-        acc[chunk.start:chunk.stop] += eps
-        count[chunk.start:chunk.stop] += 1
-    if np.any(count == 0):
-        raise ValueError(f"frame {int(np.argmin(count))} not covered by any chunk")
-    return acc / count.astype(acc.dtype)[:, None, None, None]
+        sums.add(chunk, eps)
+    return sums.mean()
 
 
 @dataclass
@@ -404,9 +432,12 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
 
     Per step, the chunks run one at a time in plan order: a full chunk
     writes the deep-feature cache on shift runs as soon as it is evaluated,
-    a partial chunk reads it under the configured mask variant. The step's
-    predictions are averaged per frame (a single cover passes through
-    unchanged), then one DDIM update is applied per frame.
+    a partial chunk reads it under the configured mask variant. Each
+    chunk's prediction goes into one per-frame sum as soon as the chunk
+    finishes, so peak memory does not grow with the overlap; the sum is
+    divided once per frame (a single cover passes through unchanged) and
+    one DDIM update is applied per frame. Under ``hard_skip`` each kept
+    chunk's frames are updated as soon as it is evaluated instead.
     """
     plans, freshness = build_plans(config)
     if conditions is None:
@@ -421,7 +452,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         oracle = None
     else:
         toy = None
-        oracle = OracleDenoiser(conditions.target_x0.astype(dtype), sched)
+        oracle = OracleDenoiser(conditions.target_x0.astype(dtype, copy=False), sched)
 
     rng = np.random.default_rng([config.seed, _STREAM_NOISE])
     z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
@@ -437,16 +468,15 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
 
     def eval_chunk(step_index, chunk):
         sl = slice(chunk.start, chunk.stop)
-        offsets = np.arange(chunk.start, chunk.stop)
         if oracle is not None:
-            return oracle.eps_for(z[sl], step_index, offsets)
+            return oracle.eps_for(z[sl], step_index, sl)
         inp = DenoiserInput(
             noise_latent=z[sl],
             masked_video_latent=conditions.masked_video[sl],
             binary_mask=conditions.binary_mask[sl],
             pose_features=conditions.pose[sl],
             step_index=step_index,
-            frame_offsets=offsets,
+            frame_offsets=np.arange(chunk.start, chunk.stop),
         )
         if chunk.mode is ChunkMode.FULL:
             eps, feats = toy.denoise_full(inp, conditions.garment, tally=tally)
@@ -457,18 +487,22 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         return toy.denoise_partial(inp, feats, flags, config.mask_variant,
                                    conditions.garment, tally=tally)
 
+    sums = OverlapSum(n)
     t_start = time.perf_counter()
     for k, plan in enumerate(plans):
-        todo = [c for c in plan.chunks
-                if not (config.hard_skip and c.mode is ChunkMode.PARTIAL)]
-        eps = [eval_chunk(k, c) for c in todo]
-        if len(todo) == len(plan.chunks):
-            z = ddim_step(z, aggregate_overlaps(eps, todo, n), k, sched)
-        else:
+        if config.hard_skip:
             # naive-skip ablation: frames of dropped chunks miss this DDIM
-            # update; shift chunks are disjoint, so each kept one updates in place
-            for chunk_eps, c in zip(eps, todo):
-                z[c.start:c.stop] = ddim_step(z[c.start:c.stop], chunk_eps, k, sched)
+            # update; shift chunks are disjoint, so each kept one updates
+            # in place as soon as it is evaluated
+            for c in plan.chunks:
+                if c.mode is ChunkMode.FULL:
+                    sl = slice(c.start, c.stop)
+                    z[sl] = ddim_step(z[sl], eval_chunk(k, c), k, sched)
+            continue
+        sums.reset()
+        for c in plan.chunks:
+            sums.add(c, eval_chunk(k, c))
+        z = ddim_step(z, sums.mean(), k, sched)
     wall_seconds = time.perf_counter() - t_start
 
     modes = [c.mode for plan in plans for c in plan.chunks]

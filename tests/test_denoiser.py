@@ -366,3 +366,13 @@ class TestOracleDenoiser:
         np.testing.assert_array_equal(
             oracle.eps_for(z, 5, offsets),
             oracle_eps(z, 5, target[offsets], sched))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slice_and_index_array_agree_bitwise(self, dtype):
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        rng = np.random.default_rng(1)
+        oracle = OracleDenoiser(rng.standard_normal((40, 4, 6, 6)).astype(dtype), sched)
+        z = rng.standard_normal((16, 4, 6, 6)).astype(dtype)
+        for k in (0, 12, 24):
+            np.testing.assert_array_equal(oracle.eps_for(z, k, slice(7, 23)),
+                                          oracle.eps_for(z, k, np.arange(7, 23)), strict=True)

@@ -119,6 +119,26 @@ class TestDdimStep:
             z = ddim_step(z, rng.standard_normal(z.shape).astype(np.float32), k, sched)
             assert np.all(np.isfinite(z))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_formula_and_inputs_untouched(self, dtype):
+        sched = default_schedule(6)
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((3, 4, 4, 6)).astype(dtype)
+        eps = rng.standard_normal((3, 4, 4, 6)).astype(dtype)
+        z_before, eps_before = z.copy(), eps.copy()
+        for k in range(sched.num_steps):
+            a_t = dtype(sched.alpha_bar_at(k))
+            x0 = (z - np.sqrt(1.0 - a_t, dtype=dtype) * eps) / np.sqrt(a_t, dtype=dtype)
+            if k == sched.num_steps - 1:
+                expected = x0
+            else:
+                a_prev = dtype(sched.alpha_bar_at(k + 1))
+                expected = (np.sqrt(a_prev, dtype=dtype) * x0
+                            + np.sqrt(1.0 - a_prev, dtype=dtype) * eps)
+            np.testing.assert_array_equal(ddim_step(z, eps, k, sched), expected, strict=True)
+            np.testing.assert_array_equal(z, z_before)
+            np.testing.assert_array_equal(eps, eps_before)
+
     def test_shape_mismatch_and_bad_index(self):
         sched = default_schedule()
         z = np.zeros((1, 4, 2, 2), dtype=np.float32)
@@ -138,6 +158,21 @@ class TestOracleEps:
         a = np.float32(sched.alpha_bar_at(k))
         z = np.sqrt(a) * x0 + np.sqrt(1 - a) * noise
         np.testing.assert_allclose(oracle_eps(z, k, x0, sched), noise, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_formula_and_inputs_untouched(self, dtype):
+        sched = default_schedule()
+        rng = np.random.default_rng(10)
+        z = rng.standard_normal((3, 4, 3, 3)).astype(dtype)
+        target = rng.standard_normal((3, 4, 3, 3)).astype(dtype)
+        z_before, target_before = z.copy(), target.copy()
+        a = dtype(sched.alpha_bar_at(6))
+        np.testing.assert_array_equal(
+            oracle_eps(z, 6, target, sched),
+            (z - np.sqrt(a, dtype=dtype) * target) / np.sqrt(1.0 - a, dtype=dtype),
+            strict=True)
+        np.testing.assert_array_equal(z, z_before)
+        np.testing.assert_array_equal(target, target_before)
 
     def test_zero_target(self):
         sched = default_schedule()

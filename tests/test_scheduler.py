@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from shiftcache.denoiser import GarmentCondition, ToyDenoiser, ToyDenoiserConfig
+from shiftcache.denoiser import GarmentCondition, OracleDenoiser, ToyDenoiser, ToyDenoiserConfig
 from shiftcache.numerics import MaskVariant
 from shiftcache import scheduler
 from shiftcache.scheduler import (
@@ -349,6 +350,90 @@ class TestRunInference:
         _, record = build_plans(cfg)
         np.testing.assert_array_equal(record.trace, np.zeros((3, 24), dtype=np.int64))
         np.testing.assert_array_equal(record.last_full, np.full(24, 2))
+
+
+class TestStreamedAggregation:
+    """The engine adds each chunk's prediction into one per-step sum as the
+    chunk finishes; the mean it hands to ddim_step must be the mean of the
+    step's chunk predictions, to the bit."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Patch the denoisers and ddim_step to record, per step, each
+        chunk's prediction and the mean the engine passed on."""
+        preds, means = [[]], []
+
+        def keep(eps):
+            preds[-1].append(eps.copy())
+            return eps
+
+        full, partial = ToyDenoiser.denoise_full, ToyDenoiser.denoise_partial
+        eps_for, step = OracleDenoiser.eps_for, scheduler.ddim_step
+
+        def denoise_full(self, *args, **kwargs):
+            eps, feats = full(self, *args, **kwargs)
+            return keep(eps), feats
+
+        def ddim_step(z, eps, k, sched):
+            means.append(eps.copy())
+            preds.append([])
+            return step(z, eps, k, sched)
+
+        monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
+        monkeypatch.setattr(ToyDenoiser, "denoise_partial",
+                            lambda self, *a, **kw: keep(partial(self, *a, **kw)))
+        monkeypatch.setattr(OracleDenoiser, "eps_for",
+                            lambda self, *a, **kw: keep(eps_for(self, *a, **kw)))
+        monkeypatch.setattr(scheduler, "ddim_step", ddim_step)
+        return preds, means
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("plan", [
+        dict(policy="overlap", overlap_s=0),
+        dict(policy="overlap", overlap_s=4),
+        dict(policy="overlap", overlap_s=15),
+        dict(policy="shift", delta=5),
+        dict(policy="shift", shift_mode="random"),
+    ], ids=["overlap-s0", "overlap-s4", "overlap-s15", "shift-fixed", "shift-random"])
+    def test_streamed_mean_equals_mean_of_chunk_list(self, monkeypatch, dtype, denoiser, plan):
+        partial = 0.5 if denoiser == "toy" and plan["policy"] == "shift" else 0.0
+        cfg = small_config(n_total=40, chunk_len=16, ddim_steps=4, denoiser=denoiser,
+                           partial_fraction=partial, **plan)
+        plans, _ = build_plans(cfg)
+        preds, means = self.record(monkeypatch)
+        run_inference(cfg, synthesize_conditions(cfg, dtype=dtype), dtype=dtype)
+        assert len(means) == cfg.ddim_steps
+        for plan_k, eps, mean in zip(plans, preds, means):
+            chunks = list(plan_k.chunks)
+            assert len(eps) == len(chunks)
+            np.testing.assert_array_equal(mean, aggregate_overlaps(eps, chunks, cfg.n_total),
+                                          strict=True)
+            # the list mean written out: zeros, adds in plan order, one divide
+            total = np.zeros_like(eps[0], shape=(cfg.n_total,) + eps[0].shape[1:])
+            count = np.zeros(cfg.n_total)
+            for chunk_eps, c in zip(eps, chunks):
+                total[c.start:c.stop] += chunk_eps
+                count[c.start:c.stop] += 1
+            np.testing.assert_array_equal(
+                mean, total / count.astype(total.dtype)[:, None, None, None], strict=True)
+        if partial:
+            assert any(c.mode is ChunkMode.PARTIAL for p in plans for c in p.chunks)
+
+    def test_overlap_peak_memory_stays_near_the_latents(self):
+        # oracle overlap S=15: each step evaluates 497 chunks of 16 frames
+        # over 512 frames, 15.5x the latents if the predictions were held
+        cfg = EngineConfig(n_total=512, chunk_len=16, latent_h=16, latent_w=12,
+                           ddim_steps=4, policy="overlap", overlap_s=15, denoiser="oracle")
+        conditions = synthesize_conditions(cfg)
+        latent_bytes = cfg.n_total * 4 * cfg.latent_h * cfg.latent_w * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            run_inference(cfg, conditions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * latent_bytes, f"peak {peak / latent_bytes:.1f}x the latents"
 
 
 class TestRunTally:
