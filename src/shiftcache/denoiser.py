@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics
 from .cache import FreshnessFlags, build_mask
-from .diffusion import NoiseSchedule, oracle_eps
+from .diffusion import NoiseSchedule, oracle_residual, oracle_scales
 from .numerics import AttentionMask, MaskVariant
 
 MLP_RATIO = 2
@@ -469,13 +469,28 @@ class ToyDenoiser:
 
 
 class OracleDenoiser:
-    """Frame-local analytic denoiser steering toward a fixed target video."""
+    """Frame-local analytic denoiser steering toward a fixed target video.
+
+    The two schedule scalars of every step are computed once, here, in the
+    target's dtype, and a step whose ``alpha_bar`` is 1 is rejected before
+    any chunk runs. ``run_inference`` passes ``eps_for`` one scratch buffer
+    per chunk length, allocated once per run, and adds each residual into
+    its per-step sum, whose cover count it computes once per plan.
+    """
 
     def __init__(self, target_x0: np.ndarray, sched: NoiseSchedule):
         self.target_x0 = target_x0
-        self.sched = sched
+        self.scales = tuple(oracle_scales(sched.alpha_bar_at(k), target_x0.dtype)
+                            for k in range(sched.num_steps))
 
-    def eps_for(self, noise_latent: np.ndarray, step_index: int, frames) -> np.ndarray:
+    def eps_for(self, noise_latent: np.ndarray, step_index: int, frames,
+                out: np.ndarray | None = None) -> np.ndarray:
         """The oracle residual for the target frames ``frames`` selects: a
-        slice (a view, no copy) or an index array."""
-        return oracle_eps(noise_latent, step_index, self.target_x0[frames], self.sched)
+        slice (a view, no copy) or an index array. Written into ``out``
+        when given, else into a new array."""
+        if not 0 <= step_index < len(self.scales):
+            raise IndexError(f"step index {step_index} outside 0..{len(self.scales) - 1}")
+        if noise_latent.dtype != self.target_x0.dtype:
+            raise ValueError(f"latent dtype {noise_latent.dtype} differs from the "
+                             f"target's {self.target_x0.dtype}")
+        return oracle_residual(noise_latent, self.target_x0[frames], self.scales[step_index], out)

@@ -115,14 +115,27 @@ def oracle_eps(z_t: np.ndarray, step_index: int, target_x0: np.ndarray, sched: N
     elementwise, hence frame-local: frame i of the output depends only on
     frame i of z_t and the target.
     """
-    if z_t.shape != target_x0.shape:
-        raise ValueError(f"latent/target shape mismatch: {z_t.shape} vs {target_x0.shape}")
-    abar_t = sched.alpha_bar_at(step_index)
+    scales = oracle_scales(sched.alpha_bar_at(step_index), z_t.dtype)
+    return oracle_residual(z_t, target_x0, scales)
+
+
+def oracle_scales(abar_t: float, dtype: np.dtype) -> tuple[np.generic, np.generic]:
+    """``(sqrt(abar_t), sqrt(1 - abar_t))`` in ``dtype``: the two scalars of
+    one step's oracle residual."""
     if abar_t >= 1.0:
         raise ValueError("alpha_bar == 1 at this step; oracle residual undefined")
-    dtype = z_t.dtype
     abar_t = dtype.type(abar_t)
-    out = np.multiply(target_x0, np.sqrt(abar_t, dtype=dtype))
+    return np.sqrt(abar_t, dtype=dtype), np.sqrt(1.0 - abar_t, dtype=dtype)
+
+
+def oracle_residual(z_t: np.ndarray, target_x0: np.ndarray, scales: tuple,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``(z_t - sqrt_abar * target_x0) / sqrt_one_minus_abar`` for the
+    ``scales`` of ``oracle_scales``, written into ``out`` when given."""
+    if z_t.shape != target_x0.shape:
+        raise ValueError(f"latent/target shape mismatch: {z_t.shape} vs {target_x0.shape}")
+    sqrt_abar, sqrt_one_minus_abar = scales
+    out = np.multiply(target_x0, sqrt_abar, out=out)
     np.subtract(z_t, out, out=out)
-    out /= np.sqrt(1.0 - abar_t, dtype=dtype)
+    out /= sqrt_one_minus_abar
     return out

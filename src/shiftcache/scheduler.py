@@ -140,34 +140,43 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
 class OverlapSum:
     """Per-frame sum and cover count of one step's chunk predictions.
 
-    Each prediction is added as soon as its chunk is evaluated, so no
-    step holds its chunk predictions; ``mean`` divides once, in place.
-    The sum takes the first prediction's shape and dtype and is allocated
-    once, then zeroed by ``reset`` at every step.
+    ``reset`` zeroes the sum and counts, once per plan, how many chunks
+    cover each frame; each prediction is then added as soon as its chunk
+    is evaluated, so no step holds its chunk predictions, and ``mean``
+    divides once, in place. The sum takes the first prediction's shape and
+    dtype and is allocated once.
     """
 
     def __init__(self, n_total: int):
+        self.n_total = n_total
         self.total: np.ndarray | None = None   # [N, ...]
-        self.count = np.zeros(n_total, dtype=np.int64)
+        self.count: np.ndarray | None = None   # [N] int64
 
-    def reset(self) -> None:
+    def reset(self, chunks) -> None:
+        """Zero the sum and count the covers of ``chunks`` (difference of
+        chunk starts and stops, then a running sum). Raise ValueError
+        naming the first frame no chunk covers."""
+        n = self.n_total
+        bounds = np.array([(c.start, c.start + c.length) for c in chunks],
+                          dtype=np.int64).reshape(-1, 2)
+        if len(bounds) and bounds[:, 1].max() > n:
+            raise ValueError(f"a chunk ends past the video's {n} frames")
+        edges = (np.bincount(bounds[:, 0], minlength=n + 1)
+                 - np.bincount(bounds[:, 1], minlength=n + 1))
+        self.count = np.cumsum(edges[:n])
+        if np.any(self.count == 0):
+            raise ValueError(f"frame {int(np.argmin(self.count))} not covered by any chunk")
         if self.total is not None:
             self.total.fill(0)
-        self.count.fill(0)
 
     def add(self, chunk: Chunk, eps: np.ndarray) -> None:
-        if eps.shape[0] != chunk.length:
-            raise ValueError("eps length does not match its chunk")
         if self.total is None:
-            self.total = np.zeros((len(self.count),) + eps.shape[1:], dtype=eps.dtype)
+            self.total = np.zeros((self.n_total,) + eps.shape[1:], dtype=eps.dtype)
         self.total[chunk.start:chunk.stop] += eps
-        self.count[chunk.start:chunk.stop] += 1
 
     def mean(self) -> np.ndarray:
         """The per-frame mean, in the sum's own buffer (valid until the
         next ``reset``). A frame covered once divides by 1, which is exact."""
-        if np.any(self.count == 0):
-            raise ValueError(f"frame {int(np.argmin(self.count))} not covered by any chunk")
         return np.divide(self.total, self.count.astype(self.total.dtype)[:, None, None, None],
                          out=self.total)
 
@@ -177,7 +186,10 @@ def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
     """Per-frame unweighted mean of every chunk prediction covering it."""
     if len(per_chunk_eps) != len(chunks):
         raise ValueError("one eps array per chunk required")
+    if any(eps.shape[0] != chunk.length for eps, chunk in zip(per_chunk_eps, chunks)):
+        raise ValueError("eps length does not match its chunk")
     sums = OverlapSum(n_total)
+    sums.reset(chunks)
     for eps, chunk in zip(per_chunk_eps, chunks):
         sums.add(chunk, eps)
     return sums.mean()
@@ -340,11 +352,6 @@ class RunStats:
             raise ValueError("run recorded no wall time")
         return self.n_total / self.wall_seconds
 
-    @property
-    def realized_partial_fraction(self) -> float:
-        evals = self.full_chunk_evals + self.partial_chunk_evals
-        return self.partial_chunk_evals / evals if evals else 0.0
-
 
 @dataclass
 class Conditions:
@@ -435,11 +442,20 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     a partial chunk reads it under the configured mask variant. Each
     chunk's prediction goes into one per-frame sum as soon as the chunk
     finishes, so peak memory does not grow with the overlap; the sum is
-    divided once per frame (a single cover passes through unchanged) and
-    one DDIM update is applied per frame. Under ``hard_skip`` each kept
-    chunk's frames are updated as soon as it is evaluated instead.
+    divided once per frame by its cover count, counted once per plan (a
+    single cover passes through unchanged), and one DDIM update is applied
+    per frame. The oracle writes each chunk's residual into one scratch
+    buffer per chunk length, allocated once per run. Under ``hard_skip``
+    each kept chunk's frames are updated as soon as it is evaluated
+    instead.
     """
     plans, freshness = build_plans(config)
+    if config.denoiser == "oracle":
+        # Allocated before the run's latent-sized arrays: placed after them,
+        # these long-lived buffers split the heap space those arrays reuse
+        # from run to run, and a later run grew peak RSS by one latent.
+        scratch = {length: np.empty((length, 4, config.latent_h, config.latent_w), dtype=dtype)
+                   for length in {c.length for plan in plans for c in plan.chunks}}
     if conditions is None:
         conditions = synthesize_conditions(config, dtype=dtype)
     else:
@@ -469,7 +485,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     def eval_chunk(step_index, chunk):
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
-            return oracle.eps_for(z[sl], step_index, sl)
+            return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
         inp = DenoiserInput(
             noise_latent=z[sl],
             masked_video_latent=conditions.masked_video[sl],
@@ -499,7 +515,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                     sl = slice(c.start, c.stop)
                     z[sl] = ddim_step(z[sl], eval_chunk(k, c), k, sched)
             continue
-        sums.reset()
+        sums.reset(plan.chunks)
         for c in plan.chunks:
             sums.add(c, eval_chunk(k, c))
         z = ddim_step(z, sums.mean(), k, sched)

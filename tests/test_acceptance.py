@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-report. Wall-clock measurements (criteria 2 and 8) use interleaved repeats
-and min-taking to suppress machine noise; everything else is exact or
+report. Wall-clock measurements: criterion 2 times interleaved base/partial
+pairs and takes the median pair ratio to suppress machine noise, and
+criterion 8 reads one bench sweep; everything else is exact or
 tolerance-pinned.
 """
 
@@ -45,6 +46,8 @@ from shiftcache.scheduler import (
 # S=0/4/8/15, and 2.270 FPS with 50% partial computation on the shift schedule.
 REFERENCE_OVERLAP_FPS_RATIOS = {4: 1.176 / 1.544, 8: 0.801 / 1.544, 15: 0.104 / 1.544}
 REFERENCE_SHIFTCACHE_SPEEDUP = 2.270 / 1.544  # ~1.47x
+# Interleaved base/partial pairs behind criterion 2's median speedup.
+SPEEDUP_PAIRS = 7
 
 SMALL_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
                               deep_blocks=4, seed=0)
@@ -86,7 +89,10 @@ def test_criterion_2_shiftcaching_wall_speedup():
     random-shift full-compute row vs its partially-computed row). The
     baseline is the same non-overlapping (S=0) random-shift schedule with
     partial computation off, so the measurement isolates exactly the
-    partial-computation effect. Interleaved min-of-3 timing."""
+    partial-computation effect. The speedup is the median of the per-pair
+    ratios of SPEEDUP_PAIRS interleaved base/partial pairs: a pair runs
+    within one host state, and the median ignores the few pairs a change
+    of state splits."""
     # deep_cost_share target 0.75, achieved at the shape this run uses; the
     # wall measurement runs at 8x8 latents where per-block costs are uniform
     # enough for wall time to track the FLOP split
@@ -101,21 +107,20 @@ def test_criterion_2_shiftcaching_wall_speedup():
     shift_cfg = EngineConfig(partial_fraction=0.5, **common)
     run_inference(EngineConfig(n_total=32, chunk_len=16, ddim_steps=2, toy=toy,
                                latent_h=8, latent_w=8))  # warm
-    base_walls, shift_walls = [], []
-    partial_evals = total_evals = 0
-    for _ in range(3):
+    ratios = []
+    for _ in range(SPEEDUP_PAIRS):
         _, sb = run_inference(base_cfg)
-        base_walls.append(sb.wall_seconds)
         _, ss = run_inference(shift_cfg)
-        shift_walls.append(ss.wall_seconds)
-        partial_evals = ss.partial_chunk_evals
-        total_evals = ss.partial_chunk_evals + ss.full_chunk_evals
-    speedup = min(base_walls) / min(shift_walls)
+        ratios.append(sb.wall_seconds / ss.wall_seconds)
+    partial_evals = ss.partial_chunk_evals
+    total_evals = ss.partial_chunk_evals + ss.full_chunk_evals
+    q1, speedup, q3 = np.percentile(ratios, [25, 50, 75])
     ok = 1.3 <= speedup <= 1.8
     report(2, ok,
-           f"speedup {speedup:.3f} in [1.3, 1.8] (ref {REFERENCE_SHIFTCACHE_SPEEDUP:.2f});"
-           f" deep share {share:.3f}; partial evals {partial_evals}/{total_evals};"
-           f" walls base {min(base_walls):.2f}s shift {min(shift_walls):.2f}s")
+           f"speedup {speedup:.3f} in [1.3, 1.8] (ref {REFERENCE_SHIFTCACHE_SPEEDUP:.2f}),"
+           f" median of {len(ratios)} pair ratios, quartiles {q1:.3f}-{q3:.3f},"
+           f" range {min(ratios):.3f}-{max(ratios):.3f}; deep share {share:.3f};"
+           f" partial evals {partial_evals}/{total_evals}")
 
 
 def test_criterion_3_oracle_equivalence():

@@ -376,3 +376,46 @@ class TestOracleDenoiser:
         for k in (0, 12, 24):
             np.testing.assert_array_equal(oracle.eps_for(z, k, slice(7, 23)),
                                           oracle.eps_for(z, k, np.arange(7, 23)), strict=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eps_for_into_buffer_is_bit_equal_to_the_formula(self, dtype):
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        rng = np.random.default_rng(2)
+        target = rng.standard_normal((40, 4, 6, 6)).astype(dtype)
+        z = rng.standard_normal((16, 4, 6, 6)).astype(dtype)
+        z_before, target_before = z.copy(), target.copy()
+        oracle = OracleDenoiser(target, sched)
+        buf = np.empty_like(z)
+        for k in range(sched.num_steps):
+            a = dtype(sched.alpha_bar_at(k))
+            for frames in (slice(7, 23), np.arange(7, 23)):
+                expected = ((z - np.sqrt(a, dtype=dtype) * target[7:23])
+                            / np.sqrt(1.0 - a, dtype=dtype))
+                assert oracle.eps_for(z, k, frames, out=buf) is buf
+                np.testing.assert_array_equal(buf, expected, strict=True)
+                np.testing.assert_array_equal(
+                    buf, oracle_eps(z, k, target[frames], sched), strict=True)
+                fresh = oracle.eps_for(z, k, frames)
+                assert fresh is not buf
+                assert not np.shares_memory(fresh, z) and not np.shares_memory(fresh, target)
+                np.testing.assert_array_equal(fresh, expected, strict=True)
+                np.testing.assert_array_equal(z, z_before)
+                np.testing.assert_array_equal(target, target_before)
+
+    def test_alpha_bar_one_rejected_at_construction(self):
+        sched = make_schedule(1000, 1e-20, 0.02, 25)
+        assert sched.alpha_bar_at(sched.num_steps - 1) == 1.0
+        with pytest.raises(ValueError, match="alpha_bar == 1 at this step; oracle residual undefined"):
+            OracleDenoiser(np.zeros((2, 4, 2, 2), dtype=np.float32), sched)
+
+    def test_bad_step_index_and_dtype_rejected(self):
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        oracle = OracleDenoiser(np.zeros((4, 4, 2, 2), dtype=np.float32), sched)
+        z = np.zeros((2, 4, 2, 2), dtype=np.float32)
+        for k in (-1, sched.num_steps):
+            with pytest.raises(IndexError):
+                oracle.eps_for(z, k, slice(0, 2))
+        with pytest.raises(ValueError, match="dtype"):
+            oracle.eps_for(z.astype(np.float64), 0, slice(0, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            oracle.eps_for(z[:1], 0, slice(0, 2))

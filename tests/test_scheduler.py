@@ -165,6 +165,34 @@ class TestAggregateOverlaps:
             aggregate_overlaps([np.zeros((2, 1, 1, 1))], [Chunk(0, 2)], 3)
 
 
+class TestOverlapSumCoverCount:
+    """``OverlapSum.reset`` counts a plan's covers once, from the chunk
+    bounds; the count must equal counting chunk by chunk."""
+
+    @pytest.mark.parametrize("chunks", [
+        plan_overlap(100, 16, 0),
+        plan_overlap(100, 16, 4),
+        plan_overlap(100, 16, 15),
+        plan_shift(100, 16, 5, 3),
+        plan_shift(100, 16, 5, 3, mode="random", seed=4),
+        plan_shift(100, 16, 0, 7, mode="random", seed=9),
+    ], ids=["overlap-s0", "overlap-s4", "overlap-s15", "shift-fixed", "shift-random",
+            "shift-random-2"])
+    def test_equals_per_chunk_counting(self, chunks):
+        sums = scheduler.OverlapSum(100)
+        sums.reset(chunks)
+        np.testing.assert_array_equal(sums.count, covers_exactly(chunks, 100))
+
+    def test_uncovered_frame_named_at_reset(self):
+        sums = scheduler.OverlapSum(9)
+        with pytest.raises(ValueError, match="^frame 4 not covered by any chunk$"):
+            sums.reset([Chunk(0, 4), Chunk(5, 4)])
+
+    def test_chunk_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="ends past"):
+            scheduler.OverlapSum(6).reset([Chunk(0, 4), Chunk(3, 4)])
+
+
 def all_full_plans(n, l, delta, steps, mode="fixed", seed=0):
     return [plan_shift(n, l, delta, k, mode=mode, seed=seed) for k in range(steps)]
 
@@ -273,6 +301,18 @@ class TestRunInference:
         conditions = synthesize_conditions(cfg)
         video, stats = run_inference(cfg, conditions)
         assert np.max(np.abs(video.z - conditions.target_x0)) <= 1e-4
+
+    def test_undefined_oracle_residual_rejected_before_any_chunk(self, monkeypatch):
+        # beta_start 1e-20 rounds 1 - beta to 1.0, so the last step's alpha_bar is 1
+        cfg = small_config(policy="overlap", overlap_s=4, denoiser="oracle", beta_start=1e-20)
+        assert cfg.schedule().alpha_bar_at(cfg.ddim_steps - 1) == 1.0
+        calls = []
+        eps_for = OracleDenoiser.eps_for
+        monkeypatch.setattr(OracleDenoiser, "eps_for",
+                            lambda self, *a, **kw: calls.append(1) or eps_for(self, *a, **kw))
+        with pytest.raises(ValueError, match="alpha_bar == 1 at this step; oracle residual undefined"):
+            run_inference(cfg)
+        assert calls == []
 
     def test_oracle_float64_recovers_target_tightly(self):
         cfg = small_config(policy="shift", delta=3, denoiser="oracle", ddim_steps=25)
