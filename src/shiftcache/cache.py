@@ -8,29 +8,11 @@ cap is never exceeded, and ``fetch`` re-checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import MASK_BLOCK, AttentionMask, MaskVariant
 
 GOOD_MAX_STALENESS = 1
-
-
-@dataclass(frozen=True)
-class FreshnessFlags:
-    """Per-frame good/bad freshness for one chunk. True = good."""
-
-    good: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.good, dtype=bool)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("freshness flags must be a non-empty vector")
-        object.__setattr__(self, "good", g)
-
-    def __len__(self) -> int:
-        return len(self.good)
 
 
 class CacheMiss(KeyError):
@@ -74,15 +56,20 @@ class FeatureCache:
         self._computed_at[first_frame:stop] = step_index
 
     def fetch(self, frames, current_step_position: int):
-        """A copy of the features for ``frames`` plus their freshness flags.
+        """A copy of the features for ``frames`` plus their freshness.
 
         Returns (feats [len(frames), ...slice], computed_at [len(frames)],
-        FreshnessFlags). Raises CacheMiss for unstored frames and
-        StaleCacheError when any staleness exceeds the cap.
+        good [len(frames)] bool, True where staleness is at most 1). Raises
+        ValueError for a frame outside the cache, CacheMiss for unstored
+        frames and StaleCacheError when any staleness exceeds the cap.
         """
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size == 0:
             raise ValueError("fetch needs at least one frame")
+        outside = (frames < 0) | (frames >= len(self._feats))
+        if np.any(outside):
+            raise ValueError(f"frame {int(frames[np.argmax(outside)])} outside the cache's "
+                             f"{len(self._feats)} frames")
         computed = self._computed_at[frames]
         if np.any(computed < 0):
             raise CacheMiss(int(frames[np.argmin(computed)]))
@@ -94,12 +81,12 @@ class FeatureCache:
             raise StaleCacheError(
                 f"frame {worst} staleness {int(staleness.max())} exceeds cap {self.staleness_cap}"
             )
-        flags = FreshnessFlags(good=staleness <= GOOD_MAX_STALENESS)
-        return self._feats[frames], computed, flags
+        return self._feats[frames], computed, staleness <= GOOD_MAX_STALENESS
 
 
-def build_mask(variant: MaskVariant, flags: FreshnessFlags) -> AttentionMask:
-    """L x L additive mask for one chunk, from its freshness flags.
+def build_mask(variant: MaskVariant, good: np.ndarray) -> AttentionMask:
+    """L x L additive mask for one chunk, from its non-empty 1-D bool
+    freshness array (True = good); anything else is a ValueError.
 
     full:    every frame attends to every frame.
     half:    every query attends exactly to the good frames.
@@ -109,16 +96,15 @@ def build_mask(variant: MaskVariant, flags: FreshnessFlags) -> AttentionMask:
     A variant that would leave some query with no open key (half with zero
     good frames) degrades to full for that chunk.
     """
-    length = len(flags)
-    if length < 1:
-        raise ValueError("flags must be non-empty")
-    good = flags.good
+    if not isinstance(good, np.ndarray) or good.dtype != bool or good.ndim != 1 or not good.size:
+        raise ValueError(f"freshness must be a non-empty 1-D bool array, got {good!r}")
+    length = len(good)
 
     if variant is MaskVariant.FULL:
         blocked = np.zeros((length, length), dtype=bool)
     elif variant is MaskVariant.HALF:
         if not good.any():
-            return build_mask(MaskVariant.FULL, flags)
+            return build_mask(MaskVariant.FULL, good)
         blocked = np.broadcast_to(~good[None, :], (length, length)).copy()
     elif variant is MaskVariant.QUARTER:
         blocked = np.zeros((length, length), dtype=bool)

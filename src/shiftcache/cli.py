@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .cache import FreshnessFlags, build_mask
+from .cache import build_mask
 from .metrics import SSIM_WINDOW, BenchRecord, flicker_index, video_ssim
 from .numerics import MaskVariant
 from .pose_select import (
@@ -141,8 +141,7 @@ def cmd_masks(args) -> int:
     tokens = args.flags.lower()
     if not tokens or any(c not in "gb" for c in tokens):
         raise ValueError("flags must be a non-empty string over {g, b}, e.g. 'bbgg'")
-    flags = FreshnessFlags(good=np.array([c == "g" for c in tokens]))
-    mask = build_mask(MaskVariant(args.variant), flags)
+    mask = build_mask(MaskVariant(args.variant), np.array([c == "g" for c in tokens]))
     blocked = mask.blocked()
     for row in blocked:
         print(" ".join("X" if cell else "0" for cell in row))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .cache import FreshnessFlags, build_mask
+from .cache import build_mask
 from .diffusion import NoiseSchedule, oracle_residual, oracle_scales
 from .numerics import AttentionMask, MaskVariant
 
@@ -106,55 +106,12 @@ def attention(q, k, v, mask: AttentionMask | None = None,
     return out
 
 
-@dataclass(frozen=True)
-class DenoiserInput:
-    """One chunk of conditioning, plus where it sits in the video/schedule."""
-
-    noise_latent: np.ndarray        # [L, 4, H, W]
-    masked_video_latent: np.ndarray  # [L, 4, H, W]
-    binary_mask: np.ndarray          # [L, 1, H, W], values in {0, 1}
-    pose_features: np.ndarray        # [L, 4, H, W]
-    step_index: int
-    frame_offsets: np.ndarray        # [L] absolute frame indices
-
-    @property
-    def length(self) -> int:
-        return self.noise_latent.shape[0]
-
-
-@dataclass(frozen=True)
-class GarmentCondition:
-    """Flattened garment feature tokens used as extra attention keys/values."""
-
-    garment_tokens: np.ndarray  # [M, C_f]; M = 0 disables reference attention
-
-    @property
-    def count(self) -> int:
-        return self.garment_tokens.shape[0]
-
-
 def assemble_input(noise, masked_video, mask, pose) -> np.ndarray:
-    """Concatenate conditioning into the fixed 13-channel layout.
-
-    Channel order is contractual: [noise(4) | masked video(4) | mask(1) | pose(4)].
+    """Concatenate one chunk's [L, c, H, W] conditioning into the denoiser's
+    [L, 13, H, W] input. Channel order is contractual:
+    [noise(4) | masked video(4) | mask(1) | pose(4)]. Shapes and the 0/1
+    mask are checked once per run, by ``Conditions.check``.
     """
-    noise = np.asarray(noise)
-    masked_video = np.asarray(masked_video)
-    mask = np.asarray(mask)
-    pose = np.asarray(pose)
-    expected = (noise.shape[0], noise.shape[2], noise.shape[3])
-    for name, arr, channels in (
-        ("noise", noise, NOISE_CHANNELS),
-        ("masked_video", masked_video, VIDEO_CHANNELS),
-        ("mask", mask, MASK_CHANNELS),
-        ("pose", pose, POSE_CHANNELS),
-    ):
-        if arr.ndim != 4 or arr.shape[1] != channels:
-            raise ValueError(f"{name}: expected [L, {channels}, H, W], got {arr.shape}")
-        if (arr.shape[0], arr.shape[2], arr.shape[3]) != expected:
-            raise ValueError(f"{name}: L/H/W mismatch: {arr.shape} vs noise {noise.shape}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("binary mask must contain only 0 and 1")
     return np.concatenate([noise, masked_video, mask, pose], axis=1)
 
 
@@ -221,9 +178,8 @@ def spatial_attention(tokens, garment_tokens, w: SpatialAttentionWeights,
 class ToyDenoiserConfig:
     """Sizing and seeding for the toy denoiser.
 
-    ``deep_cost_share`` is the target fraction of per-chunk matmul FLOPs
-    spent in the (cacheable, skippable) deep stage; the default widths and
-    block counts are calibrated so the measured share lands within 5% of it
+    The default widths and block counts are calibrated so the (cacheable,
+    skippable) deep stage takes 0.75 of per-chunk matmul FLOPs, within 5%,
     at the default benchmark shape (L=16, 16x12 latents), and so wall time
     tracks the FLOP split (many narrow deep blocks rather than few wide
     ones, keeping per-block cost comparable across stages).
@@ -234,7 +190,6 @@ class ToyDenoiserConfig:
     shallow_blocks: int = 2
     deep_blocks: int = 31
     seed: int = 0
-    deep_cost_share: float = 0.75
 
     def __post_init__(self):
         if self.shallow_blocks < 2:
@@ -243,8 +198,8 @@ class ToyDenoiserConfig:
             raise ValueError("need at least one deep block")
         if self.shallow_width % 2 or self.deep_width % 2:
             raise ValueError("widths must be even (sinusoidal encodings pair sin/cos)")
-        if not 0.0 < self.deep_cost_share < 1.0:
-            raise ValueError("deep_cost_share must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("toy.seed must be >= 0")
 
 
 class ToyDenoiser:
@@ -332,17 +287,15 @@ class ToyDenoiser:
             cache[key] = hit
         return hit
 
-    def _shallow_in(self, inp: DenoiserInput, garment: GarmentCondition,
-                    mask, tally):
-        if len(inp.frame_offsets) != inp.length:
-            raise ValueError("frame_offsets length must match chunk length")
-        x = assemble_input(inp.noise_latent, inp.masked_video_latent,
-                           inp.binary_mask, inp.pose_features)
+    def _shallow_in(self, x, offsets, garment, mask, tally):
+        if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or len(offsets) != x.shape[0]:
+            raise ValueError(f"expected x [L, {INPUT_CHANNELS}, H, W] and L offsets, "
+                             f"got {x.shape} and {len(offsets)}")
         length, _, h, w = x.shape
         tokens = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(length, h * w, INPUT_CHANNELS))
         tokens = _mm(tokens, self.w_in, tally)
-        g = np.asarray(garment.garment_tokens, dtype=np.float32)
-        pe = self._pos_enc(inp.frame_offsets, self.config.shallow_width)
+        g = np.asarray(garment, dtype=np.float32)
+        pe = self._pos_enc(offsets, self.config.shallow_width)
         for blk in self.shallow_in:
             tokens = self._block(tokens, blk, g, pe, mask, tally)
         return tokens, g, (h, w)
@@ -392,44 +345,45 @@ class ToyDenoiser:
 
     # -- public entry points --------------------------------------------------
 
-    def denoise_full(self, inp: DenoiserInput, garment: GarmentCondition,
+    def denoise_full(self, x: np.ndarray, offsets: np.ndarray, garment: np.ndarray,
                      mask: AttentionMask | None = None,
                      tally: FlopTally | None = None):
-        """Full forward pass. Returns (eps [L,4,H,W], deep features [L,C_d,H/2,W/2])."""
-        tokens, g, hw = self._shallow_in(inp, garment, mask, tally)
+        """Full forward pass over the [L, 13, H, W] ``x`` of ``assemble_input``,
+        at the [L] absolute frame indices ``offsets``, with [M, C_f] garment
+        tokens. Returns (eps [L,4,H,W], deep features [L,C_d,H/2,W/2])."""
+        tokens, g, hw = self._shallow_in(x, offsets, garment, mask, tally)
         if tally is not None:
             tally._in_deep = True
-        deep_tokens = self._deep_stage(tokens, g, hw, inp.frame_offsets, mask, tally)
+        deep_tokens = self._deep_stage(tokens, g, hw, offsets, mask, tally)
         if tally is not None:
             tally._in_deep = False
-        eps = self._shallow_out(tokens, deep_tokens, g, hw, inp.frame_offsets, mask, tally)
+        eps = self._shallow_out(tokens, deep_tokens, g, hw, offsets, mask, tally)
         if not np.all(np.isfinite(eps)):
             raise FloatingPointError("denoiser produced non-finite output")
         return eps, self._deep_to_feats(deep_tokens, hw)
 
-    def denoise_partial(self, inp: DenoiserInput, cached: np.ndarray,
-                        flags: FreshnessFlags, mask_variant: MaskVariant,
-                        garment: GarmentCondition,
+    def denoise_partial(self, x: np.ndarray, offsets: np.ndarray, cached: np.ndarray,
+                        good: np.ndarray, mask_variant: MaskVariant, garment: np.ndarray,
                         tally: FlopTally | None = None) -> np.ndarray:
         """Partial pass: shallow-in, cached [L,C_d,H/2,W/2] deep features,
-        masked shallow-out.
+        masked shallow-out. ``x``, ``offsets`` and ``garment`` are as for
+        ``denoise_full``; ``good`` is the chunk's [L] bool freshness.
 
         The deep stage never runs (and its FLOP bucket is untouched); the
         freshness mask applies to temporal attention after the injection.
         """
-        length = inp.length
-        if len(flags) != length:
-            raise ValueError(f"flags length {len(flags)} != chunk length {length}")
-        h, w = inp.noise_latent.shape[2], inp.noise_latent.shape[3]
-        expected = (length,) + self.deep_feature_shape(h, w)
+        tokens, g, hw = self._shallow_in(x, offsets, garment, None, tally)
+        length = len(tokens)
+        if len(good) != length:
+            raise ValueError(f"freshness length {len(good)} != chunk length {length}")
+        expected = (length,) + self.deep_feature_shape(*hw)
         if cached.shape != expected:
             raise ValueError(
                 f"cached deep features shape {cached.shape} != expected {expected}"
             )
-        mask = build_mask(mask_variant, flags)
-        tokens, g, hw = self._shallow_in(inp, garment, None, tally)
+        mask = build_mask(mask_variant, good)
         deep_tokens = self._feats_to_deep(cached)
-        eps = self._shallow_out(tokens, deep_tokens, g, hw, inp.frame_offsets, mask, tally)
+        eps = self._shallow_out(tokens, deep_tokens, g, hw, offsets, mask, tally)
         if not np.all(np.isfinite(eps)):
             raise FloatingPointError("denoiser produced non-finite output")
         return eps
@@ -442,30 +396,16 @@ class ToyDenoiser:
         key = (length, h, w, garment_count)
         cache = self._cost_cache
         if key not in cache:
-            zeros = np.zeros((length, 4, h, w), dtype=np.float32)
-            inp = DenoiserInput(
-                noise_latent=zeros,
-                masked_video_latent=zeros,
-                binary_mask=np.zeros((length, 1, h, w), dtype=np.float32),
-                pose_features=zeros,
-                step_index=0,
-                frame_offsets=np.arange(length),
-            )
-            garment = GarmentCondition(
-                garment_tokens=np.zeros((garment_count, self.config.shallow_width),
-                                        dtype=np.float32))
+            x = np.zeros((length, INPUT_CHANNELS, h, w), dtype=np.float32)
+            offsets = np.arange(length)
+            garment = np.zeros((garment_count, self.config.shallow_width), dtype=np.float32)
             full_tally = FlopTally()
-            _, feats = self.denoise_full(inp, garment, tally=full_tally)
+            _, feats = self.denoise_full(x, offsets, garment, tally=full_tally)
             part_tally = FlopTally()
-            flags = FreshnessFlags(good=np.ones(length, dtype=bool))
-            self.denoise_partial(inp, feats, flags, MaskVariant.FULL, garment,
-                                 tally=part_tally)
+            self.denoise_partial(x, offsets, feats, np.ones(length, dtype=bool),
+                                 MaskVariant.FULL, garment, tally=part_tally)
             cache[key] = (full_tally.deep, full_tally.shallow, part_tally.shallow)
         return cache[key]
-
-    def deep_share(self, length: int, h: int, w: int, garment_count: int) -> float:
-        deep, shallow, _ = self.chunk_cost(length, h, w, garment_count)
-        return deep / (deep + shallow)
 
 
 class OracleDenoiser:

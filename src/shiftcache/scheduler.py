@@ -23,15 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cache import FeatureCache
-from .denoiser import (
-    DenoiserInput,
-    FlopTally,
-    GarmentCondition,
-    OracleDenoiser,
-    ToyDenoiser,
-    ToyDenoiserConfig,
-)
-from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
+from .denoiser import FlopTally, OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
+from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
 from .numerics import MaskVariant, correlate_symmetric
 
 # Seed-stream tags: keep distinct so config fields never alias each other.
@@ -72,9 +65,6 @@ class Chunk:
     @property
     def stop(self) -> int:
         return self.start + self.length
-
-    def frames(self) -> range:
-        return range(self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -207,8 +197,6 @@ class FreshnessRecord:
 
     trace: np.ndarray      # [steps, N]
     last_full: np.ndarray  # [N]
-    eligible_decisions: int = 0
-    bernoulli_partials: int = 0
     forced_full: int = 0
 
 
@@ -241,11 +229,8 @@ def mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: i
                 worst = k - int(last_full[chunk.start:chunk.stop].min())
                 if worst > staleness_cap:
                     record.forced_full += 1
-                else:
-                    record.eligible_decisions += 1
-                    if rng.random() < p:
-                        mode = ChunkMode.PARTIAL
-                        record.bernoulli_partials += 1
+                elif rng.random() < p:
+                    mode = ChunkMode.PARTIAL
             if mode is ChunkMode.FULL:
                 last_full[chunk.start:chunk.stop] = k
             else:
@@ -307,12 +292,15 @@ class EngineConfig:
             raise ValueError("hard_skip is an ablation of the shift policy")
         if self.staleness_cap not in (1, 2):
             raise ValueError("staleness_cap must be 1 or 2 (freshness is binary good/bad)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.ddim_steps < 1 or self.ddim_steps > self.t_train:
             raise ValueError("need 1 <= ddim_steps <= t_train")
         if self.latent_h % 2 or self.latent_w % 2 or self.latent_h < 2 or self.latent_w < 2:
             raise ValueError("latent dims must be even and >= 2")
         if self.garment_tokens < 0:
             raise ValueError("garment_tokens must be >= 0")
+        check_betas(self.beta_start, self.beta_end)
 
     def schedule(self) -> NoiseSchedule:
         return make_schedule(self.t_train, self.beta_start, self.beta_end, self.ddim_steps)
@@ -358,25 +346,28 @@ class Conditions:
     """Per-frame conditioning plus the oracle's target video."""
 
     masked_video: np.ndarray   # [N, 4, H, W]
-    binary_mask: np.ndarray    # [N, 1, H, W]
+    binary_mask: np.ndarray    # [N, 1, H, W], values in {0, 1}
     pose: np.ndarray           # [N, 4, H, W]
-    garment: GarmentCondition
+    garment: np.ndarray        # [M, C_f] tokens; M = 0 disables reference attention
     target_x0: np.ndarray      # [N, 4, H, W]
 
     def check(self, config: EngineConfig) -> None:
         """Raise ValueError naming the first field whose shape does not
-        match the config."""
+        match the config, or the mask if it holds a value other than 0
+        and 1. Run once per run: the engine checks no chunk again."""
         n, h, w = config.n_total, config.latent_h, config.latent_w
         for name, shape, expected in (
                 ("masked_video", self.masked_video.shape, (n, 4, h, w)),
                 ("binary_mask", self.binary_mask.shape, (n, 1, h, w)),
                 ("pose", self.pose.shape, (n, 4, h, w)),
                 ("target_x0", self.target_x0.shape, (n, 4, h, w)),
-                ("garment", self.garment.garment_tokens.shape,
+                ("garment", self.garment.shape,
                  (config.garment_tokens, config.toy.shallow_width))):
             if shape != expected:
                 raise ValueError(f"conditions.{name} has shape {shape}, "
                                  f"expected {expected} for this config")
+        if not np.all((self.binary_mask == 0) | (self.binary_mask == 1)):
+            raise ValueError("conditions.binary_mask must contain only 0 and 1")
 
 
 def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
@@ -403,9 +394,8 @@ def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
     masked_video = video * (1 - mask)
     pose = smooth(4)
     target = smooth(4)
-    garment = GarmentCondition(
-        garment_tokens=rng.standard_normal(
-            (config.garment_tokens, config.toy.shallow_width)).astype(np.float32))
+    garment = rng.standard_normal(
+        (config.garment_tokens, config.toy.shallow_width)).astype(np.float32)
     return Conditions(masked_video=masked_video, binary_mask=mask, pose=pose,
                       garment=garment, target_x0=target)
 
@@ -486,21 +476,16 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
             return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
-        inp = DenoiserInput(
-            noise_latent=z[sl],
-            masked_video_latent=conditions.masked_video[sl],
-            binary_mask=conditions.binary_mask[sl],
-            pose_features=conditions.pose[sl],
-            step_index=step_index,
-            frame_offsets=np.arange(chunk.start, chunk.stop),
-        )
+        x = assemble_input(z[sl], conditions.masked_video[sl], conditions.binary_mask[sl],
+                           conditions.pose[sl])
+        offsets = np.arange(chunk.start, chunk.stop)
         if chunk.mode is ChunkMode.FULL:
-            eps, feats = toy.denoise_full(inp, conditions.garment, tally=tally)
+            eps, feats = toy.denoise_full(x, offsets, conditions.garment, tally=tally)
             if cache is not None:
                 cache.store_block(chunk.start, feats, step_index)
             return eps
-        feats, _, flags = cache.fetch(chunk.frames(), step_index)
-        return toy.denoise_partial(inp, feats, flags, config.mask_variant,
+        feats, _, good = cache.fetch(offsets, step_index)
+        return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
                                    conditions.garment, tally=tally)
 
     sums = OverlapSum(n)

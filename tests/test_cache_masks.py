@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from shiftcache.cache import (
     CacheMiss,
     FeatureCache,
-    FreshnessFlags,
     StaleCacheError,
     build_mask,
 )
@@ -29,9 +28,9 @@ class TestFeatureCache:
     def test_store_then_fetch_next_step_is_good(self):
         cache = _cache()
         cache.store_block(0, _feats(1.0), step_index=3)
-        feats, computed, flags = cache.fetch([0], current_step_position=4)
+        feats, computed, good = cache.fetch([0], current_step_position=4)
         assert computed.tolist() == [3]
-        assert flags.good.tolist() == [True]
+        assert good.dtype == bool and good.tolist() == [True]
         np.testing.assert_array_equal(feats, _feats(1.0))
 
     def test_last_writer_wins(self):
@@ -44,8 +43,8 @@ class TestFeatureCache:
     def test_staleness_two_flagged_bad(self):
         cache = _cache()
         cache.store_block(1, _feats(0.5), step_index=2)
-        _, _, flags = cache.fetch([1], current_step_position=4)
-        assert flags.good.tolist() == [False]
+        _, _, good = cache.fetch([1], current_step_position=4)
+        assert good.tolist() == [False]
 
     def test_mixed_halves_delta_half_chunk(self):
         # First half last fully computed two steps ago, second half one step
@@ -53,14 +52,22 @@ class TestFeatureCache:
         cache = _cache()
         cache.store_block(0, _feats(0.0, frames=4), step_index=5)
         cache.store_block(4, _feats(1.0, frames=4), step_index=6)
-        _, _, flags = cache.fetch(range(8), current_step_position=7)
-        assert flags.good.tolist() == [False] * 4 + [True] * 4
+        _, _, good = cache.fetch(range(8), current_step_position=7)
+        assert good.tolist() == [False] * 4 + [True] * 4
 
     def test_cache_miss(self):
         cache = _cache()
         cache.store_block(0, _feats(1.0), step_index=0)
         with pytest.raises(CacheMiss):
             cache.fetch([0, 1], current_step_position=1)
+
+    @pytest.mark.parametrize("frame", [-1, -N_FRAMES, N_FRAMES, N_FRAMES + 3])
+    def test_frame_outside_cache_rejected_naming_it(self, frame):
+        # a negative index must not wrap to a frame at the end of the video
+        cache = _cache()
+        cache.store_block(0, _feats(1.0, frames=N_FRAMES), step_index=0)
+        with pytest.raises(ValueError, match=f"frame {frame} outside the cache's {N_FRAMES} frames"):
+            cache.fetch([0, frame], current_step_position=1)
 
     def test_staleness_over_cap_rejected(self):
         cache = _cache(staleness_cap=2)
@@ -112,8 +119,8 @@ class TestFeatureCache:
         np.testing.assert_array_equal(cache.fetch([0, 1], 1)[0], np.ones((2,) + SLICE))
 
 
-def flags_of(pattern: str) -> FreshnessFlags:
-    return FreshnessFlags(good=np.array([c == "g" for c in pattern]))
+def flags_of(pattern: str) -> np.ndarray:
+    return np.array([c == "g" for c in pattern])
 
 
 class TestBuildMask:
@@ -146,26 +153,33 @@ class TestBuildMask:
         mask = build_mask(MaskVariant.HALF, flags_of("bbbb"))
         np.testing.assert_array_equal(mask.matrix, np.zeros((4, 4), dtype=np.float32))
 
-    def test_empty_flags_rejected(self):
-        with pytest.raises(ValueError):
-            FreshnessFlags(good=np.array([], dtype=bool))
+    @pytest.mark.parametrize("good", [
+        np.array([], dtype=bool),             # empty
+        np.ones((2, 2), dtype=bool),          # not 1-D
+        np.array([1, 0, 1]),                  # ints: no silent bool coercion
+        np.array([1.0, 0.0]),
+        [True, False],                        # not an array
+    ], ids=["empty", "2d", "int", "float", "list"])
+    def test_anything_but_a_nonempty_1d_bool_array_rejected(self, good):
+        for variant in MaskVariant:
+            with pytest.raises(ValueError, match="non-empty 1-D bool array"):
+                build_mask(variant, good)
 
     @given(pattern=st.lists(st.booleans(), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_structure_properties(self, pattern):
-        flags = FreshnessFlags(good=np.array(pattern))
         length = len(pattern)
         good = np.array(pattern)
         for variant in MaskVariant:
-            mask = build_mask(variant, flags)
+            mask = build_mask(variant, good)
             blocked = mask.blocked()
             # no fully blocked query rows after fallback
             assert not np.any(blocked.all(axis=1))
             if variant is MaskVariant.HALF and good.any():
-                # column k fully blocked iff flags[k] is bad
+                # column k fully blocked iff frame k is bad
                 np.testing.assert_array_equal(blocked.all(axis=0), ~good)
                 # the good-query submatrix of quarter equals half's
-                quarter = build_mask(MaskVariant.QUARTER, flags)
+                quarter = build_mask(MaskVariant.QUARTER, good)
                 np.testing.assert_array_equal(
                     quarter.blocked()[good], blocked[good])
             if variant is MaskVariant.QUARTER:
@@ -178,15 +192,15 @@ class TestBuildMask:
         # behavioral information-flow check: bad keys carry exactly zero
         # weight, so perturbing a bad frame's value input changes nothing
         rng = np.random.default_rng(11)
-        flags = flags_of("bgbggb")
-        mask = build_mask(MaskVariant.HALF, flags)
+        good = flags_of("bgbggb")
+        mask = build_mask(MaskVariant.HALF, good)
         L = 6
         q = rng.standard_normal((3, L, 8)).astype(np.float32)
         k = rng.standard_normal((3, L, 8)).astype(np.float32)
         v = rng.standard_normal((3, L, 8)).astype(np.float32)
         base = attention(q, k, v, mask)
         v2 = v.copy()
-        v2[:, ~flags.good, :] += 100.0
+        v2[:, ~good, :] += 100.0
         np.testing.assert_array_equal(attention(q, k, v2, mask), base)
 
     def test_full_mask_equals_unmasked_attention(self):

@@ -272,7 +272,6 @@ class TestConfigFiles:
         ({"mask_variant": None}, "mask_variant"),
         ({"toy": {"deep_width": "8"}}, "toy.deep_width"),
         ({"toy": {"seed": 1.0}}, "toy.seed"),
-        ({"toy": {"deep_cost_share": True}}, "toy.deep_cost_share"),
         ({"latent": {"h": 8.0}}, "latent.h"),
     ])
     def test_wrong_types_rejected_naming_the_key(self, doc, key):
@@ -280,9 +279,23 @@ class TestConfigFiles:
             fileio.config_from_dict(doc)
 
     def test_int_accepted_for_float(self):
-        config = fileio.config_from_dict({"partial_fraction": 1, "beta_start": 0})
-        assert type(config.partial_fraction) is float and config.partial_fraction == 1.0
-        assert type(config.beta_start) is float and config.beta_start == 0.0
+        for value in (0, 1):
+            config = fileio.config_from_dict({"partial_fraction": value})
+            assert type(config.partial_fraction) is float and config.partial_fraction == value
+
+    def test_removed_deep_cost_share_is_an_unknown_key(self):
+        with pytest.raises(FormatError, match=r"unknown key\(s\) in toy block: \['deep_cost_share'\]"):
+            fileio.config_from_dict({"toy": {"deep_cost_share": 0.75}})
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"seed": -1}, "^seed must be >= 0"),
+        ({"toy": {"seed": -2}}, "^toy.seed must be >= 0"),
+        ({"beta_start": 0.5, "beta_end": 0.1}, "beta_start <= beta_end"),
+        ({"beta_start": 0}, "0 < beta_start"),
+    ])
+    def test_bad_seed_or_betas_rejected_at_load(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            fileio.config_from_dict(doc)
 
     @given(
         key=st.sampled_from(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from shiftcache.cache import FreshnessFlags, build_mask
+from shiftcache.cache import build_mask
 from shiftcache.denoiser import ToyDenoiser, _rms_norm, attention
 from shiftcache.numerics import (
     MASK_BLOCK,
@@ -148,7 +148,7 @@ class TestSoftmaxAttention:
         q = n @ wq
         q *= np.float32(1.0 / np.sqrt(width))
         k, v = n @ wk, n @ wv
-        mask = build_mask(variant, FreshnessFlags(good=rng.random(length) < rng.random()))
+        mask = build_mask(variant, rng.random(length) < rng.random())
 
         out = attention(q, k, v, mask)
 
