@@ -3,7 +3,7 @@ chunks with deep-feature caching and masked temporal attention, benchmarked
 against the overlap/averaging baseline."""
 
 from .cache import CacheMiss, FeatureCache, StaleCacheError, build_mask
-from .denoiser import FlopTally, OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
+from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule, oracle_eps
 from .metrics import BenchRecord, flicker_index, ssim, throughput_model, video_ssim
 from .numerics import MASK_BLOCK, AttentionMask, MaskVariant

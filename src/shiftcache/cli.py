@@ -104,7 +104,6 @@ def cmd_bench(args) -> int:
     records = []
     reference = None
     for label, config in runs:
-        config.validate()
         _print_effective_config(config)
         video, stats = run_inference(config)
         if reference is None:

@@ -16,8 +16,10 @@ commitments that matter for scheduling experiments:
 ``OracleDenoiser`` predicts the exact residual toward a known target and is
 frame-local, so scheduling policies must not change its end result.
 
-FLOP counters track matrix-multiply FLOPs (2*m*k*n), which dominate cost;
-softmax and normalization traffic is not counted.
+``ToyDenoiser.chunk_cost`` counts matrix-multiply FLOPs (2*m*k*n), which
+dominate cost, in closed form from a chunk's shape, sublayer by sublayer
+(``block_flops``); softmax and normalization traffic is not counted. The
+forward pass keeps no counters.
 """
 
 from __future__ import annotations
@@ -42,40 +44,13 @@ INPUT_CHANNELS = NOISE_CHANNELS + VIDEO_CHANNELS + MASK_CHANNELS + POSE_CHANNELS
 EPS_CHANNELS = 4
 
 
-class FlopTally:
-    """Matmul FLOP accumulator with a deep/shallow bucket switch."""
-
-    def __init__(self):
-        self.deep = 0
-        self.shallow = 0
-        self._in_deep = False
-
-    def add(self, flops: int) -> None:
-        if self._in_deep:
-            self.deep += flops
-        else:
-            self.shallow += flops
-
-    @property
-    def total(self) -> int:
-        return self.deep + self.shallow
-
-
-def _mm(a: np.ndarray, b: np.ndarray, tally: FlopTally | None) -> np.ndarray:
-    out = np.matmul(a, b)
-    if tally is not None:
-        tally.add(2 * a.size * b.shape[-1])
-    return out
-
-
 def _rms_norm(x: np.ndarray) -> np.ndarray:
     sumsq = np.einsum("...c,...c->...", x, x)
     scale = np.sqrt(sumsq / x.shape[-1] + NORM_EPS)
     return x / scale[..., None]
 
 
-def attention(q, k, v, mask: AttentionMask | None = None,
-              tally: FlopTally | None = None) -> np.ndarray:
+def attention(q, k, v, mask: AttentionMask | None = None) -> np.ndarray:
     """Softmax attention of projected [B, Q, C] queries over [B, K, C]
     keys/values: the one kernel behind spatial and temporal attention.
 
@@ -88,8 +63,6 @@ def attention(q, k, v, mask: AttentionMask | None = None,
     an exact zero weight.
     """
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    if tally is not None:
-        tally.add(2 * q.size * k.shape[-2])
     if mask is not None:
         if mask.size != k.shape[-2]:
             raise ValueError(f"mask size {mask.size} != sequence length {k.shape[-2]}")
@@ -100,8 +73,6 @@ def attention(q, k, v, mask: AttentionMask | None = None,
     np.exp(logits, out=logits)
     denom = logits.sum(axis=-1, keepdims=True)
     out = np.matmul(logits, v)
-    if tally is not None:
-        tally.add(2 * logits.size * v.shape[-1])
     out /= denom
     return out
 
@@ -121,7 +92,7 @@ class SpatialAttentionWeights:
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    wg: np.ndarray | None = None  # garment adapter [C_g, C], None if widths match
+    wg: np.ndarray  # garment adapter [C_f, C]
 
 
 @dataclass(frozen=True)
@@ -145,33 +116,42 @@ class BlockWeights:
     mlp: MlpWeights
 
 
-def spatial_attention(tokens, garment_tokens, w: SpatialAttentionWeights,
-                      tally: FlopTally | None = None) -> np.ndarray:
+def spatial_attention(tokens, garment_tokens, w: SpatialAttentionWeights) -> np.ndarray:
     """Spatial attention on [L, HW, C] tokens with garment keys/values.
 
     Queries come from the frame tokens only; keys/values additionally see the
     garment tokens, replicated identically for every frame. Garment tokens
-    are RMS-normalized after their adapter so logits stay bounded.
+    pass through their adapter, then RMS normalization so logits stay
+    bounded.
     """
     length, _, channels = tokens.shape
-    q = _mm(tokens, w.wq, tally)
+    q = np.matmul(tokens, w.wq)
     q *= np.asarray(1.0 / np.sqrt(channels), dtype=q.dtype)
     if garment_tokens.shape[0] > 0:
-        g = garment_tokens
-        if w.wg is not None:
-            g = _rms_norm(_mm(g, w.wg, tally))
-        if g.shape[-1] != channels:
-            raise ValueError(
-                f"garment token width {g.shape[-1]} != feature width {channels}"
-            )
+        g = _rms_norm(np.matmul(garment_tokens, w.wg))
         g_rep = np.broadcast_to(g[None], (length,) + g.shape)
         kv_src = np.concatenate([tokens, g_rep], axis=1)
     else:
         kv_src = tokens
-    k = _mm(kv_src, w.wk, tally)
-    v = _mm(kv_src, w.wv, tally)
-    out = attention(q, k, v, None, tally)
-    return _mm(out, w.wo, tally)
+    k = np.matmul(kv_src, w.wk)
+    v = np.matmul(kv_src, w.wv)
+    return np.matmul(attention(q, k, v), w.wo)
+
+
+def block_flops(length: int, tokens: int, width: int, garment_count: int,
+                garment_width: int) -> dict[str, int]:
+    """Matmul FLOPs (2*m*k*n each) of one block's sublayers over ``length``
+    frames of ``tokens`` tokens of ``width`` channels, with ``garment_count``
+    garment tokens of ``garment_width`` channels."""
+    lt, keys = length * tokens, tokens + garment_count
+    return {
+        # q, o; garment adapter; k, v over frame + garment tokens; logits, sum
+        "spatial": (4 * lt * width ** 2 + 2 * garment_count * garment_width * width
+                    + 4 * length * keys * width ** 2 + 4 * lt * width * keys),
+        # q, k, v, o; L x L logits and weighted sum per token
+        "temporal": 8 * lt * width ** 2 + 4 * tokens * length ** 2 * width,
+        "mlp": 4 * MLP_RATIO * lt * width ** 2,
+    }
 
 
 @dataclass(frozen=True)
@@ -208,7 +188,6 @@ class ToyDenoiser:
     def __init__(self, config: ToyDenoiserConfig):
         self.config = config
         self._pe_cache: dict = {}
-        self._cost_cache: dict = {}
         rng = np.random.default_rng(config.seed)
         cf, cd = config.shallow_width, config.deep_width
 
@@ -241,35 +220,35 @@ class ToyDenoiser:
 
     # -- geometry -----------------------------------------------------------
 
-    def deep_feature_shape(self, h: int, w: int) -> tuple[int, int, int]:
+    def deep_feature_shape(self, h: int, w: int) -> tuple[int, int]:
+        """Per-frame shape of the deep stage's output and the cache unit:
+        [(H/2)(W/2), C_d] tokens."""
         if h % 2 or w % 2:
             raise ValueError(f"latent dims must be even for the 2x downsample, got {h}x{w}")
-        return (self.config.deep_width, h // 2, w // 2)
+        return ((h // 2) * (w // 2), self.config.deep_width)
 
     # -- sublayers ----------------------------------------------------------
 
     def _temporal(self, tokens, weights: TemporalAttentionWeights, pos_enc,
-                  mask: AttentionMask | None, tally) -> np.ndarray:
+                  mask: AttentionMask | None) -> np.ndarray:
         """Temporal self-attention over the [(HW), L, C] view of [L, HW, C] tokens."""
         x = np.ascontiguousarray(tokens.transpose(1, 0, 2))  # [HW, L, C]
         n = _rms_norm(x)
         n += pos_enc[None, :, :]
-        q = _mm(n, weights.wq, tally)
+        q = np.matmul(n, weights.wq)
         q *= np.float32(1.0 / np.sqrt(n.shape[-1]))
-        k = _mm(n, weights.wk, tally)
-        v = _mm(n, weights.wv, tally)
-        out = attention(q, k, v, mask, tally)
-        x += _mm(out, weights.wo, tally)
+        k = np.matmul(n, weights.wk)
+        v = np.matmul(n, weights.wv)
+        x += np.matmul(attention(q, k, v, mask), weights.wo)
         return np.ascontiguousarray(x.transpose(1, 0, 2))
 
     def _block(self, tokens, weights: BlockWeights, g_tokens, pos_enc,
-               mask: AttentionMask | None, tally) -> np.ndarray:
-        tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens,
-                                            weights.spatial, tally)
-        tokens = self._temporal(tokens, weights.temporal, pos_enc, mask, tally)
-        hidden = _mm(_rms_norm(tokens), weights.mlp.w1, tally)
+               mask: AttentionMask | None) -> np.ndarray:
+        tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens, weights.spatial)
+        tokens = self._temporal(tokens, weights.temporal, pos_enc, mask)
+        hidden = np.matmul(_rms_norm(tokens), weights.mlp.w1)
         np.maximum(hidden, 0.0, out=hidden)
-        tokens = tokens + _mm(hidden, weights.mlp.w2, tally)
+        tokens = tokens + np.matmul(hidden, weights.mlp.w2)
         return tokens
 
     # -- stages -------------------------------------------------------------
@@ -287,92 +266,69 @@ class ToyDenoiser:
             cache[key] = hit
         return hit
 
-    def _shallow_in(self, x, offsets, garment, mask, tally):
+    def _shallow_in(self, x, offsets, garment):
         if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or len(offsets) != x.shape[0]:
             raise ValueError(f"expected x [L, {INPUT_CHANNELS}, H, W] and L offsets, "
                              f"got {x.shape} and {len(offsets)}")
         length, _, h, w = x.shape
         tokens = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(length, h * w, INPUT_CHANNELS))
-        tokens = _mm(tokens, self.w_in, tally)
-        g = np.asarray(garment, dtype=np.float32)
+        tokens = np.matmul(tokens, self.w_in)
         pe = self._pos_enc(offsets, self.config.shallow_width)
         for blk in self.shallow_in:
-            tokens = self._block(tokens, blk, g, pe, mask, tally)
-        return tokens, g, (h, w)
+            tokens = self._block(tokens, blk, garment, pe, None)
+        return tokens, (h, w)
 
-    def _deep_stage(self, tokens, g, hw, offsets, mask, tally) -> np.ndarray:
+    def _deep_stage(self, tokens, garment, hw, offsets) -> np.ndarray:
         h, w = hw
         length = tokens.shape[0]
         cf = self.config.shallow_width
         grid = tokens.reshape(length, h // 2, 2, w // 2, 2, cf)
         pooled = grid.mean(axis=(2, 4)).reshape(length, (h // 2) * (w // 2), cf)
-        d = _mm(pooled, self.w_down, tally)
+        d = np.matmul(pooled, self.w_down)
         pe = self._pos_enc(offsets, self.config.deep_width)
         for blk in self.deep:
-            d = self._block(d, blk, g, pe, mask, tally)
+            d = self._block(d, blk, garment, pe, None)
         return d  # [L, (H/2)(W/2), C_d]
 
-    def _shallow_out(self, tokens, deep_tokens, g, hw, offsets, mask, tally) -> np.ndarray:
+    def _shallow_out(self, tokens, deep_tokens, garment, hw, offsets, mask) -> np.ndarray:
         h, w = hw
         length = tokens.shape[0]
         cf = self.config.shallow_width
-        up = _mm(deep_tokens, self.w_up, tally)
+        up = np.matmul(deep_tokens, self.w_up)
         up = up.reshape(length, h // 2, w // 2, cf)
         up = np.repeat(np.repeat(up, 2, axis=1), 2, axis=2).reshape(length, h * w, cf)
         tokens = tokens + up
         pe = self._pos_enc(offsets, self.config.shallow_width)
         for blk in self.shallow_out:
-            tokens = self._block(tokens, blk, g, pe, mask, tally)
-        out = _mm(_rms_norm(tokens), self.w_out, tally)
+            tokens = self._block(tokens, blk, garment, pe, mask)
+        out = np.matmul(_rms_norm(tokens), self.w_out)
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("denoiser produced non-finite output")
         return np.ascontiguousarray(
             out.reshape(length, h, w, EPS_CHANNELS).transpose(0, 3, 1, 2)
         )
 
-    @staticmethod
-    def _deep_to_feats(deep_tokens, hw) -> np.ndarray:
-        h, w = hw
-        length, _, cd = deep_tokens.shape
-        return np.ascontiguousarray(
-            deep_tokens.reshape(length, h // 2, w // 2, cd).transpose(0, 3, 1, 2)
-        )
-
-    @staticmethod
-    def _feats_to_deep(feats) -> np.ndarray:
-        length, cd = feats.shape[0], feats.shape[1]
-        return np.ascontiguousarray(
-            feats.transpose(0, 2, 3, 1).reshape(length, -1, cd)
-        )
-
     # -- public entry points --------------------------------------------------
 
-    def denoise_full(self, x: np.ndarray, offsets: np.ndarray, garment: np.ndarray,
-                     mask: AttentionMask | None = None,
-                     tally: FlopTally | None = None):
+    def denoise_full(self, x: np.ndarray, offsets: np.ndarray, garment: np.ndarray):
         """Full forward pass over the [L, 13, H, W] ``x`` of ``assemble_input``,
         at the [L] absolute frame indices ``offsets``, with [M, C_f] garment
-        tokens. Returns (eps [L,4,H,W], deep features [L,C_d,H/2,W/2])."""
-        tokens, g, hw = self._shallow_in(x, offsets, garment, mask, tally)
-        if tally is not None:
-            tally._in_deep = True
-        deep_tokens = self._deep_stage(tokens, g, hw, offsets, mask, tally)
-        if tally is not None:
-            tally._in_deep = False
-        eps = self._shallow_out(tokens, deep_tokens, g, hw, offsets, mask, tally)
-        if not np.all(np.isfinite(eps)):
-            raise FloatingPointError("denoiser produced non-finite output")
-        return eps, self._deep_to_feats(deep_tokens, hw)
+        tokens. Returns (eps [L,4,H,W], deep features [L,(H/2)(W/2),C_d])."""
+        tokens, hw = self._shallow_in(x, offsets, garment)
+        deep_tokens = self._deep_stage(tokens, garment, hw, offsets)
+        return self._shallow_out(tokens, deep_tokens, garment, hw, offsets, None), deep_tokens
 
     def denoise_partial(self, x: np.ndarray, offsets: np.ndarray, cached: np.ndarray,
-                        good: np.ndarray, mask_variant: MaskVariant, garment: np.ndarray,
-                        tally: FlopTally | None = None) -> np.ndarray:
-        """Partial pass: shallow-in, cached [L,C_d,H/2,W/2] deep features,
+                        good: np.ndarray, mask_variant: MaskVariant,
+                        garment: np.ndarray) -> np.ndarray:
+        """Partial pass: shallow-in, cached [L,(H/2)(W/2),C_d] deep features,
         masked shallow-out. ``x``, ``offsets`` and ``garment`` are as for
         ``denoise_full``; ``good`` is the chunk's [L] bool freshness.
 
-        The deep stage never runs (and its FLOP bucket is untouched); the
-        freshness mask applies to temporal attention after the injection.
+        The deep stage never runs; the freshness mask applies to temporal
+        attention after the injection.
         """
-        tokens, g, hw = self._shallow_in(x, offsets, garment, None, tally)
+        tokens, hw = self._shallow_in(x, offsets, garment)
         length = len(tokens)
         if len(good) != length:
             raise ValueError(f"freshness length {len(good)} != chunk length {length}")
@@ -382,30 +338,25 @@ class ToyDenoiser:
                 f"cached deep features shape {cached.shape} != expected {expected}"
             )
         mask = build_mask(mask_variant, good)
-        deep_tokens = self._feats_to_deep(cached)
-        eps = self._shallow_out(tokens, deep_tokens, g, hw, offsets, mask, tally)
-        if not np.all(np.isfinite(eps)):
-            raise FloatingPointError("denoiser produced non-finite output")
-        return eps
+        return self._shallow_out(tokens, cached, garment, hw, offsets, mask)
 
     # -- cost model -----------------------------------------------------------
 
-    def chunk_cost(self, length: int, h: int, w: int, garment_count: int):
-        """Measured matmul FLOPs for one chunk: (full deep, full shallow,
-        partial shallow). Runs tiny zero-input evaluations once per shape."""
-        key = (length, h, w, garment_count)
-        cache = self._cost_cache
-        if key not in cache:
-            x = np.zeros((length, INPUT_CHANNELS, h, w), dtype=np.float32)
-            offsets = np.arange(length)
-            garment = np.zeros((garment_count, self.config.shallow_width), dtype=np.float32)
-            full_tally = FlopTally()
-            _, feats = self.denoise_full(x, offsets, garment, tally=full_tally)
-            part_tally = FlopTally()
-            self.denoise_partial(x, offsets, feats, np.ones(length, dtype=bool),
-                                 MaskVariant.FULL, garment, tally=part_tally)
-            cache[key] = (full_tally.deep, full_tally.shallow, part_tally.shallow)
-        return cache[key]
+    def chunk_cost(self, length: int, h: int, w: int, garment_count: int) -> tuple[int, int]:
+        """Matmul FLOPs of one chunk of ``length`` h x w frames with
+        ``garment_count`` garment tokens, in closed form: (deep, shallow).
+        A full eval costs both; a partial eval skips the deep stage and
+        costs ``shallow``, whose stages are the same on both paths."""
+        t_deep, cd = self.deep_feature_shape(h, w)
+        t, cf = h * w, self.config.shallow_width
+        shallow = (2 * length * t * cf * (INPUT_CHANNELS + EPS_CHANNELS)  # w_in, w_out
+                   + 2 * length * t_deep * cd * cf                        # w_up
+                   + self.config.shallow_blocks * sum(
+                       block_flops(length, t, cf, garment_count, cf).values()))
+        deep = (2 * length * t_deep * cf * cd                             # w_down
+                + self.config.deep_blocks * sum(
+                    block_flops(length, t_deep, cd, garment_count, cf).values()))
+        return deep, shallow
 
 
 class OracleDenoiser:

@@ -102,7 +102,7 @@ def throughput_model(stats: RunStats, denoiser) -> float:
     if stats.total_flops <= 0:
         raise ValueError("run recorded no FLOPs; cannot model throughput")
     baseline_chunks = len(plan_overlap(stats.n_total, stats.chunk_len, 0))
-    deep, shallow, _ = denoiser.chunk_cost(
+    deep, shallow = denoiser.chunk_cost(
         stats.chunk_len, stats.latent_h, stats.latent_w, stats.garment_count)
     baseline_total = stats.steps * baseline_chunks * (deep + shallow)
     return baseline_total / stats.total_flops

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cache import FeatureCache
-from .denoiser import FlopTally, OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
+from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
 from .numerics import MaskVariant, correlate_symmetric
 
@@ -310,7 +310,7 @@ class EngineConfig:
 class RunStats:
     """Counters and traces from one completed inference run.
 
-    FLOP counters track matmul FLOPs as reported by the denoiser.
+    FLOP counters sum ``ToyDenoiser.chunk_cost`` over the evaluated chunks.
     ``freshness_trace`` and ``forced_full`` come from the plan's
     FreshnessRecord.
     """
@@ -351,21 +351,28 @@ class Conditions:
     garment: np.ndarray        # [M, C_f] tokens; M = 0 disables reference attention
     target_x0: np.ndarray      # [N, 4, H, W]
 
-    def check(self, config: EngineConfig) -> None:
+    def check(self, config: EngineConfig, dtype) -> None:
         """Raise ValueError naming the first field whose shape does not
-        match the config, or the mask if it holds a value other than 0
-        and 1. Run once per run: the engine checks no chunk again."""
+        match the config or whose dtype is not the run's ``dtype`` (float32
+        for the garment, which meets the toy's float32 weights), or the
+        mask if it holds a value other than 0 and 1. Run once per run: the
+        engine checks no chunk again."""
         n, h, w = config.n_total, config.latent_h, config.latent_w
-        for name, shape, expected in (
-                ("masked_video", self.masked_video.shape, (n, 4, h, w)),
-                ("binary_mask", self.binary_mask.shape, (n, 1, h, w)),
-                ("pose", self.pose.shape, (n, 4, h, w)),
-                ("target_x0", self.target_x0.shape, (n, 4, h, w)),
-                ("garment", self.garment.shape,
-                 (config.garment_tokens, config.toy.shallow_width))):
-            if shape != expected:
-                raise ValueError(f"conditions.{name} has shape {shape}, "
+        run = np.dtype(dtype)
+        for name, expected, expected_dtype in (
+                ("masked_video", (n, 4, h, w), run),
+                ("binary_mask", (n, 1, h, w), run),
+                ("pose", (n, 4, h, w), run),
+                ("target_x0", (n, 4, h, w), run),
+                ("garment", (config.garment_tokens, config.toy.shallow_width),
+                 np.dtype(np.float32))):
+            array = getattr(self, name)
+            if array.shape != expected:
+                raise ValueError(f"conditions.{name} has shape {array.shape}, "
                                  f"expected {expected} for this config")
+            if array.dtype != expected_dtype:
+                raise ValueError(f"conditions.{name} has dtype {array.dtype}, "
+                                 f"expected {expected_dtype} for this run")
         if not np.all((self.binary_mask == 0) | (self.binary_mask == 1)):
             raise ValueError("conditions.binary_mask must contain only 0 and 1")
 
@@ -449,7 +456,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     if conditions is None:
         conditions = synthesize_conditions(config, dtype=dtype)
     else:
-        conditions.check(config)
+        conditions.check(config, dtype)
     sched = config.schedule()
     n = config.n_total
 
@@ -458,19 +465,15 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         oracle = None
     else:
         toy = None
-        oracle = OracleDenoiser(conditions.target_x0.astype(dtype, copy=False), sched)
+        oracle = OracleDenoiser(conditions.target_x0, sched)
 
     rng = np.random.default_rng([config.seed, _STREAM_NOISE])
     z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
 
     cache = None
     if config.policy == "shift" and toy is not None and not config.hard_skip:
-        # deep features take the widest dtype of the latents and conditions
-        feat_dtype = np.result_type(z, conditions.masked_video, conditions.binary_mask,
-                                    conditions.pose)
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
-                             staleness_cap=config.staleness_cap, dtype=feat_dtype)
-    tally = FlopTally()
+                             staleness_cap=config.staleness_cap, dtype=dtype)
 
     def eval_chunk(step_index, chunk):
         sl = slice(chunk.start, chunk.stop)
@@ -480,13 +483,13 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
         if chunk.mode is ChunkMode.FULL:
-            eps, feats = toy.denoise_full(x, offsets, conditions.garment, tally=tally)
+            eps, feats = toy.denoise_full(x, offsets, conditions.garment)
             if cache is not None:
                 cache.store_block(chunk.start, feats, step_index)
             return eps
         feats, _, good = cache.fetch(offsets, step_index)
         return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
-                                   conditions.garment, tally=tally)
+                                   conditions.garment)
 
     sums = OverlapSum(n)
     t_start = time.perf_counter()
@@ -506,16 +509,23 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         z = ddim_step(z, sums.mean(), k, sched)
     wall_seconds = time.perf_counter() - t_start
 
-    modes = [c.mode for plan in plans for c in plan.chunks]
-    partials = modes.count(ChunkMode.PARTIAL)
+    chunks = [c for plan in plans for c in plan.chunks]
+    full = [c for c in chunks if c.mode is ChunkMode.FULL]
+    partials = len(chunks) - len(full)
+    deep_flops = shallow_flops = 0
+    if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
+        shape = (config.latent_h, config.latent_w, config.garment_tokens)
+        deep_flops = sum(toy.chunk_cost(c.length, *shape)[0] for c in full)
+        shallow_flops = sum(toy.chunk_cost(c.length, *shape)[1]
+                            for c in (full if config.hard_skip else chunks))
     stats = RunStats(
         n_total=n, chunk_len=config.chunk_len, steps=sched.num_steps,
         latent_h=config.latent_h, latent_w=config.latent_w,
         garment_count=config.garment_tokens,
-        full_chunk_evals=modes.count(ChunkMode.FULL),
+        full_chunk_evals=len(full),
         partial_chunk_evals=0 if config.hard_skip else partials,
         skipped_chunk_evals=partials if config.hard_skip else 0,
-        deep_flops=tally.deep, shallow_flops=tally.shallow,
+        deep_flops=deep_flops, shallow_flops=shallow_flops,
         wall_seconds=wall_seconds,
         freshness_trace=freshness.trace, forced_full=freshness.forced_full,
     )

@@ -1,0 +1,59 @@
+"""Shared fixtures.
+
+``matmul_count`` counts the matmuls the toy network really runs, so tests
+can hold ``ToyDenoiser.chunk_cost`` and the run's FLOP counters, which
+are a closed-form model, against them.
+"""
+
+import numpy as np
+import pytest
+
+from shiftcache import denoiser
+
+
+class MatmulCounter:
+    """2*m*k*n of every ``np.matmul`` that ``shiftcache.denoiser`` runs,
+    as deep while ``ToyDenoiser._deep_stage`` runs and shallow otherwise."""
+
+    def __init__(self):
+        self.deep = self.shallow = 0
+        self.in_deep_stage = False
+
+    def reset(self):
+        self.deep = self.shallow = 0
+
+    def matmul(self, a, b):
+        out = np.matmul(a, b)
+        flops = 2 * out.size * a.shape[-1]
+        if self.in_deep_stage:
+            self.deep += flops
+        else:
+            self.shallow += flops
+        return out
+
+
+class _NumpyCountingMatmul:
+    """numpy, except that ``matmul`` goes through a counter."""
+
+    def __init__(self, counter: MatmulCounter):
+        self.matmul = counter.matmul
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def matmul_count(monkeypatch) -> MatmulCounter:
+    counter = MatmulCounter()
+    monkeypatch.setattr(denoiser, "np", _NumpyCountingMatmul(counter))
+    deep_stage = denoiser.ToyDenoiser._deep_stage
+
+    def counted_deep_stage(self, *args):
+        counter.in_deep_stage = True
+        try:
+            return deep_stage(self, *args)
+        finally:
+            counter.in_deep_stage = False
+
+    monkeypatch.setattr(denoiser.ToyDenoiser, "_deep_stage", counted_deep_stage)
+    return counter

@@ -94,7 +94,7 @@ def test_criterion_2_shiftcaching_wall_speedup():
     # wall measurement runs at 8x8 latents where per-block costs are uniform
     # enough for wall time to track the FLOP split
     toy = ToyDenoiserConfig(shallow_width=8, deep_width=8, deep_blocks=38)
-    deep, shallow, _ = ToyDenoiser(toy).chunk_cost(16, 8, 8, 4)
+    deep, shallow = ToyDenoiser(toy).chunk_cost(16, 8, 8, 4)
     share = deep / (deep + shallow)
     assert abs(share - DEEP_COST_SHARE) <= 0.05 * DEEP_COST_SHARE, f"measured share {share:.4f}"
     common = dict(n_total=240, chunk_len=16, policy="shift", shift_mode="random",

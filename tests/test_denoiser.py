@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from shiftcache.denoiser import (
-    FlopTally,
     OracleDenoiser,
     SpatialAttentionWeights,
     ToyDenoiser,
@@ -103,11 +102,13 @@ class TestReferenceSpatialAttention:
     def test_two_key_closed_form(self):
         # L=1, H=W=1, M=1, identity projections, C=1: attention over one
         # frame token and one garment token, hand-checkable 2-key softmax.
+        # The garment token is RMS-normalized after its (identity) adapter.
         eye = np.eye(1, dtype=np.float32)
-        w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=None)
-        a, g = 0.7, -0.3
+        w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=eye)
+        a, garment = 0.7, -0.3
         tokens = np.full((1, 1, 1), a, dtype=np.float32)
-        out = spatial_attention(tokens, np.full((1, 1), g, dtype=np.float32), w)
+        out = spatial_attention(tokens, np.full((1, 1), garment, dtype=np.float32), w)
+        g = garment / math.sqrt(garment * garment + 1e-6)
         la, lg = a * a, a * g  # scale = 1/sqrt(1)
         wa = math.exp(la) / (math.exp(la) + math.exp(lg))
         expected = wa * a + (1 - wa) * g
@@ -122,7 +123,7 @@ class TestReferenceSpatialAttention:
             wk=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
             wv=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
             wo=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
-            wg=None,
+            wg=rng.standard_normal((c, c)).astype(np.float32),  # no garment token reaches it
         )
         feat = rng.standard_normal((2, c, 3, 3)).astype(np.float32)
         out = spatial_attention(_tokens(feat), np.zeros((0, c), dtype=np.float32), w)
@@ -148,13 +149,6 @@ class TestReferenceSpatialAttention:
         out = spatial_attention(_tokens(feat), garment, w)
         np.testing.assert_array_equal(out[0], out[1])
 
-    def test_width_mismatch_rejected(self):
-        eye = np.eye(2, dtype=np.float32)
-        w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=None)
-        tokens = np.zeros((1, 4, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match="width"):
-            spatial_attention(tokens, np.zeros((1, 3), dtype=np.float32), w)
-
 
 class TestToyDenoiserFull:
     def test_output_shapes(self):
@@ -162,7 +156,7 @@ class TestToyDenoiserFull:
         d = ToyDenoiser(cfg)
         eps, feats = d.denoise_full(*make_input(), make_garment(cfg))
         assert eps.shape == (L, 4, H, W)
-        assert feats.shape == (L, cfg.deep_width, H // 2, W // 2)
+        assert feats.shape == (L, (H // 2) * (W // 2), cfg.deep_width)
 
     def test_determinism_across_instances(self):
         cfg = tiny_config(seed=7)
@@ -237,20 +231,20 @@ class TestToyDenoiserPartial:
         rel = np.linalg.norm(eps_part - eps_full) / np.linalg.norm(eps_full)
         assert rel < 1e-5
 
-    def test_flop_counter_partial_skips_deep(self):
+    def test_flop_counter_partial_skips_deep(self, matmul_count):
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
         garment = make_garment(cfg)
         x, offsets = make_input()
-        full_tally = FlopTally()
-        _, deep = d.denoise_full(x, offsets, garment, tally=full_tally)
-        part_tally = FlopTally()
+        _, deep = d.denoise_full(x, offsets, garment)
+        full_deep, full_shallow = matmul_count.deep, matmul_count.shallow
+        matmul_count.reset()
         good = np.ones(L, dtype=bool)
-        d.denoise_partial(x, offsets, deep, good, MaskVariant.FULL, garment, tally=part_tally)
-        assert full_tally.deep > 0
-        assert part_tally.deep == 0
-        assert part_tally.shallow > 0
-        assert part_tally.shallow < full_tally.deep + full_tally.shallow
+        d.denoise_partial(x, offsets, deep, good, MaskVariant.FULL, garment)
+        assert full_deep > 0
+        assert matmul_count.deep == 0
+        assert matmul_count.shallow > 0
+        assert matmul_count.shallow < full_deep + full_shallow
 
     def test_half_mask_over_all_good_equals_full_mask(self):
         cfg = tiny_config()
@@ -330,23 +324,54 @@ class TestToyDenoiserConfig:
         assert replace(cfg, seed=4) != cfg
 
 
+# toy sizes the cost model is checked on: the default, the tiny test
+# network, criterion 2's, and two with other widths and block splits
+COST_TOYS = {
+    "default": ToyDenoiserConfig(),
+    "tiny": tiny_config(),
+    "criterion2": ToyDenoiserConfig(shallow_width=8, deep_width=8, deep_blocks=38),
+    "w6d10": ToyDenoiserConfig(shallow_width=6, deep_width=10, shallow_blocks=3, deep_blocks=4),
+    "w12d4": ToyDenoiserConfig(shallow_width=12, deep_width=4, shallow_blocks=5, deep_blocks=1),
+}
+
+
 class TestCostModel:
     def test_default_config_hits_deep_share_target(self):
-        deep, shallow, _ = ToyDenoiser(ToyDenoiserConfig()).chunk_cost(16, 16, 12, 4)
+        deep, shallow = ToyDenoiser(ToyDenoiserConfig()).chunk_cost(16, 16, 12, 4)
         share = deep / (deep + shallow)
         assert abs(share - DEEP_COST_SHARE) <= 0.05 * DEEP_COST_SHARE
 
-    def test_partial_cost_is_full_minus_deep(self):
-        cfg = tiny_config()
+    @pytest.mark.parametrize("h,w", [(2, 2), (8, 8), (16, 12), (4, 10)])
+    @pytest.mark.parametrize("toy", list(COST_TOYS), ids=list(COST_TOYS))
+    def test_model_equals_the_matmuls_the_network_runs(self, toy, h, w, matmul_count):
+        # a full eval runs deep + shallow, a partial eval shallow and no
+        # deep matmul, at every chunk length and garment count
+        cfg = COST_TOYS[toy]
         d = ToyDenoiser(cfg)
-        deep, shallow, partial_shallow = d.chunk_cost(L, H, W, M)
-        assert partial_shallow == shallow
+        rng = np.random.default_rng(0)
+        for length in (1, 3, 8, 16):
+            x = rng.standard_normal((length, 13, h, w)).astype(np.float32)
+            offsets = np.arange(5, 5 + length)
+            good = np.arange(length) % 2 == 0
+            for count in (0, 1, 4):
+                garment = make_garment(cfg, count=count)
+                expected = d.chunk_cost(length, h, w, count)
+                matmul_count.reset()
+                _, feats = d.denoise_full(x, offsets, garment)
+                assert (matmul_count.deep, matmul_count.shallow) == expected
+                matmul_count.reset()
+                d.denoise_partial(x, offsets, feats, good, MaskVariant.HALF, garment)
+                assert (matmul_count.deep, matmul_count.shallow) == (0, expected[1])
+
+    def test_odd_latent_dims_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            ToyDenoiser(tiny_config()).chunk_cost(L, 5, 4, M)
 
     def test_cost_scales_with_length(self):
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
-        d8 = sum(d.chunk_cost(8, H, W, M)[:2])
-        d16 = sum(d.chunk_cost(16, H, W, M)[:2])
+        d8 = sum(d.chunk_cost(8, H, W, M))
+        d16 = sum(d.chunk_cost(16, H, W, M))
         assert d16 > d8
 
 

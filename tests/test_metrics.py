@@ -160,10 +160,10 @@ class TestThroughputModel:
         # stats where exactly half the chunk evals were partial predict a
         # ratio of 2 / (2 - deep_share); a deep share of 0.75 gives 1.6
         d = ToyDenoiser(TINY_TOY)
-        deep, shallow, partial = d.chunk_cost(8, 8, 8, 4)
+        deep, shallow = d.chunk_cost(8, 8, 8, 4)
         stats = RunStats(n_total=24, chunk_len=8, steps=10, latent_h=8, latent_w=8,
                          garment_count=4, full_chunk_evals=15, partial_chunk_evals=15,
-                         deep_flops=15 * deep, shallow_flops=15 * shallow + 15 * partial)
+                         deep_flops=15 * deep, shallow_flops=30 * shallow)
         share = deep / (deep + shallow)
         assert throughput_model(stats, d) == pytest.approx(2.0 / (2.0 - share))
         assert 2.0 / (2.0 - 0.75) == pytest.approx(1.6)

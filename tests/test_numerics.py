@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from shiftcache.cache import build_mask
-from shiftcache.denoiser import ToyDenoiser, _rms_norm, attention
+from shiftcache.denoiser import _rms_norm, attention
 from shiftcache.numerics import (
     MASK_BLOCK,
     AttentionMask,
@@ -197,50 +197,6 @@ class TestSinusoidalEncoding:
             np.testing.assert_array_equal(row, sinusoidal_encoding_batch([idx], 12)[0])
             closed = np.stack([np.sin(idx * freqs), np.cos(idx * freqs)], axis=1).ravel()
             np.testing.assert_array_equal(row, closed.astype(np.float32))
-
-
-class TestReshape:
-    """The engine's layout change between cached deep features
-    [L, C, H, W] and deep tokens [L, H*W, C]."""
-
-    def test_enumerated_mapping(self):
-        # L=2, C=1, H=1, W=2: token position p holds x[:, :, p // W, p % W].
-        x = np.arange(4, dtype=np.float32).reshape(2, 1, 1, 2)
-        out = ToyDenoiser._feats_to_deep(x)
-        assert out.shape == (2, 2, 1)
-        for p in range(2):
-            for i in range(2):
-                assert out[i, p, 0] == x[i, 0, p // 2, p % 2]
-
-    @given(
-        l=st.integers(1, 4), c=st.integers(1, 3),
-        h=st.integers(1, 5), w=st.integers(1, 5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_bit_exact(self, l, c, h, w):
-        rng = np.random.default_rng(l * 1000 + c * 100 + h * 10 + w)
-        x = rng.standard_normal((l, c, h, w)).astype(np.float32)
-        # _deep_to_feats takes the full-resolution (2H, 2W) of the latents
-        np.testing.assert_array_equal(
-            ToyDenoiser._deep_to_feats(ToyDenoiser._feats_to_deep(x), (2 * h, 2 * w)), x)
-
-    def test_spatial_permutation_equals_batch_permutation(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
-        perm = np.array([3, 1, 0, 2])  # positions p = h * W + w
-        h_idx, w_idx = perm // 2, perm % 2
-        x_perm = x[:, :, h_idx, w_idx].reshape(3, 2, 2, 2)
-        # permuting spatial positions before == permuting token positions,
-        # the batch axis of temporal attention, after
-        np.testing.assert_array_equal(
-            ToyDenoiser._feats_to_deep(x_perm),
-            ToyDenoiser._feats_to_deep(x)[:, perm])
-
-    def test_bad_rank_rejected(self):
-        with pytest.raises(ValueError):
-            ToyDenoiser._feats_to_deep(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            ToyDenoiser._deep_to_feats(np.zeros((4, 2, 3)), (2, 3))
 
 
 class TestCorrelateSymmetric:

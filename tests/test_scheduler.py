@@ -488,32 +488,26 @@ class TestStreamedAggregation:
         assert peak <= 8 * latent_bytes, f"peak {peak / latent_bytes:.1f}x the latents"
 
 
-class TestRunTally:
-    @pytest.mark.parametrize("kw", [dict(partial_fraction=0.5, mask_variant=MaskVariant.HALF),
-                                    dict(partial_fraction=0.5, hard_skip=True),
-                                    dict(policy="overlap", overlap_s=3)])
-    def test_flops_are_the_plan_sum_of_chunk_costs(self, kw):
-        # full chunks cost deep + shallow, partial chunks their partial
-        # shallow, skipped chunks nothing
+class TestRunFlops:
+    @pytest.mark.parametrize("kw", [
+        *(dict(partial_fraction=0.5, mask_variant=mask) for mask in MaskVariant),
+        dict(partial_fraction=0.5, hard_skip=True),
+        dict(policy="overlap", overlap_s=3),
+        dict(denoiser="oracle", policy="overlap", overlap_s=3),
+    ], ids=["p50_full", "p50_half", "p50_quarter", "p50_causal", "hard_skip", "overlap_s3",
+            "oracle"])
+    def test_counters_equal_the_matmuls_the_run_ran(self, kw, matmul_count):
+        # full chunks run deep + shallow, partial chunks shallow, skipped
+        # chunks nothing, and the oracle no matmul at all
         cfg = small_config(ddim_steps=6, **kw)
         plans, _ = build_plans(cfg)
-        toy = ToyDenoiser(cfg.toy)
-        deep = shallow = 0
-        modes = []
-        for plan in plans:
-            for chunk in plan.chunks:
-                full_deep, full_shallow, partial_shallow = toy.chunk_cost(
-                    chunk.length, cfg.latent_h, cfg.latent_w, cfg.garment_tokens)
-                modes.append(chunk.mode)
-                if chunk.mode is ChunkMode.FULL:
-                    deep += full_deep
-                    shallow += full_shallow
-                elif not cfg.hard_skip:
-                    shallow += partial_shallow
+        modes = [c.mode for plan in plans for c in plan.chunks]
         if cfg.partial_fraction > 0:
             assert ChunkMode.PARTIAL in modes
         _, stats = run_inference(cfg)
-        assert (stats.deep_flops, stats.shallow_flops) == (deep, shallow)
+        assert (stats.deep_flops, stats.shallow_flops) == (matmul_count.deep,
+                                                           matmul_count.shallow)
+        assert (stats.deep_flops > 0) == (cfg.denoiser == "toy")
         partials = modes.count(ChunkMode.PARTIAL)
         assert stats.full_chunk_evals == modes.count(ChunkMode.FULL)
         assert stats.partial_chunk_evals == (0 if cfg.hard_skip else partials)
@@ -538,6 +532,41 @@ class TestCallerConditions:
         conditions = dataclasses.replace(synthesize_conditions(cfg), **{name: value})
         with pytest.raises(ValueError, match=f"conditions.{name} has shape"):
             run_inference(cfg, conditions)
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("name,dtype", [
+        ("masked_video", np.int64),
+        ("masked_video", np.float64),
+        ("binary_mask", np.int64),
+        ("pose", np.int64),
+        ("pose", np.float16),
+        ("target_x0", np.float64),
+        ("garment", np.int64),
+        ("garment", np.float64),
+        ("garment", np.float16),
+    ])
+    def test_wrong_dtype_rejected_naming_the_field(self, denoiser, name, dtype):
+        cfg = small_config(denoiser=denoiser, garment_tokens=4)
+        conditions = synthesize_conditions(cfg)
+        value = getattr(conditions, name).astype(dtype)
+        conditions = dataclasses.replace(conditions, **{name: value})
+        with pytest.raises(ValueError, match=f"conditions.{name} has dtype {np.dtype(dtype)}"):
+            run_inference(cfg, conditions)
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    def test_conditions_must_have_the_run_dtype(self, denoiser):
+        # float32 conditions in a float64 run are refused; float64 ones run,
+        # with the garment still float32, and the toy caches float64 features
+        toy = denoiser == "toy"
+        cfg = small_config(denoiser=denoiser, partial_fraction=0.5 if toy else 0.0,
+                           ddim_steps=6)
+        with pytest.raises(ValueError, match="conditions.masked_video has dtype float32"):
+            run_inference(cfg, synthesize_conditions(cfg), dtype=np.float64)
+        conditions = synthesize_conditions(cfg, dtype=np.float64)
+        assert conditions.garment.dtype == np.float32
+        video, stats = run_inference(cfg, conditions, dtype=np.float64)
+        assert video.z.dtype == np.float64
+        assert (stats.partial_chunk_evals > 0) == toy
 
     @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
     def test_non_binary_mask_rejected_before_any_chunk(self, denoiser, monkeypatch):
