@@ -1,8 +1,11 @@
 import json
+import re
 import statistics
 
 from shiftcache import fileio
 from shiftcache.cli import main
+
+CSV_COLUMNS = fileio.CSV_HEADER.split(",")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -153,6 +156,47 @@ class TestBench:
                 if key in ("wall_ms", "fps_proxy"):
                     continue
                 assert ra[key] == rb[key], key
+
+    # Every column of two sweeps' rows except the wall-clock pair, as
+    # literal strings: the column formats, the counters and the quality
+    # metrics. Like tests/test_golden.py, recorded with numpy 2.4.6 on
+    # OpenBLAS 0.3.31; re-record only for a platform change.
+    PINNED_ROWS = {
+        "shiftcache": [
+            "baseline_s0,overlap,0,0,0,half,12,0,21657600,81779712,*,24,*,80478.2271,1",
+            "fs,shift,0,2,0,half,15,0,21474816,81411840,*,24,*,80479.6503,0.999995057",
+            "rs,shift,0,2,0,half,16,0,21530624,81522688,*,24,*,80245.836,0.898346647",
+            "fs_p50,shift,0,2,0.5,half,13,2,17865216,81411840,*,24,*,80420.7833,0.999363058",
+            "rs_p50,shift,0,2,0.5,half,14,2,17921024,81522688,*,24,*,80099.179,0.898546855",
+        ],
+        "overlap": [
+            "overlap_s0,overlap,0,0,0,half,12,0,21657600,81779712,*,24,*,80478.2271,1",
+            "overlap_s2,overlap,2,0,0,half,16,0,28876800,109039616,*,24,*,78796.9176,0.930384804",
+            "overlap_s4,overlap,4,0,0,half,20,0,36096000,136299520,*,24,*,78959.6458,0.938511369",
+            "overlap_s7,overlap,7,0,0,half,68,0,122726400,463418368,*,24,*,78365.1989,0.914655591",
+        ],
+    }
+
+    def test_csv_rows_pinned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY)
+        wall_ms = CSV_COLUMNS.index("wall_ms")
+        fps_proxy = CSV_COLUMNS.index("fps_proxy")
+        for sweep, expected in self.PINNED_ROWS.items():
+            out_csv = tmp_path / f"{sweep}.csv"
+            assert run_cli(capsys, "bench", "--config", cfg, "--sweep", sweep,
+                           "--out", str(out_csv))[0] == 0
+            lines = out_csv.read_text().split("\n")
+            assert lines[:2] == [fileio.CSV_VERSION_LINE, fileio.CSV_HEADER]
+            assert lines[-1] == ""  # one newline ends the file
+            rows = []
+            for line in lines[2:-1]:
+                cells = line.split(",")
+                assert re.fullmatch(r"\d+\.\d{3}", cells[wall_ms]), cells[wall_ms]
+                assert float(cells[fps_proxy]) > 0
+                assert len(cells[fps_proxy].replace(".", "").lstrip("0")) <= 6
+                cells[wall_ms] = cells[fps_proxy] = "*"
+                rows.append(",".join(cells))
+            assert rows == expected, sweep
 
     def test_sweep_none_single_row_empty_ssim(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
