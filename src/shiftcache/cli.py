@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .cache import build_mask
-from .metrics import SSIM_WINDOW, BenchRecord, flicker_index, video_ssim
+from .metrics import SSIM_WINDOW, flicker_index, video_ssim
 from .numerics import MaskVariant
 from .pose_select import (
     DEFAULT_CONF_THRESHOLD,
@@ -73,7 +73,7 @@ def _sweep_configs(base: EngineConfig, sweep: str):
         return [
             (f"overlap_s{s}", dataclasses.replace(
                 base, policy="overlap", overlap_s=s, partial_fraction=0.0))
-            for s in (0, L // 4, L // 2, L - 1)
+            for s in dict.fromkeys((0, L // 4, L // 2, L - 1))  # L < 4 repeats values
         ]
     if sweep == "chunk_length":
         return [
@@ -101,7 +101,7 @@ def _sweep_configs(base: EngineConfig, sweep: str):
 def cmd_bench(args) -> int:
     base = fileio.load_config(args.config)
     runs = _sweep_configs(base, args.sweep)
-    records = []
+    rows = []
     reference = None
     for label, config in runs:
         _print_effective_config(config)
@@ -112,27 +112,12 @@ def cmd_bench(args) -> int:
             ssim_val = video_ssim(video.z, reference)
         else:
             ssim_val = None  # frames smaller than the SSIM window: leave blank
-        records.append(BenchRecord(
-            config=label,
-            policy=config.policy,
-            s=config.overlap_s if config.policy == "overlap" else 0,
-            delta=config.delta if config.policy == "shift" else 0,
-            partial_frac=config.partial_fraction,
-            mask=config.mask_variant.value,
-            full_chunks=stats.full_chunk_evals,
-            partial_chunks=stats.partial_chunk_evals,
-            deep_flops=stats.deep_flops,
-            shallow_flops=stats.shallow_flops,
-            wall_ms=stats.wall_seconds * 1e3,
-            frames=stats.n_total,
-            fps_proxy=stats.fps_proxy,
-            flicker=flicker_index(video.z),
-            ssim_vs_reference=ssim_val,
-        ))
+        rows.append(fileio.format_bench_row(label, config, stats, flicker_index(video.z),
+                                            ssim_val))
         print(f"run {label}: fps_proxy={stats.fps_proxy:.4g} "
               f"flops={stats.total_flops}")
-    fileio.write_bench_csv(args.out, records)
-    print(f"wrote {args.out} ({len(records)} rows)")
+    fileio.write_bench_csv(args.out, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 

@@ -8,7 +8,8 @@ commitments that matter for scheduling experiments:
   with a single cut point whose output can be cached and re-injected;
 * per-block: spatial self-attention whose keys/values are extended with
   garment tokens, temporal self-attention over the (H*W) x L x C view with
-  sinusoidal frame encodings, then a pointwise MLP;
+  sinusoidal frame encodings, both through the one attention sublayer
+  ``attend``, then a pointwise MLP;
 * partial evaluation that skips the deep stage entirely and substitutes
   cached features, applying a freshness mask to the post-injection
   temporal attention.
@@ -54,13 +55,13 @@ def attention(q, k, v, mask: AttentionMask | None = None) -> np.ndarray:
     """Softmax attention of projected [B, Q, C] queries over [B, K, C]
     keys/values: the one kernel behind spatial and temporal attention.
 
-    The 1/sqrt(C) scale must already be folded into q; the optional [Q, K]
-    additive mask is shared across the batch axis. Normalization divides
-    the (small) output instead of the logits array, and the usual
-    max-subtraction is skipped: inputs are RMS-normalized upstream, which
-    bounds |logit| well below float32 exp overflow. Blocked mask entries
-    push logits to the bottom of the float range, where exp underflows to
-    an exact zero weight.
+    The 1/sqrt(C) scale must already be folded into q, as ``attend``
+    does; the optional [Q, K] additive mask is shared across the batch
+    axis. Normalization divides the (small) output instead of the logits
+    array, and the usual max-subtraction is skipped: inputs are
+    RMS-normalized upstream, which bounds |logit| well below float32 exp
+    overflow. Blocked mask entries push logits to the bottom of the float
+    range, where exp underflows to an exact zero weight.
     """
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
     if mask is not None:
@@ -87,55 +88,44 @@ def assemble_input(noise, masked_video, mask, pose) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialAttentionWeights:
+class AttentionWeights:
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    wg: np.ndarray  # garment adapter [C_f, C]
-
-
-@dataclass(frozen=True)
-class TemporalAttentionWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-
-
-@dataclass(frozen=True)
-class MlpWeights:
-    w1: np.ndarray
-    w2: np.ndarray
 
 
 @dataclass(frozen=True)
 class BlockWeights:
-    spatial: SpatialAttentionWeights
-    temporal: TemporalAttentionWeights
-    mlp: MlpWeights
+    spatial: AttentionWeights
+    adapter: np.ndarray  # garment adapter [C_f, C]
+    temporal: AttentionWeights
+    w1: np.ndarray       # MLP [C, MLP_RATIO * C]
+    w2: np.ndarray       # MLP [MLP_RATIO * C, C]
 
 
-def spatial_attention(tokens, garment_tokens, w: SpatialAttentionWeights) -> np.ndarray:
+def attend(queries, keys, w: AttentionWeights, mask: AttentionMask | None = None) -> np.ndarray:
+    """One attention sublayer: [B, Q, C] queries over [B, K, C] keys (which
+    are also the values) through the q/k/v/o projections of ``w``, with q
+    scaled by 1/sqrt(C) in its own dtype, and the optional [Q, K] mask."""
+    q = np.matmul(queries, w.wq)
+    q *= np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype)
+    k = np.matmul(keys, w.wk)
+    v = np.matmul(keys, w.wv)
+    return np.matmul(attention(q, k, v, mask), w.wo)
+
+
+def spatial_attention(tokens, garment_tokens, adapter, w: AttentionWeights) -> np.ndarray:
     """Spatial attention on [L, HW, C] tokens with garment keys/values.
 
     Queries come from the frame tokens only; keys/values additionally see the
     garment tokens, replicated identically for every frame. Garment tokens
-    pass through their adapter, then RMS normalization so logits stay
+    pass through their ``adapter``, then RMS normalization so logits stay
     bounded.
     """
-    length, _, channels = tokens.shape
-    q = np.matmul(tokens, w.wq)
-    q *= np.asarray(1.0 / np.sqrt(channels), dtype=q.dtype)
-    if garment_tokens.shape[0] > 0:
-        g = _rms_norm(np.matmul(garment_tokens, w.wg))
-        g_rep = np.broadcast_to(g[None], (length,) + g.shape)
-        kv_src = np.concatenate([tokens, g_rep], axis=1)
-    else:
-        kv_src = tokens
-    k = np.matmul(kv_src, w.wk)
-    v = np.matmul(kv_src, w.wv)
-    return np.matmul(attention(q, k, v), w.wo)
+    g = _rms_norm(np.matmul(garment_tokens, adapter))
+    g_rep = np.broadcast_to(g[None], (tokens.shape[0],) + g.shape)
+    return attend(tokens, np.concatenate([tokens, g_rep], axis=1), w)
 
 
 def block_flops(length: int, tokens: int, width: int, garment_count: int,
@@ -194,19 +184,14 @@ class ToyDenoiser:
         def w(fan_in, fan_out):
             return (rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)).astype(np.float32)
 
+        def attention_weights(width):  # drawn q, k, v, o
+            return AttentionWeights(*(w(width, width) for _ in range(4)))
+
         def block(width):
-            return BlockWeights(
-                spatial=SpatialAttentionWeights(
-                    wq=w(width, width), wk=w(width, width),
-                    wv=w(width, width), wo=w(width, width),
-                    wg=w(cf, width),
-                ),
-                temporal=TemporalAttentionWeights(
-                    wq=w(width, width), wk=w(width, width),
-                    wv=w(width, width), wo=w(width, width),
-                ),
-                mlp=MlpWeights(w1=w(width, MLP_RATIO * width), w2=w(MLP_RATIO * width, width)),
-            )
+            # the seeded weights depend on this draw order
+            return BlockWeights(spatial=attention_weights(width), adapter=w(cf, width),
+                                temporal=attention_weights(width),
+                                w1=w(width, MLP_RATIO * width), w2=w(MLP_RATIO * width, width))
 
         self.w_in = w(INPUT_CHANNELS, cf)
         n_out = config.shallow_blocks // 2
@@ -229,27 +214,19 @@ class ToyDenoiser:
 
     # -- sublayers ----------------------------------------------------------
 
-    def _temporal(self, tokens, weights: TemporalAttentionWeights, pos_enc,
-                  mask: AttentionMask | None) -> np.ndarray:
-        """Temporal self-attention over the [(HW), L, C] view of [L, HW, C] tokens."""
-        x = np.ascontiguousarray(tokens.transpose(1, 0, 2))  # [HW, L, C]
-        n = _rms_norm(x)
-        n += pos_enc[None, :, :]
-        q = np.matmul(n, weights.wq)
-        q *= np.float32(1.0 / np.sqrt(n.shape[-1]))
-        k = np.matmul(n, weights.wk)
-        v = np.matmul(n, weights.wv)
-        x += np.matmul(attention(q, k, v, mask), weights.wo)
-        return np.ascontiguousarray(x.transpose(1, 0, 2))
-
     def _block(self, tokens, weights: BlockWeights, g_tokens, pos_enc,
                mask: AttentionMask | None) -> np.ndarray:
-        tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens, weights.spatial)
-        tokens = self._temporal(tokens, weights.temporal, pos_enc, mask)
-        hidden = np.matmul(_rms_norm(tokens), weights.mlp.w1)
+        tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens, weights.adapter,
+                                            weights.spatial)
+        # temporal self-attention over the [(HW), L, C] view
+        x = np.ascontiguousarray(tokens.transpose(1, 0, 2))
+        n = _rms_norm(x)
+        n += pos_enc[None, :, :]
+        x += attend(n, n, weights.temporal, mask)
+        tokens = np.ascontiguousarray(x.transpose(1, 0, 2))
+        hidden = np.matmul(_rms_norm(tokens), weights.w1)
         np.maximum(hidden, 0.0, out=hidden)
-        tokens = tokens + np.matmul(hidden, weights.mlp.w2)
-        return tokens
+        return tokens + np.matmul(hidden, weights.w2)
 
     # -- stages -------------------------------------------------------------
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .denoiser import ToyDenoiserConfig
 from .diffusion import LatentVideo
-from .metrics import BenchRecord
 from .numerics import MaskVariant
 from .pose_select import JointTripleSpec, KeypointFrame
-from .scheduler import EngineConfig
+from .scheduler import EngineConfig, RunStats
 
 LATENT_MAGIC = b"LVT1"
 LATENT_RANK = 4
@@ -259,28 +258,30 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 # -- benchmark CSV -----------------------------------------------------------
 
-def format_bench_row(record: BenchRecord) -> str:
-    ssim_field = "" if record.ssim_vs_reference is None else f"{record.ssim_vs_reference:.9g}"
+def format_bench_row(label: str, config: EngineConfig, stats: RunStats, flicker: float,
+                     ssim: float | None) -> str:
+    """One ``CSV_HEADER`` row for the run of ``config`` labelled ``label``;
+    a None ``ssim`` (frames below the SSIM window) leaves its column empty."""
     return ",".join([
-        record.config,
-        record.policy,
-        str(record.s),
-        str(record.delta),
-        f"{record.partial_frac:.9g}",
-        record.mask,
-        str(record.full_chunks),
-        str(record.partial_chunks),
-        str(record.deep_flops),
-        str(record.shallow_flops),
-        f"{record.wall_ms:.3f}",
-        str(record.frames),
-        f"{record.fps_proxy:.6g}",
-        f"{record.flicker:.9g}",
-        ssim_field,
+        label,
+        config.policy,
+        str(config.overlap_s if config.policy == "overlap" else 0),
+        str(config.delta if config.policy == "shift" else 0),
+        f"{config.partial_fraction:.9g}",
+        config.mask_variant.value,
+        str(stats.full_chunk_evals),
+        str(stats.partial_chunk_evals),
+        str(stats.deep_flops),
+        str(stats.shallow_flops),
+        f"{stats.wall_seconds * 1e3:.3f}",
+        str(stats.n_total),
+        f"{stats.fps_proxy:.6g}",
+        f"{flicker:.9g}",
+        "" if ssim is None else f"{ssim:.9g}",
     ])
 
 
-def write_bench_csv(path, records) -> None:
-    lines = [CSV_VERSION_LINE, CSV_HEADER]
-    lines.extend(format_bench_row(r) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_bench_csv(path, rows) -> None:
+    """Write the rows of ``format_bench_row`` under the version line and
+    the header."""
+    Path(path).write_text("\n".join([CSV_VERSION_LINE, CSV_HEADER, *rows]) + "\n")

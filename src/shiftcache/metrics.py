@@ -1,5 +1,5 @@
-"""Desk-scale evaluation: SSIM, a flicker index, and the FLOP-based
-throughput model used to compare scheduling policies.
+"""Desk-scale video quality metrics: SSIM and a flicker index. Throughput
+is compared through the FLOP counters of real runs (``RunStats``).
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5, K1=0.01,
 K2=0.03) over valid windows only, with the dynamic range taken from the
@@ -10,12 +10,9 @@ metrics, which need pretrained networks and are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import correlate_symmetric
-from .scheduler import RunStats, plan_overlap
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -89,49 +86,3 @@ def flicker_index(video: np.ndarray) -> float:
         raise ValueError("flicker index needs at least two frames")
     diff = np.diff(video.astype(np.float64), axis=0)
     return float(np.mean(diff * diff))
-
-
-def throughput_model(stats: RunStats, denoiser) -> float:
-    """Predicted throughput of a run relative to the S=0 full-compute baseline.
-
-    Both sides are matmul-FLOP totals: the baseline is reconstructed from the
-    run's geometry (ceil(N/L) full chunks per step), the run's own total comes
-    from its counters. A value of 2.0 means "predicted twice the frames/sec
-    of the baseline".
-    """
-    if stats.total_flops <= 0:
-        raise ValueError("run recorded no FLOPs; cannot model throughput")
-    baseline_chunks = len(plan_overlap(stats.n_total, stats.chunk_len, 0))
-    deep, shallow = denoiser.chunk_cost(
-        stats.chunk_len, stats.latent_h, stats.latent_w, stats.garment_count)
-    baseline_total = stats.steps * baseline_chunks * (deep + shallow)
-    return baseline_total / stats.total_flops
-
-
-@dataclass
-class BenchRecord:
-    """One benchmark run, serialized as one CSV row by the CLI."""
-
-    config: str
-    policy: str
-    s: int
-    delta: int
-    partial_frac: float
-    mask: str
-    full_chunks: int
-    partial_chunks: int
-    deep_flops: int
-    shallow_flops: int
-    wall_ms: float
-    frames: int
-    fps_proxy: float
-    flicker: float
-    ssim_vs_reference: float | None = None
-
-    def __post_init__(self):
-        if self.fps_proxy <= 0:
-            raise ValueError("fps_proxy must be positive")
-        if self.flicker < 0:
-            raise ValueError("flicker must be non-negative")
-        if self.ssim_vs_reference is not None and not -1.0 <= self.ssim_vs_reference <= 1.0:
-            raise ValueError("ssim must lie in [-1, 1]")

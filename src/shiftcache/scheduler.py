@@ -310,17 +310,14 @@ class EngineConfig:
 class RunStats:
     """Counters and traces from one completed inference run.
 
-    FLOP counters sum ``ToyDenoiser.chunk_cost`` over the evaluated chunks.
+    FLOP counters sum ``ToyDenoiser.chunk_cost`` over the evaluated chunks;
+    they are the one FLOP count, so two policies' predicted throughputs
+    compare as the inverse ratio of their runs' ``total_flops``.
     ``freshness_trace`` and ``forced_full`` come from the plan's
     FreshnessRecord.
     """
 
     n_total: int
-    chunk_len: int
-    steps: int
-    latent_h: int
-    latent_w: int
-    garment_count: int
     full_chunk_evals: int = 0
     partial_chunk_evals: int = 0
     skipped_chunk_evals: int = 0
@@ -353,10 +350,10 @@ class Conditions:
 
     def check(self, config: EngineConfig, dtype) -> None:
         """Raise ValueError naming the first field whose shape does not
-        match the config or whose dtype is not the run's ``dtype`` (float32
-        for the garment, which meets the toy's float32 weights), or the
-        mask if it holds a value other than 0 and 1. Run once per run: the
-        engine checks no chunk again."""
+        match the config, whose dtype is not the run's ``dtype`` (float32
+        for the garment, which meets the toy's float32 weights) or which
+        holds NaN or inf, or the mask if it holds a value other than 0 and
+        1. Run once per run: the engine checks no chunk again."""
         n, h, w = config.n_total, config.latent_h, config.latent_w
         run = np.dtype(dtype)
         for name, expected, expected_dtype in (
@@ -373,12 +370,21 @@ class Conditions:
             if array.dtype != expected_dtype:
                 raise ValueError(f"conditions.{name} has dtype {array.dtype}, "
                                  f"expected {expected_dtype} for this run")
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"conditions.{name} holds NaN or inf")
         if not np.all((self.binary_mask == 0) | (self.binary_mask == 1)):
             raise ValueError("conditions.binary_mask must contain only 0 and 1")
 
 
+def _check_dtype(dtype) -> None:
+    """Raise ValueError unless ``dtype`` is float32 or float64."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
+
+
 def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
     """Seeded smooth-noise stand-ins for the real conditioning inputs."""
+    _check_dtype(dtype)
     rng = np.random.default_rng([config.seed, _STREAM_CONDITIONS])
     n, h, w = config.n_total, config.latent_h, config.latent_w
 
@@ -444,8 +450,9 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     per frame. The oracle writes each chunk's residual into one scratch
     buffer per chunk length, allocated once per run. Under ``hard_skip``
     each kept chunk's frames are updated as soon as it is evaluated
-    instead.
+    instead. ``dtype`` must be float32 or float64.
     """
+    _check_dtype(dtype)
     plans, freshness = build_plans(config)
     if config.denoiser == "oracle":
         # Allocated before the run's latent-sized arrays: placed after them,
@@ -519,10 +526,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         shallow_flops = sum(toy.chunk_cost(c.length, *shape)[1]
                             for c in (full if config.hard_skip else chunks))
     stats = RunStats(
-        n_total=n, chunk_len=config.chunk_len, steps=sched.num_steps,
-        latent_h=config.latent_h, latent_w=config.latent_w,
-        garment_count=config.garment_tokens,
-        full_chunk_evals=len(full),
+        n_total=n, full_chunk_evals=len(full),
         partial_chunk_evals=0 if config.hard_skip else partials,
         skipped_chunk_evals=partials if config.hard_skip else 0,
         deep_flops=deep_flops, shallow_flops=shallow_flops,

@@ -3,7 +3,8 @@ import re
 import statistics
 
 from shiftcache import fileio
-from shiftcache.cli import main
+from shiftcache.cli import _sweep_configs, main
+from shiftcache.scheduler import EngineConfig
 
 CSV_COLUMNS = fileio.CSV_HEADER.split(",")
 
@@ -197,6 +198,14 @@ class TestBench:
                 cells[wall_ms] = cells[fps_proxy] = "*"
                 rows.append(",".join(cells))
             assert rows == expected, sweep
+
+    def test_overlap_sweep_labels_unique(self):
+        # S in {0, L//4, L//2, L-1}, each value once and in that order
+        for length, expected in ((2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]),
+                                 (8, [0, 2, 4, 7]), (16, [0, 4, 8, 15])):
+            runs = _sweep_configs(EngineConfig(n_total=32, chunk_len=length), "overlap")
+            assert [label for label, _ in runs] == [f"overlap_s{s}" for s in expected]
+            assert [config.overlap_s for _, config in runs] == expected
 
     def test_sweep_none_single_row_empty_ssim(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)

@@ -4,16 +4,19 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import numpy as np
 import pytest
 
+from shiftcache.cache import build_mask
 from shiftcache.denoiser import (
+    AttentionWeights,
     OracleDenoiser,
-    SpatialAttentionWeights,
     ToyDenoiser,
     ToyDenoiserConfig,
+    _rms_norm,
     assemble_input,
+    attend,
     spatial_attention,
 )
 from shiftcache.diffusion import make_schedule, oracle_eps
-from shiftcache.numerics import MaskVariant
+from shiftcache.numerics import MaskVariant, sinusoidal_encoding_batch
 
 L, H, W, M = 8, 16, 12, 4
 # the deep stage's share of per-chunk matmul FLOPs that the default toy
@@ -104,10 +107,10 @@ class TestReferenceSpatialAttention:
         # frame token and one garment token, hand-checkable 2-key softmax.
         # The garment token is RMS-normalized after its (identity) adapter.
         eye = np.eye(1, dtype=np.float32)
-        w = SpatialAttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye, wg=eye)
+        w = AttentionWeights(wq=eye, wk=eye, wv=eye, wo=eye)
         a, garment = 0.7, -0.3
         tokens = np.full((1, 1, 1), a, dtype=np.float32)
-        out = spatial_attention(tokens, np.full((1, 1), garment, dtype=np.float32), w)
+        out = spatial_attention(tokens, np.full((1, 1), garment, dtype=np.float32), eye, w)
         g = garment / math.sqrt(garment * garment + 1e-6)
         la, lg = a * a, a * g  # scale = 1/sqrt(1)
         wa = math.exp(la) / (math.exp(la) + math.exp(lg))
@@ -118,15 +121,15 @@ class TestReferenceSpatialAttention:
         # independent oracle: float64 softmax attention written out here
         rng = np.random.default_rng(3)
         c = 6
-        w = SpatialAttentionWeights(
+        w = AttentionWeights(
             wq=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
             wk=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
             wv=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
             wo=rng.standard_normal((c, c)).astype(np.float32) * 0.4,
-            wg=rng.standard_normal((c, c)).astype(np.float32),  # no garment token reaches it
         )
+        adapter = rng.standard_normal((c, c)).astype(np.float32)  # no garment token reaches it
         feat = rng.standard_normal((2, c, 3, 3)).astype(np.float32)
-        out = spatial_attention(_tokens(feat), np.zeros((0, c), dtype=np.float32), w)
+        out = spatial_attention(_tokens(feat), np.zeros((0, c), dtype=np.float32), adapter, w)
 
         tokens = _tokens(feat).astype(np.float64)
         q = tokens @ w.wq.astype(np.float64)
@@ -141,13 +144,59 @@ class TestReferenceSpatialAttention:
     def test_garment_tokens_shared_across_frames(self):
         cfg = tiny_config()
         d = ToyDenoiser(cfg)
-        w = d.shallow_in[0].spatial
+        blk = d.shallow_in[0]
         rng = np.random.default_rng(4)
         frame = rng.standard_normal((1, cfg.shallow_width, 2, 2)).astype(np.float32)
         feat = np.concatenate([frame, frame], axis=0)  # two identical frames
         garment = rng.standard_normal((3, cfg.shallow_width)).astype(np.float32)
-        out = spatial_attention(_tokens(feat), garment, w)
+        out = spatial_attention(_tokens(feat), garment, blk.adapter, blk.spatial)
         np.testing.assert_array_equal(out[0], out[1])
+
+
+class TestAttend:
+    """denoiser.attend, the one attention sublayer, in float64 against a
+    float64 reference written out here: the projections, q scaled by
+    1/sqrt(C), and a max-subtracted softmax with blocked keys at -inf."""
+
+    TOLERANCE = 1e-12  # relative to max |v|, fixed in advance
+
+    @staticmethod
+    def check(out, queries, keys, w, blocked=None):
+        wq, wk, wv, wo = (a.astype(np.float64) for a in (w.wq, w.wk, w.wv, w.wo))
+        q = queries @ wq / np.sqrt(wq.shape[1])
+        k, v = keys @ wk, keys @ wv
+        logits = q @ k.swapaxes(-1, -2)
+        if blocked is not None:
+            logits[..., blocked] = -np.inf
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        ref = (weights / weights.sum(axis=-1, keepdims=True)) @ v @ wo
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, ref, rtol=0, atol=TestAttend.TOLERANCE * np.abs(v).max())
+
+    @pytest.mark.parametrize("variant", [None, *MaskVariant])
+    def test_temporal_view(self, variant):
+        # built as the engine's temporal attention builds its input: the
+        # [HW, L, C] view, RMS-normed, plus sinusoidal frame codes; 1/sqrt(12)
+        # is inexact in float32, so a float32 scale would miss the tolerance
+        cfg = tiny_config(deep_width=12)
+        w = ToyDenoiser(cfg).deep[0].temporal
+        rng = np.random.default_rng(6)
+        n = _rms_norm(rng.standard_normal((6, L, cfg.deep_width)) * 3.0)
+        n += sinusoidal_encoding_batch(np.arange(40, 40 + L), cfg.deep_width)
+        mask = None if variant is None else build_mask(variant, rng.random(L) < 0.5)
+        self.check(attend(n, n, w, mask), n, n, w,
+                   None if mask is None else mask.blocked())
+
+    def test_spatial_with_garment_keys(self):
+        cfg = tiny_config(shallow_width=8)
+        blk = ToyDenoiser(cfg).shallow_in[0]
+        rng = np.random.default_rng(7)
+        tokens = _rms_norm(rng.standard_normal((L, 12, cfg.shallow_width)))
+        garment = make_garment(cfg)
+        out = spatial_attention(tokens, garment, blk.adapter, blk.spatial)
+        g = _rms_norm(garment @ blk.adapter)
+        keys = np.concatenate([tokens, np.broadcast_to(g, (L,) + g.shape)], axis=1)
+        self.check(out, tokens, keys, blk.spatial)
 
 
 class TestToyDenoiserFull:

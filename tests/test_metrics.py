@@ -4,18 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcache.denoiser import ToyDenoiser, ToyDenoiserConfig
-from shiftcache.metrics import (
-    BenchRecord,
-    flicker_index,
-    ssim,
-    throughput_model,
-    video_ssim,
-)
-from shiftcache.scheduler import EngineConfig, RunStats, run_inference
-
-TINY_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
-                             deep_blocks=2, seed=0)
+from shiftcache.metrics import flicker_index, ssim, video_ssim
 
 
 def image(seed=0, h=16, w=16):
@@ -136,55 +125,3 @@ class TestFlickerIndex:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
             flicker_index(np.zeros((1, 1, 2, 2)))
-
-
-class TestThroughputModel:
-    def test_baseline_against_itself_is_exactly_one(self):
-        cfg = EngineConfig(n_total=24, chunk_len=8, policy="overlap", overlap_s=0,
-                           ddim_steps=3, toy=TINY_TOY, latent_h=8, latent_w=8)
-        _, stats = run_inference(cfg)
-        assert throughput_model(stats, ToyDenoiser(TINY_TOY)) == 1.0
-
-    def test_overlap_ratio_matches_count_formula(self):
-        # large-N closed form: ratio -> (L - S) / L
-        d = ToyDenoiser(TINY_TOY)
-        for s, expected_counts in ((2, 8), (4, 11), (7, 41)):
-            cfg = EngineConfig(n_total=48, chunk_len=8, policy="overlap",
-                               overlap_s=s, ddim_steps=2, toy=TINY_TOY,
-                               latent_h=8, latent_w=8)
-            _, stats = run_inference(cfg)
-            assert stats.full_chunk_evals == 2 * expected_counts
-            assert throughput_model(stats, d) == pytest.approx(6 / expected_counts)
-
-    def test_half_partial_cost_algebra(self):
-        # stats where exactly half the chunk evals were partial predict a
-        # ratio of 2 / (2 - deep_share); a deep share of 0.75 gives 1.6
-        d = ToyDenoiser(TINY_TOY)
-        deep, shallow = d.chunk_cost(8, 8, 8, 4)
-        stats = RunStats(n_total=24, chunk_len=8, steps=10, latent_h=8, latent_w=8,
-                         garment_count=4, full_chunk_evals=15, partial_chunk_evals=15,
-                         deep_flops=15 * deep, shallow_flops=30 * shallow)
-        share = deep / (deep + shallow)
-        assert throughput_model(stats, d) == pytest.approx(2.0 / (2.0 - share))
-        assert 2.0 / (2.0 - 0.75) == pytest.approx(1.6)
-
-    def test_zero_cost_run_rejected(self):
-        stats = RunStats(n_total=8, chunk_len=8, steps=1, latent_h=8, latent_w=8,
-                         garment_count=0)
-        with pytest.raises(ValueError):
-            throughput_model(stats, ToyDenoiser(TINY_TOY))
-
-
-class TestBenchRecord:
-    def test_validation(self):
-        good = dict(config="x", policy="overlap", s=0, delta=0, partial_frac=0.0,
-                    mask="half", full_chunks=1, partial_chunks=0, deep_flops=1,
-                    shallow_flops=1, wall_ms=1.0, frames=8, fps_proxy=1.0,
-                    flicker=0.0, ssim_vs_reference=None)
-        BenchRecord(**good)
-        with pytest.raises(ValueError):
-            BenchRecord(**{**good, "fps_proxy": 0.0})
-        with pytest.raises(ValueError):
-            BenchRecord(**{**good, "flicker": -1.0})
-        with pytest.raises(ValueError):
-            BenchRecord(**{**good, "ssim_vs_reference": 1.5})

@@ -513,6 +513,32 @@ class TestRunFlops:
         assert stats.partial_chunk_evals == (0 if cfg.hard_skip else partials)
         assert stats.skipped_chunk_evals == (partials if cfg.hard_skip else 0)
 
+    def test_overlap_ratio_matches_count_formula(self):
+        # 48 frames in chunks of 8: the S=0 run evaluates 6 chunks a step,
+        # and a run's FLOP ratio to it is the ratio of the chunk counts
+        base = small_config(n_total=48, policy="overlap", overlap_s=0, ddim_steps=2)
+        _, stats_s0 = run_inference(base)
+        assert stats_s0.full_chunk_evals == 2 * 6
+        for s, count in ((2, 8), (4, 11), (7, 41)):
+            _, stats = run_inference(dataclasses.replace(base, overlap_s=s))
+            assert stats.full_chunk_evals == 2 * count
+            assert stats_s0.total_flops / stats.total_flops == pytest.approx(6 / count)
+
+
+class TestRunDtype:
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64])
+    def test_unsupported_dtype_rejected_before_planning(self, denoiser, dtype, monkeypatch):
+        cfg = small_config(denoiser=denoiser)
+        calls = []
+        monkeypatch.setattr(scheduler, "build_plans", lambda *a: calls.append(a))
+        match = f"dtype must be float32 or float64, got {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=match):
+            run_inference(cfg, dtype=dtype)
+        with pytest.raises(ValueError, match=match):
+            synthesize_conditions(cfg, dtype=dtype)
+        assert calls == []
+
 
 class TestCallerConditions:
     @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
@@ -567,6 +593,17 @@ class TestCallerConditions:
         video, stats = run_inference(cfg, conditions, dtype=np.float64)
         assert video.z.dtype == np.float64
         assert (stats.partial_chunk_evals > 0) == toy
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("name", ["masked_video", "binary_mask", "pose", "garment",
+                                      "target_x0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_the_field(self, denoiser, name, value):
+        cfg = small_config(denoiser=denoiser, garment_tokens=4)
+        conditions = synthesize_conditions(cfg)
+        getattr(conditions, name).flat[5] = value
+        with pytest.raises(ValueError, match=f"conditions.{name} holds NaN or inf"):
+            run_inference(cfg, conditions)
 
     @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
     def test_non_binary_mask_rejected_before_any_chunk(self, denoiser, monkeypatch):
