@@ -4,7 +4,7 @@ against the overlap/averaging baseline."""
 
 from .cache import CacheMiss, FeatureCache, StaleCacheError, build_mask
 from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
-from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule, oracle_eps
+from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
 from .metrics import flicker_index, ssim, video_ssim
 from .numerics import MASK_BLOCK, AttentionMask, MaskVariant
 from .pose_select import (

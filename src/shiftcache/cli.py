@@ -53,7 +53,8 @@ def cmd_sample(args) -> int:
     print(
         f"wrote {args.out}: {stats.n_total} frames, "
         f"{stats.full_chunk_evals} full / {stats.partial_chunk_evals} partial chunk evals, "
-        f"{stats.total_flops} matmul FLOPs, {stats.wall_seconds * 1e3:.1f} ms"
+        f"{stats.total_flops} matmul FLOPs, {stats.wall_seconds * 1e3:.1f} ms, "
+        f"{stats.processes} processes"
     )
     if args.dump_frames:
         out_dir = Path(args.dump_frames)
@@ -115,7 +116,7 @@ def cmd_bench(args) -> int:
         rows.append(fileio.format_bench_row(label, config, stats, flicker_index(video.z),
                                             ssim_val))
         print(f"run {label}: fps_proxy={stats.fps_proxy:.4g} "
-              f"flops={stats.total_flops}")
+              f"flops={stats.total_flops} processes={stats.processes}")
     fileio.write_bench_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

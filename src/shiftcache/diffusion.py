@@ -113,17 +113,6 @@ def ddim_step(z_t: np.ndarray, eps_pred: np.ndarray, step_index: int, sched: Noi
     return out
 
 
-def oracle_eps(z_t: np.ndarray, step_index: int, target_x0: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Noise residual that makes ddim_step steer z_t toward target_x0.
-
-    eps = (z_t - sqrt(abar_t) * target) / sqrt(1 - abar_t). Purely
-    elementwise, hence frame-local: frame i of the output depends only on
-    frame i of z_t and the target.
-    """
-    scales = oracle_scales(sched.alpha_bar_at(step_index), z_t.dtype)
-    return oracle_residual(z_t, target_x0, scales)
-
-
 def oracle_scales(abar_t: float, dtype: np.dtype) -> tuple[np.generic, np.generic]:
     """``(sqrt(abar_t), sqrt(1 - abar_t))`` in ``dtype``: the two scalars of
     one step's oracle residual."""
@@ -136,7 +125,9 @@ def oracle_scales(abar_t: float, dtype: np.dtype) -> tuple[np.generic, np.generi
 def oracle_residual(z_t: np.ndarray, target_x0: np.ndarray, scales: tuple,
                     out: np.ndarray | None = None) -> np.ndarray:
     """``(z_t - sqrt_abar * target_x0) / sqrt_one_minus_abar`` for the
-    ``scales`` of ``oracle_scales``, written into ``out`` when given."""
+    ``scales`` of ``oracle_scales``, written into ``out`` when given: the
+    noise residual that makes ``ddim_step`` steer z_t toward target_x0.
+    Purely elementwise, hence frame-local."""
     if z_t.shape != target_x0.shape:
         raise ValueError(f"latent/target shape mismatch: {z_t.shape} vs {target_x0.shape}")
     sqrt_abar, sqrt_one_minus_abar = scales

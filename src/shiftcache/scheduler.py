@@ -12,11 +12,30 @@ Two scheduling policies over a video of ``n_total`` frames:
 All randomness (initial noise, random shifts, partial marking, synthetic
 conditioning) derives from the single config seed via tagged substreams,
 so identical configs reproduce bit-identical runs.
+
+The chunks of one step do not depend on each other: shift chunks are
+disjoint, a partial chunk reads only deep features stored at earlier
+steps, and overlap predictions are averaged only after the whole step.
+So ``run_inference`` evaluates a step's toy chunks on every usable core:
+the calling process evaluates one cost-balanced bin of them and helper
+processes, forked once per call, the others. Every cache write, sum and
+DDIM update stays in the calling process, in plan order, so the latents,
+freshness and counters are the same bits on any number of cores. The
+path is serial on one usable core, for the oracle denoiser (its chunks
+are too small to pay for the transfer), where the platform has no
+``fork`` or ``sched_getaffinity``, and while a second Python thread is
+alive, because forking a threaded process is unsafe. The helpers' memory
+is outside the calling process's peak RSS, and a tracer that wraps
+functions in the calling process sees only the chunks it evaluated.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -131,8 +150,8 @@ class OverlapSum:
     """Per-frame sum and cover count of one step's chunk predictions.
 
     ``reset`` zeroes the sum and counts, once per plan, how many chunks
-    cover each frame; each prediction is then added as soon as its chunk
-    is evaluated, so no step holds its chunk predictions, and ``mean``
+    cover each frame; each prediction is then added as its chunk is
+    committed, so no list of a step's predictions is built, and ``mean``
     divides once, in place. The sum takes the first prediction's shape and
     dtype and is allocated once.
     """
@@ -314,7 +333,8 @@ class RunStats:
     they are the one FLOP count, so two policies' predicted throughputs
     compare as the inverse ratio of their runs' ``total_flops``.
     ``freshness_trace`` and ``forced_full`` come from the plan's
-    FreshnessRecord.
+    FreshnessRecord. ``processes`` counts the processes that evaluated
+    chunks: the caller's plus its helpers, 1 on the serial path.
     """
 
     n_total: int
@@ -326,6 +346,7 @@ class RunStats:
     wall_seconds: float = 0.0
     freshness_trace: np.ndarray | None = None
     forced_full: int = 0
+    processes: int = 1
 
     @property
     def total_flops(self) -> int:
@@ -436,30 +457,198 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     return plans, record
 
 
+def split_by_cost(costs: list[int], bins: int) -> list[list[int]]:
+    """The indices of ``costs`` dealt into ``bins`` bins, longest first:
+    each index, in order of falling cost (ties: the lower index first),
+    goes to the bin with the least cost so far (ties: the lower bin).
+    Each bin lists its indices in increasing order; equal costs always
+    give equal bins."""
+    loads = [0] * bins
+    members: list[list[int]] = [[] for _ in range(bins)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        b = loads.index(min(loads))
+        loads[b] += costs[i]
+        members[b].append(i)
+    return [sorted(m) for m in members]
+
+
+def _evaluate_bin(evaluate, k: int, items) -> dict:
+    """``{index: evaluate(k, chunk, inputs)}`` over one bin's ``(index,
+    chunk, inputs)`` items, in order. The first chunk that raises maps to
+    its exception and ends the bin; the commit raises it in plan order."""
+    done = {}
+    for i, chunk, inputs in items:
+        try:
+            done[i] = evaluate(k, chunk, inputs)
+        except Exception as exc:
+            done[i] = exc
+            break
+    return done
+
+
+def _serve(requests, replies, evaluate) -> None:
+    """A helper's loop: answer each ``(step, items)`` request with its bin's
+    results until the request pipe ends. A reply is pickled whole before
+    any of it is written, so one that fails to pickle sends nothing."""
+    while True:
+        try:
+            k, items = pickle.load(requests)
+        except EOFError:
+            return
+        replies.write(pickle.dumps(_evaluate_bin(evaluate, k, items), pickle.HIGHEST_PROTOCOL))
+        replies.flush()
+
+
+class _Helpers:
+    """Helper processes, forked at construction, that evaluate bins of
+    each step's chunks for the process that made them.
+
+    A helper inherits the run's denoiser, weights and conditions at fork,
+    so a request carries only ``(step, [(index, chunk, inputs), ...])`` and
+    a reply ``{index: (eps, feats) or the exception}``, pickled over the
+    helper's two pipes. ``close`` ends and reaps every helper.
+    """
+
+    def __init__(self, count: int, evaluate):
+        self.evaluate = evaluate
+        self.pids: list[int] = []
+        self.pipes: list[tuple] = []   # per helper: (request writer, reply reader)
+        try:
+            for _ in range(count):
+                self._fork()
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _fork(self) -> None:
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper, which never returns into its parent's code
+            code = 1
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                for pipe in self.pipes:  # earlier helpers' ends: let them see end of file
+                    for end in pipe:
+                        end.close()
+                with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
+                    _serve(requests, replies, self.evaluate)
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids.append(pid)
+        os.close(request_r)
+        os.close(reply_w)
+        self.pipes.append((open(request_w, "wb"), open(reply_r, "rb")))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(kill=exc_type is not None)
+
+    def step(self, k: int, chunks: list[Chunk], inputs, cost):
+        """``(chunk, (eps, feats))`` for each of step ``k``'s ``chunks``, in
+        plan order, where ``inputs(k, chunk)`` gives a chunk's inputs and
+        ``cost(chunk)`` its cost. With helpers, this process evaluates bin
+        0 of the cost split while they evaluate the others, and the step's
+        results are held until the last one arrives. Without, each chunk is
+        evaluated as it is yielded, so it is committed before the next one
+        runs: the oracle's eps is a view of a buffer that the next chunk of
+        its length overwrites."""
+        if not self.pids:
+            for chunk in chunks:
+                yield chunk, self.evaluate(k, chunk, inputs(k, chunk))
+            return
+        bins = split_by_cost([cost(c) for c in chunks], 1 + len(self.pids))
+        for (requests, _), members in zip(self.pipes, bins[1:]):
+            pickle.dump((k, [(i, chunks[i], inputs(k, chunks[i])) for i in members]),
+                        requests, pickle.HIGHEST_PROTOCOL)
+            requests.flush()
+        done = _evaluate_bin(self.evaluate, k,
+                             [(i, chunks[i], inputs(k, chunks[i])) for i in bins[0]])
+        for pid, (_, replies) in zip(self.pids, self.pipes):
+            try:
+                done.update(pickle.load(replies))
+            except EOFError:
+                raise RuntimeError(f"helper process {pid} ended without replying") from None
+        for i, chunk in enumerate(chunks):
+            if isinstance(done[i], Exception):
+                raise done[i]
+            yield chunk, done[i]
+
+    def close(self, kill: bool) -> None:
+        """End every helper, by SIGKILL when ``kill`` and else by closing
+        its request pipe, and wait for it, so that none outlives the run."""
+        if kill:
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+        for pipe in self.pipes:
+            for end in pipe:
+                try:
+                    end.close()
+                except BrokenPipeError:  # a request left half-sent to a killed helper
+                    pass
+        for pid in self.pids:
+            os.waitpid(pid, 0)
+
+
+def _process_count(config: EngineConfig, plans: list[ChunkPlan]) -> int:
+    """How many processes evaluate a run's chunks: one per usable core, at
+    most one per chunk of the largest step, and 1 for the oracle denoiser,
+    on a platform without ``fork`` or ``sched_getaffinity``, or while a
+    second Python thread is alive."""
+    if (config.denoiser == "oracle" or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), max(len(plan.chunks) for plan in plans))
+
+
 def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    Per step, the chunks run one at a time in plan order: a full chunk
-    writes the deep-feature cache on shift runs as soon as it is evaluated,
-    a partial chunk reads it under the configured mask variant. Each
-    chunk's prediction goes into one per-frame sum as soon as the chunk
-    finishes, so peak memory does not grow with the overlap; the sum is
-    divided once per frame by its cover count, counted once per plan (a
-    single cover passes through unchanged), and one DDIM update is applied
-    per frame. The oracle writes each chunk's residual into one scratch
-    buffer per chunk length, allocated once per run. Under ``hard_skip``
-    each kept chunk's frames are updated as soon as it is evaluated
-    instead. ``dtype`` must be float32 or float64.
+    Per step, the chunks are evaluated, then committed in plan order: a
+    full chunk writes the deep-feature cache on shift runs, and each
+    chunk's prediction goes into one per-frame sum, so peak memory does
+    not grow with the overlap. The sum is divided once per frame by its
+    cover count, counted once per plan (a single cover passes through
+    unchanged), and one DDIM update is applied per frame. Under
+    ``hard_skip`` each kept chunk's frames are updated as it is committed
+    instead. A partial chunk reads the cache, under the configured mask
+    variant, only for frames stored at earlier steps.
+
+    Toy chunks are evaluated on every usable core (``RunStats.processes``):
+    helper processes are forked once per call, inside the timed region,
+    and this process splits each step's chunks into cost-balanced bins
+    (``split_by_cost`` over ``ToyDenoiser.chunk_cost``: deep + shallow for
+    a full chunk, shallow for a partial one), evaluates bin 0 and sends
+    each other bin its chunks' latents and, for partial chunks, cached
+    features and freshness. Each chunk runs the same code on the same
+    inputs on any core, and the cache writes, sums and DDIM updates all
+    happen here in plan order, so the result is the same bits on any
+    number of cores. A helper's error is raised here with its type and
+    message, and the helpers are reaped before the call returns or
+    raises. Their memory is outside this process's peak RSS, and a tracer
+    that wraps functions in this process (``perfbench/run.py --trace 1``)
+    sees only bin 0's evaluations, while its engine self time includes
+    the wait for the helpers. The path is serial, evaluating and
+    committing one chunk at a time, on one usable core, for the oracle,
+    without ``fork`` or ``sched_getaffinity``, and while a second Python
+    thread is alive. The oracle writes each chunk's residual into one
+    scratch buffer per chunk length, allocated once per run. ``dtype``
+    must be float32 or float64.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
+    lengths = {c.length for plan in plans for c in plan.chunks}
     if config.denoiser == "oracle":
         # Allocated before the run's latent-sized arrays: placed after them,
         # these long-lived buffers split the heap space those arrays reuse
         # from run to run, and a later run grew peak RSS by one latent.
         scratch = {length: np.empty((length, 4, config.latent_h, config.latent_w), dtype=dtype)
-                   for length in {c.length for plan in plans for c in plan.chunks}}
+                   for length in lengths}
     if conditions is None:
         conditions = synthesize_conditions(config, dtype=dtype)
     else:
@@ -470,6 +659,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     if config.denoiser == "toy":
         toy = ToyDenoiser(config.toy)
         oracle = None
+        shape = (config.latent_h, config.latent_w, config.garment_tokens)
+        costs = {length: toy.chunk_cost(length, *shape) for length in lengths}
     else:
         toy = None
         oracle = OracleDenoiser(conditions.target_x0, sched)
@@ -482,38 +673,55 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
                              staleness_cap=config.staleness_cap, dtype=dtype)
 
-    def eval_chunk(step_index, chunk):
+    def inputs(k, chunk):
+        """What a chunk reads of the run's state at step k: its latents and,
+        for a partial chunk, its cached deep features and freshness."""
+        if chunk.mode is ChunkMode.PARTIAL:
+            cached, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), k)
+            return z[chunk.start:chunk.stop], cached, good
+        return z[chunk.start:chunk.stop], None, None
+
+    def evaluate(k, chunk, chunk_inputs):
+        """(eps, deep features to cache or None) of a chunk at step k, from
+        its ``inputs`` and what the run fixed before its first step alone."""
+        z_chunk, cached, good = chunk_inputs
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
-            return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
-        x = assemble_input(z[sl], conditions.masked_video[sl], conditions.binary_mask[sl],
+            return oracle.eps_for(z_chunk, k, sl, out=scratch[chunk.length]), None
+        x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
-        if chunk.mode is ChunkMode.FULL:
-            eps, feats = toy.denoise_full(x, offsets, conditions.garment)
-            if cache is not None:
-                cache.store_block(chunk.start, feats, step_index)
-            return eps
-        feats, _, good = cache.fetch(offsets, step_index)
-        return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
-                                   conditions.garment)
+        if chunk.mode is ChunkMode.PARTIAL:
+            return toy.denoise_partial(x, offsets, cached, good, config.mask_variant,
+                                       conditions.garment), None
+        eps, feats = toy.denoise_full(x, offsets, conditions.garment)
+        return eps, feats if cache is not None else None
+
+    def cost(chunk):
+        deep, shallow = costs[chunk.length]
+        return deep + shallow if chunk.mode is ChunkMode.FULL else shallow
 
     sums = OverlapSum(n)
+    hard_skip = config.hard_skip
     t_start = time.perf_counter()
-    for k, plan in enumerate(plans):
-        if config.hard_skip:
-            # naive-skip ablation: frames of dropped chunks miss this DDIM
-            # update; shift chunks are disjoint, so each kept one updates
-            # in place as soon as it is evaluated
-            for c in plan.chunks:
-                if c.mode is ChunkMode.FULL:
+    processes = _process_count(config, plans)
+    with _Helpers(processes - 1, evaluate) as helpers:
+        for k, plan in enumerate(plans):
+            # the hard_skip ablation drops marked chunks: their frames miss
+            # this step's DDIM update
+            chunks = [c for c in plan.chunks if c.mode is ChunkMode.FULL or not hard_skip]
+            if not hard_skip:
+                sums.reset(chunks)
+            for c, (eps, feats) in helpers.step(k, chunks, inputs, cost):
+                if feats is not None:
+                    cache.store_block(c.start, feats, k)
+                if hard_skip:  # shift chunks are disjoint: update in place
                     sl = slice(c.start, c.stop)
-                    z[sl] = ddim_step(z[sl], eval_chunk(k, c), k, sched)
-            continue
-        sums.reset(plan.chunks)
-        for c in plan.chunks:
-            sums.add(c, eval_chunk(k, c))
-        z = ddim_step(z, sums.mean(), k, sched)
+                    z[sl] = ddim_step(z[sl], eps, k, sched)
+                else:
+                    sums.add(c, eps)
+            if not hard_skip:
+                z = ddim_step(z, sums.mean(), k, sched)
     wall_seconds = time.perf_counter() - t_start
 
     chunks = [c for plan in plans for c in plan.chunks]
@@ -521,10 +729,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     partials = len(chunks) - len(full)
     deep_flops = shallow_flops = 0
     if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
-        shape = (config.latent_h, config.latent_w, config.garment_tokens)
-        deep_flops = sum(toy.chunk_cost(c.length, *shape)[0] for c in full)
-        shallow_flops = sum(toy.chunk_cost(c.length, *shape)[1]
-                            for c in (full if config.hard_skip else chunks))
+        deep_flops = sum(costs[c.length][0] for c in full)
+        shallow_flops = sum(costs[c.length][1] for c in (full if config.hard_skip else chunks))
     stats = RunStats(
         n_total=n, full_chunk_evals=len(full),
         partial_chunk_evals=0 if config.hard_skip else partials,
@@ -532,6 +738,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         deep_flops=deep_flops, shallow_flops=shallow_flops,
         wall_seconds=wall_seconds,
         freshness_trace=freshness.trace, forced_full=freshness.forced_full,
+        processes=processes,
     )
     video = LatentVideo(z=z, freshness=freshness.last_full)
     return video, stats

@@ -3,7 +3,13 @@
 ``matmul_count`` counts the matmuls the toy network really runs, so tests
 can hold ``ToyDenoiser.chunk_cost`` and the run's FLOP counters, which
 are a closed-form model, against them.
+
+``one_core`` narrows this test process to one usable core, so
+``run_inference`` takes its serial path and evaluates every chunk in this
+process, where a spy patched into it (such as ``matmul_count``) sees it.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -57,3 +63,18 @@ def matmul_count(monkeypatch) -> MatmulCounter:
 
     monkeypatch.setattr(denoiser.ToyDenoiser, "_deep_stage", counted_deep_stage)
     return counter
+
+
+@pytest.fixture
+def one_core():
+    """This process's CPU affinity narrowed to its lowest core for the test,
+    and restored afterwards."""
+    if not hasattr(os, "sched_setaffinity"):  # run_inference is serial there
+        yield
+        return
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cores)

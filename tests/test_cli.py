@@ -2,6 +2,8 @@ import json
 import re
 import statistics
 
+import pytest
+
 from shiftcache import fileio
 from shiftcache.cli import _sweep_configs, main
 from shiftcache.scheduler import EngineConfig
@@ -74,6 +76,19 @@ class TestSample:
         assert video.z.shape == (24, 4, 12, 12)
         assert "effective-config:" in out
 
+    def test_sample_and_bench_lines_show_the_process_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY)
+        code, out, _ = run_cli(capsys, "sample", "--config", cfg,
+                               "--out", str(tmp_path / "f.lvt"))
+        assert code == 0
+        counts = re.findall(r"^wrote .*, (\d+) processes$", out, flags=re.M)
+        code, out, _ = run_cli(capsys, "bench", "--config", cfg, "--sweep", "overlap",
+                               "--out", str(tmp_path / "b.csv"))
+        assert code == 0
+        counts += re.findall(r"^run overlap_s\d+: .* processes=(\d+)$", out, flags=re.M)
+        assert len(counts) == 1 + 4
+        assert all(int(count) >= 1 for count in counts)
+
     def test_dump_frames_pgm(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
         dump = tmp_path / "frames"
@@ -113,6 +128,9 @@ MONOTONE_ROUNDS = 7
 
 
 class TestBench:
+    # On one core: a run on P cores takes about ceil(chunks / P) chunk
+    # times a step, so on 2 cores S=0 (3 chunks) and S=2 (4 chunks) tie.
+    @pytest.mark.usefixtures("one_core")
     def test_overlap_sweep_monotone_fps(self, tmp_path, capsys):
         # fps falls strictly as S grows, since cost grows with S. One
         # sub-second run is noisy, so each adjacent pair's fps ratio is

@@ -15,7 +15,7 @@ from shiftcache.denoiser import (
     attend,
     spatial_attention,
 )
-from shiftcache.diffusion import make_schedule, oracle_eps
+from shiftcache.diffusion import make_schedule
 from shiftcache.numerics import MaskVariant, sinusoidal_encoding_batch
 
 L, H, W, M = 8, 16, 12, 4
@@ -434,7 +434,7 @@ class TestOracleDenoiser:
         offsets = np.array([2, 3, 4, 5])
         np.testing.assert_array_equal(
             oracle.eps_for(z, 5, offsets),
-            oracle_eps(z, 5, target[offsets], sched))
+            OracleDenoiser(target[offsets], sched).eps_for(z, 5, slice(None)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slice_and_index_array_agree_bitwise(self, dtype):
@@ -463,7 +463,8 @@ class TestOracleDenoiser:
                 assert oracle.eps_for(z, k, frames, out=buf) is buf
                 np.testing.assert_array_equal(buf, expected, strict=True)
                 np.testing.assert_array_equal(
-                    buf, oracle_eps(z, k, target[frames], sched), strict=True)
+                    buf, OracleDenoiser(target[frames], sched).eps_for(z, k, slice(None)),
+                    strict=True)
                 fresh = oracle.eps_for(z, k, frames)
                 assert fresh is not buf
                 assert not np.shares_memory(fresh, z) and not np.shares_memory(fresh, target)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcache.denoiser import OracleDenoiser
 from shiftcache.diffusion import (
     LatentVideo,
     NoiseSchedule,
     ddim_step,
     make_schedule,
-    oracle_eps,
 )
 
 
@@ -60,7 +60,7 @@ class TestDdimStep:
         target = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
         z = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
         last = sched.num_steps - 1
-        eps = oracle_eps(z, last, target, sched)
+        eps = OracleDenoiser(target, sched).eps_for(z, last, slice(None))
         out = ddim_step(z, eps, last, sched)
         np.testing.assert_allclose(out, target, atol=1e-5)
 
@@ -69,8 +69,9 @@ class TestDdimStep:
         rng = np.random.default_rng(1)
         target = rng.standard_normal((3, 4, 5, 5)).astype(np.float32)
         z = rng.standard_normal((3, 4, 5, 5)).astype(np.float32)
+        oracle = OracleDenoiser(target, sched)
         for k in range(sched.num_steps):
-            z = ddim_step(z, oracle_eps(z, k, target, sched), k, sched)
+            z = ddim_step(z, oracle.eps_for(z, k, slice(None)), k, sched)
         assert np.max(np.abs(z - target)) <= 1e-4
 
     def test_full_oracle_sampling_float64_tight(self):
@@ -78,8 +79,9 @@ class TestDdimStep:
         rng = np.random.default_rng(2)
         target = rng.standard_normal((2, 4, 4, 4))
         z = rng.standard_normal((2, 4, 4, 4))
+        oracle = OracleDenoiser(target, sched)
         for k in range(sched.num_steps):
-            z = ddim_step(z, oracle_eps(z, k, target, sched), k, sched)
+            z = ddim_step(z, oracle.eps_for(z, k, slice(None)), k, sched)
         assert np.max(np.abs(z - target)) <= 1e-9
 
     def test_zero_eps_rescales_by_alpha_ratio(self):
@@ -157,7 +159,8 @@ class TestOracleEps:
         k = 4
         a = np.float32(sched.alpha_bar_at(k))
         z = np.sqrt(a) * x0 + np.sqrt(1 - a) * noise
-        np.testing.assert_allclose(oracle_eps(z, k, x0, sched), noise, atol=1e-5)
+        np.testing.assert_allclose(OracleDenoiser(x0, sched).eps_for(z, k, slice(None)), noise,
+                                   atol=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_formula_and_inputs_untouched(self, dtype):
@@ -168,7 +171,7 @@ class TestOracleEps:
         z_before, target_before = z.copy(), target.copy()
         a = dtype(sched.alpha_bar_at(6))
         np.testing.assert_array_equal(
-            oracle_eps(z, 6, target, sched),
+            OracleDenoiser(target, sched).eps_for(z, 6, slice(None)),
             (z - np.sqrt(a, dtype=dtype) * target) / np.sqrt(1.0 - a, dtype=dtype),
             strict=True)
         np.testing.assert_array_equal(z, z_before)
@@ -181,7 +184,7 @@ class TestOracleEps:
         k = 10
         a = sched.alpha_bar_at(k)
         np.testing.assert_allclose(
-            oracle_eps(z, k, np.zeros_like(z), sched),
+            OracleDenoiser(np.zeros_like(z), sched).eps_for(z, k, slice(None)),
             z / np.float32(np.sqrt(1 - a)), rtol=1e-6)
 
     def test_frame_locality(self):
@@ -189,10 +192,11 @@ class TestOracleEps:
         rng = np.random.default_rng(9)
         z = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
         target = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
-        base = oracle_eps(z, 3, target, sched)
+        oracle = OracleDenoiser(target, sched)
+        base = oracle.eps_for(z, 3, slice(None))
         z2 = z.copy()
         z2[2] += 1.0
-        moved = oracle_eps(z2, 3, target, sched)
+        moved = oracle.eps_for(z2, 3, slice(None))
         np.testing.assert_array_equal(moved[[0, 1, 3]], base[[0, 1, 3]])
         assert not np.allclose(moved[2], base[2])
 

@@ -448,6 +448,7 @@ class TestStreamedAggregation:
         dict(policy="shift", delta=5),
         dict(policy="shift", shift_mode="random"),
     ], ids=["overlap-s0", "overlap-s4", "overlap-s15", "shift-fixed", "shift-random"])
+    @pytest.mark.usefixtures("one_core")  # the spies record in this process only
     def test_streamed_mean_equals_mean_of_chunk_list(self, monkeypatch, dtype, denoiser, plan):
         partial = 0.5 if denoiser == "toy" and plan["policy"] == "shift" else 0.0
         cfg = small_config(n_total=40, chunk_len=16, ddim_steps=4, denoiser=denoiser,
@@ -496,6 +497,7 @@ class TestRunFlops:
         dict(denoiser="oracle", policy="overlap", overlap_s=3),
     ], ids=["p50_full", "p50_half", "p50_quarter", "p50_causal", "hard_skip", "overlap_s3",
             "oracle"])
+    @pytest.mark.usefixtures("one_core")  # matmul_count counts in this process only
     def test_counters_equal_the_matmuls_the_run_ran(self, kw, matmul_count):
         # full chunks run deep + shallow, partial chunks shallow, skipped
         # chunks nothing, and the oracle no matmul at all
