@@ -15,26 +15,31 @@ so identical configs reproduce bit-identical runs.
 
 The chunks of one step do not depend on each other: shift chunks are
 disjoint, a partial chunk reads only deep features stored at earlier
-steps, and overlap predictions are averaged only after the whole step.
-So ``run_inference`` evaluates a step's toy chunks on every usable core:
-the calling process evaluates one cost-balanced bin of them and helper
-processes, forked once per call, the others. Every cache write, sum and
-DDIM update stays in the calling process, in plan order, so the latents,
-freshness and counters are the same bits on any number of cores. The
-path is serial on one usable core, for the oracle denoiser (its chunks
-are too small to pay for the transfer), where the platform has no
-``fork`` or ``sched_getaffinity``, and while a second Python thread is
-alive, because forking a threaded process is unsafe. The helpers' memory
-is outside the calling process's peak RSS, and a tracer that wraps
-functions in the calling process sees only the chunks it evaluated.
+steps, and overlap predictions are averaged only after the whole step. A
+chunk of the next step needs only its own frames' updates. So
+``run_inference`` evaluates toy chunks on every usable core: helper
+processes, forked once per call, take the next chunk whose frames are
+ready as they come free, and the calling process commits every result in
+plan order. Every cache write, sum and DDIM update stays in the calling
+process, so the latents, freshness and counters are the same bits on any
+number of cores. The path is serial for a run under
+``_MIN_PARALLEL_FLOPS``, which would not pay for starting the helpers,
+on one usable core, for the oracle denoiser (its chunks are too small to
+pay for the transfer), where the platform has no ``fork`` or
+``sched_getaffinity``, in a daemonic process, and while a second Python
+thread is alive, because forking a threaded process is unsafe. The
+helpers' memory is outside the calling process's peak RSS, and a tracer
+that wraps functions in the calling process sees none of their chunk
+evaluations.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
+import multiprocessing
 import os
-import pickle
-import signal
+import selectors
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -183,11 +188,13 @@ class OverlapSum:
             self.total = np.zeros((self.n_total,) + eps.shape[1:], dtype=eps.dtype)
         self.total[chunk.start:chunk.stop] += eps
 
-    def mean(self) -> np.ndarray:
-        """The per-frame mean, in the sum's own buffer (valid until the
-        next ``reset``). A frame covered once divides by 1, which is exact."""
-        return np.divide(self.total, self.count.astype(self.total.dtype)[:, None, None, None],
-                         out=self.total)
+    def mean(self, frames: slice = slice(None)) -> np.ndarray:
+        """The per-frame mean of ``frames`` (default: all), in the sum's own
+        buffer (valid until the next ``reset``). A frame covered once
+        divides by 1, which is exact."""
+        total = self.total[frames]
+        return np.divide(total, self.count[frames].astype(total.dtype)[:, None, None, None],
+                         out=total)
 
 
 def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
@@ -334,7 +341,7 @@ class RunStats:
     compare as the inverse ratio of their runs' ``total_flops``.
     ``freshness_trace`` and ``forced_full`` come from the plan's
     FreshnessRecord. ``processes`` counts the processes that evaluated
-    chunks: the caller's plus its helpers, 1 on the serial path.
+    chunks: the helpers, or 1, the caller, on the serial path.
     """
 
     n_total: int
@@ -457,90 +464,82 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     return plans, record
 
 
-def split_by_cost(costs: list[int], bins: int) -> list[list[int]]:
-    """The indices of ``costs`` dealt into ``bins`` bins, longest first:
-    each index, in order of falling cost (ties: the lower index first),
-    goes to the bin with the least cost so far (ties: the lower bin).
-    Each bin lists its indices in increasing order; equal costs always
-    give equal bins."""
-    loads = [0] * bins
-    members: list[list[int]] = [[] for _ in range(bins)]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        b = loads.index(min(loads))
-        loads[b] += costs[i]
-        members[b].append(i)
-    return [sorted(m) for m in members]
+# Below this many FLOPs (``chunk_cost`` summed over the plan) a run stays
+# serial. A helper costs 10-30 ms to start: the fork, and then the first
+# write to each page it shares with its parent. A run of 1 GFLOP takes
+# about 0.3 s on one core of the 2-core host this was measured on, so
+# helpers would add several percent to a smaller run, and more than they
+# save to the tests' 0.1 GFLOP runs.
+_MIN_PARALLEL_FLOPS = 10 ** 9
 
 
-def _evaluate_bin(evaluate, k: int, items) -> dict:
-    """``{index: evaluate(k, chunk, inputs)}`` over one bin's ``(index,
-    chunk, inputs)`` items, in order. The first chunk that raises maps to
-    its exception and ends the bin; the commit raises it in plan order."""
-    done = {}
-    for i, chunk, inputs in items:
-        try:
-            done[i] = evaluate(k, chunk, inputs)
-        except Exception as exc:
-            done[i] = exc
-            break
-    return done
+# Requests a helper holds at once: the one it evaluates and the next, so
+# it does not wait for this process between chunks.
+_DEPTH = 2
 
 
-def _serve(requests, replies, evaluate) -> None:
-    """A helper's loop: answer each ``(step, items)`` request with its bin's
-    results until the request pipe ends. A reply is pickled whole before
-    any of it is written, so one that fails to pickle sends nothing."""
+def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, whose pages a process
+    forked after it is made reads and writes with its maker."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+
+
+def _serve(conn, evaluate, inherited) -> None:
+    """A helper's loop: answer each ``(key, slot)`` request with ``(key,
+    slot, evaluate(key, slot))``, or with the exception in place of the
+    result, until a None request or the end of the pipe. Closing the
+    ``inherited`` pipe ends first lets a helper see the end of its pipe if
+    its caller dies."""
+    for other in inherited:
+        other.close()
     while True:
         try:
-            k, items = pickle.load(requests)
+            request = conn.recv()
         except EOFError:
             return
-        replies.write(pickle.dumps(_evaluate_bin(evaluate, k, items), pickle.HIGHEST_PROTOCOL))
-        replies.flush()
+        if request is None:
+            return
+        key, slot = request
+        try:
+            reply = evaluate(key, slot)
+        except Exception as exc:
+            reply = exc
+        conn.send((key, slot, reply))
 
 
 class _Helpers:
-    """Helper processes, forked at construction, that evaluate bins of
-    each step's chunks for the process that made them.
+    """Helper processes, forked at construction, that evaluate chunks for
+    the process that made them.
 
-    A helper inherits the run's denoiser, weights and conditions at fork,
-    so a request carries only ``(step, [(index, chunk, inputs), ...])`` and
-    a reply ``{index: (eps, feats) or the exception}``, pickled over the
-    helper's two pipes. ``close`` ends and reaps every helper.
+    A helper inherits the run's denoiser, weights, conditions and plan at
+    fork, and its inputs and results pass through shared memory, so a
+    request and a reply are a few hundred bytes: neither end blocks
+    writing one while the other writes too. Leaving the ``with`` block
+    ends every helper, by a None request or, if the block raised, by
+    SIGKILL, and joins it, so none outlives the run.
     """
 
     def __init__(self, count: int, evaluate):
-        self.evaluate = evaluate
-        self.pids: list[int] = []
-        self.pipes: list[tuple] = []   # per helper: (request writer, reply reader)
+        context = multiprocessing.get_context("fork")
+        self.conns: list = []
+        self.processes: list = []
+        self.replies = selectors.DefaultSelector()
         try:
             for _ in range(count):
-                self._fork()
+                ours, theirs = context.Pipe()
+                self.conns.append(ours)
+                process = context.Process(target=_serve, daemon=True,
+                                          args=(theirs, evaluate, list(self.conns)))
+                process.start()
+                self.processes.append(process)
+                theirs.close()
+                self.replies.register(ours, selectors.EVENT_READ)
         except BaseException:
             self.close(kill=True)
             raise
-
-    def _fork(self) -> None:
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the helper, which never returns into its parent's code
-            code = 1
-            try:
-                os.close(request_w)
-                os.close(reply_r)
-                for pipe in self.pipes:  # earlier helpers' ends: let them see end of file
-                    for end in pipe:
-                        end.close()
-                with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
-                    _serve(requests, replies, self.evaluate)
-                code = 0
-            finally:
-                os._exit(code)
-        self.pids.append(pid)
-        os.close(request_r)
-        os.close(reply_w)
-        self.pipes.append((open(request_w, "wb"), open(reply_r, "rb")))
 
     def __enter__(self):
         return self
@@ -548,107 +547,182 @@ class _Helpers:
     def __exit__(self, exc_type, exc, tb):
         self.close(kill=exc_type is not None)
 
-    def step(self, k: int, chunks: list[Chunk], inputs, cost):
-        """``(chunk, (eps, feats))`` for each of step ``k``'s ``chunks``, in
-        plan order, where ``inputs(k, chunk)`` gives a chunk's inputs and
-        ``cost(chunk)`` its cost. With helpers, this process evaluates bin
-        0 of the cost split while they evaluate the others, and the step's
-        results are held until the last one arrives. Without, each chunk is
-        evaluated as it is yielded, so it is committed before the next one
-        runs: the oracle's eps is a view of a buffer that the next chunk of
-        its length overwrites."""
-        if not self.pids:
-            for chunk in chunks:
-                yield chunk, self.evaluate(k, chunk, inputs(k, chunk))
-            return
-        bins = split_by_cost([cost(c) for c in chunks], 1 + len(self.pids))
-        for (requests, _), members in zip(self.pipes, bins[1:]):
-            pickle.dump((k, [(i, chunks[i], inputs(k, chunks[i])) for i in members]),
-                        requests, pickle.HIGHEST_PROTOCOL)
-            requests.flush()
-        done = _evaluate_bin(self.evaluate, k,
-                             [(i, chunks[i], inputs(k, chunks[i])) for i in bins[0]])
-        for pid, (_, replies) in zip(self.pids, self.pipes):
-            try:
-                done.update(pickle.load(replies))
-            except EOFError:
-                raise RuntimeError(f"helper process {pid} ended without replying") from None
-        for i, chunk in enumerate(chunks):
-            if isinstance(done[i], Exception):
-                raise done[i]
-            yield chunk, done[i]
+    def ready(self) -> list:
+        """The pipes with a reply to read (or whose helper has ended)."""
+        return [key.fileobj for key, _ in self.replies.select()]
 
     def close(self, kill: bool) -> None:
-        """End every helper, by SIGKILL when ``kill`` and else by closing
-        its request pipe, and wait for it, so that none outlives the run."""
-        if kill:
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
-        for pipe in self.pipes:
-            for end in pipe:
+        for conn, process in zip(self.conns, self.processes):
+            if not kill:
                 try:
-                    end.close()
-                except BrokenPipeError:  # a request left half-sent to a killed helper
+                    conn.send(None)
+                    continue
+                except OSError:  # it has ended: kill it anyway
                     pass
-        for pid in self.pids:
-            os.waitpid(pid, 0)
+            process.kill()
+        for process in self.processes:
+            process.join()
+        self.replies.close()
+        for conn in self.conns:
+            conn.close()
 
 
-def _process_count(config: EngineConfig, plans: list[ChunkPlan]) -> int:
-    """How many processes evaluate a run's chunks: one per usable core, at
-    most one per chunk of the largest step, and 1 for the oracle denoiser,
-    on a platform without ``fork`` or ``sched_getaffinity``, or while a
-    second Python thread is alive."""
-    if (config.denoiser == "oracle" or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), max(len(plan.chunks) for plan in plans))
+def _evaluate_on_helpers(helpers: _Helpers, steps: list[list[Chunk]], n_total: int,
+                         load, unload, commit, advance) -> None:
+    """Evaluate every chunk of ``steps`` (per step, its chunks in plan
+    order) on ``helpers`` and commit it here, without waiting for a step to
+    end before starting the next.
+
+    Helper h owns the ``_DEPTH`` slots h * _DEPTH onwards. A chunk is sent,
+    as ``((k, index), slot)`` after ``load(k, chunk, slot)`` has written
+    its inputs, to the helper with the most free slots as soon as every
+    frame it reads is updated through the step before its own, lowest
+    step first. ``unload(k, chunk, slot, reply)`` copies its result out of
+    the slot, which is then free; a helper's exception is raised here.
+    Each step's results are committed in plan order, ``commit(k, chunk,
+    result)``, as they become a prefix of the plan. Frames that no
+    uncommitted chunk of step k covers and that are updated through step
+    k - 1 are then updated through step k: ``advance(k, first, stop)`` is
+    called for each newly finished run of frames, lowest step first. A
+    frame's inputs, adds and updates are those of the serial loop, in its
+    order.
+    """
+    count = len(steps)
+    committed = [0] * count    # per step: chunks committed, a prefix of the plan
+    sent = [0] * count         # per step: chunks sent, a prefix of the plan
+    held = {}                  # (step, index) -> result waiting for its turn
+    # frontier[k]: frames below it are updated through step k
+    frontier, below = [], n_total
+    for chunks in steps:
+        below = min(below, chunks[0].start if chunks else n_total)
+        frontier.append(below)
+    free = {conn: list(range(h * _DEPTH, (h + 1) * _DEPTH))
+            for h, conn in enumerate(helpers.conns)}
+    lowest = 0                 # the lowest step with a chunk not sent
+    left = sum(len(chunks) for chunks in steps)
+
+    def next_ready():
+        for k in range(lowest, count):
+            limit = frontier[k - 1] if k else n_total
+            if limit == 0:  # so is every later step's
+                return None
+            j = sent[k]
+            if j < len(steps[k]) and steps[k][j].stop <= limit:
+                return k, j
+        return None
+
+    def send_ready():
+        nonlocal lowest
+        while (key := next_ready()) is not None:
+            conn = max(free, key=lambda c: len(free[c]))
+            if not free[conn]:
+                return
+            k, j = key
+            slot = free[conn].pop()
+            load(k, steps[k][j], slot)
+            conn.send((key, slot))
+            sent[k] += 1
+            while lowest < count and sent[lowest] == len(steps[lowest]):
+                lowest += 1
+
+    send_ready()
+    while left:
+        if all(len(slots) == _DEPTH for slots in free.values()):
+            raise RuntimeError("no chunk can be evaluated before the ones it waits for")
+        arrived = set()
+        for conn in helpers.ready():
+            try:
+                key, slot, reply = conn.recv()
+            except EOFError:
+                raise RuntimeError("a helper process ended without replying") from None
+            if isinstance(reply, Exception):
+                raise reply
+            k, j = key
+            held[key] = unload(k, steps[k][j], slot, reply)
+            free[conn].append(slot)
+            arrived.add(k)
+        send_ready()  # before the commits, so no helper waits on them
+        for first in sorted(arrived):
+            while (first, committed[first]) in held:
+                commit(first, steps[first][committed[first]],
+                       held.pop((first, committed[first])))
+                committed[first] += 1
+                left -= 1
+            for k in range(first, count):
+                limit = frontier[k - 1] if k else n_total
+                if committed[k] < len(steps[k]):
+                    limit = min(limit, steps[k][committed[k]].start)
+                if limit == frontier[k]:
+                    break
+                advance(k, frontier[k], limit)
+                frontier[k] = limit
+        send_ready()
+
+
+def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
+    """How many helper processes evaluate a run of ``flops`` FLOPs: one per
+    usable core (``os.sched_getaffinity``), at most one per chunk of the
+    largest step. 0, the serial path, on one usable core, below
+    ``_MIN_PARALLEL_FLOPS``, for the oracle denoiser, on a platform without
+    ``fork`` or ``sched_getaffinity``, while a second Python thread is
+    alive, or in a daemonic process (which ``multiprocessing`` lets start
+    none).
+
+    Measured only on a 2-core host. The affinity mask does not see a
+    cgroup CPU quota, so a container held to fewer CPUs than it can see
+    gets more helpers than CPUs; and each helper keeps its BLAS library's
+    own thread pool, idle on the toy's small matmuls, which would contend
+    for the cores with the helpers on larger ones."""
+    if (config.denoiser == "oracle" or flops < _MIN_PARALLEL_FLOPS
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
+        return 0
+    count = min(len(os.sched_getaffinity(0)), max(len(plan.chunks) for plan in plans))
+    return count if count > 1 else 0
 
 
 def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    Per step, the chunks are evaluated, then committed in plan order: a
-    full chunk writes the deep-feature cache on shift runs, and each
-    chunk's prediction goes into one per-frame sum, so peak memory does
-    not grow with the overlap. The sum is divided once per frame by its
-    cover count, counted once per plan (a single cover passes through
-    unchanged), and one DDIM update is applied per frame. Under
-    ``hard_skip`` each kept chunk's frames are updated as it is committed
-    instead. A partial chunk reads the cache, under the configured mask
-    variant, only for frames stored at earlier steps.
+    Per step, the chunks run one at a time in plan order: a full chunk
+    writes the deep-feature cache on shift runs as soon as it is evaluated,
+    a partial chunk reads it under the configured mask variant. Each
+    chunk's prediction goes into one per-frame sum as soon as the chunk
+    finishes, so peak memory does not grow with the overlap; the sum is
+    divided once per frame by its cover count, counted once per plan (a
+    single cover passes through unchanged), and one DDIM update is applied
+    per frame. The oracle writes each chunk's residual into one scratch
+    buffer per chunk length, allocated once per run. Under ``hard_skip``
+    each kept chunk's frames are updated as soon as it is evaluated
+    instead. ``dtype`` must be float32 or float64.
 
-    Toy chunks are evaluated on every usable core (``RunStats.processes``):
-    helper processes are forked once per call, inside the timed region,
-    and this process splits each step's chunks into cost-balanced bins
-    (``split_by_cost`` over ``ToyDenoiser.chunk_cost``: deep + shallow for
-    a full chunk, shallow for a partial one), evaluates bin 0 and sends
-    each other bin its chunks' latents and, for partial chunks, cached
-    features and freshness. Each chunk runs the same code on the same
-    inputs on any core, and the cache writes, sums and DDIM updates all
-    happen here in plan order, so the result is the same bits on any
-    number of cores. A helper's error is raised here with its type and
-    message, and the helpers are reaped before the call returns or
-    raises. Their memory is outside this process's peak RSS, and a tracer
-    that wraps functions in this process (``perfbench/run.py --trace 1``)
-    sees only bin 0's evaluations, while its engine self time includes
-    the wait for the helpers. The path is serial, evaluating and
-    committing one chunk at a time, on one usable core, for the oracle,
-    without ``fork`` or ``sched_getaffinity``, and while a second Python
-    thread is alive. The oracle writes each chunk's residual into one
-    scratch buffer per chunk length, allocated once per run. ``dtype``
-    must be float32 or float64.
+    A toy run of at least ``_MIN_PARALLEL_FLOPS`` is evaluated on every
+    usable core (``RunStats.processes``, see ``_helper_count``) by helper
+    processes forked once per call, inside the timed region. Each chunk is
+    sent to a helper as soon as the frames it reads are updated through the
+    previous step, so a step need not end before the next one starts; the
+    latents, a partial chunk's cached features and freshness, and each
+    chunk's prediction and features pass through shared memory. This
+    process commits the results in plan order, writing the cache, the sums
+    and the DDIM updates itself: each chunk runs the same code on the same
+    inputs, and a frame gets the same adds and updates in the same order,
+    so the result is the same bits as the serial loop's. A helper's error
+    is raised here with its type and message; the helpers are killed on any
+    error here and joined before the call returns or raises. Their memory
+    is outside this process's peak RSS, and a tracer that wraps functions
+    in this process (``perfbench/run.py --trace 1``) sees no denoiser call,
+    while its engine self time includes the wait for the helpers. The path
+    is serial where ``_helper_count`` gives 0.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
-    lengths = {c.length for plan in plans for c in plan.chunks}
     if config.denoiser == "oracle":
         # Allocated before the run's latent-sized arrays: placed after them,
         # these long-lived buffers split the heap space those arrays reuse
         # from run to run, and a later run grew peak RSS by one latent.
         scratch = {length: np.empty((length, 4, config.latent_h, config.latent_w), dtype=dtype)
-                   for length in lengths}
+                   for length in {c.length for plan in plans for c in plan.chunks}}
     if conditions is None:
         conditions = synthesize_conditions(config, dtype=dtype)
     else:
@@ -659,8 +733,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     if config.denoiser == "toy":
         toy = ToyDenoiser(config.toy)
         oracle = None
-        shape = (config.latent_h, config.latent_w, config.garment_tokens)
-        costs = {length: toy.chunk_cost(length, *shape) for length in lengths}
     else:
         toy = None
         oracle = OracleDenoiser(conditions.target_x0, sched)
@@ -673,72 +745,142 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
                              staleness_cap=config.staleness_cap, dtype=dtype)
 
-    def inputs(k, chunk):
-        """What a chunk reads of the run's state at step k: its latents and,
-        for a partial chunk, its cached deep features and freshness."""
-        if chunk.mode is ChunkMode.PARTIAL:
-            cached, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), k)
-            return z[chunk.start:chunk.stop], cached, good
-        return z[chunk.start:chunk.stop], None, None
-
-    def evaluate(k, chunk, chunk_inputs):
-        """(eps, deep features to cache or None) of a chunk at step k, from
-        its ``inputs`` and what the run fixed before its first step alone."""
-        z_chunk, cached, good = chunk_inputs
+    def evaluate(step_index, chunk, z_chunk, feats, good):
+        """(eps, deep features to cache or None) of a toy chunk, from its
+        latents, cached features and freshness (None for a full chunk) and
+        what the run fixed before its first step."""
         sl = slice(chunk.start, chunk.stop)
-        if oracle is not None:
-            return oracle.eps_for(z_chunk, k, sl, out=scratch[chunk.length]), None
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
         if chunk.mode is ChunkMode.PARTIAL:
-            return toy.denoise_partial(x, offsets, cached, good, config.mask_variant,
+            return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
                                        conditions.garment), None
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
         return eps, feats if cache is not None else None
 
-    def cost(chunk):
-        deep, shallow = costs[chunk.length]
-        return deep + shallow if chunk.mode is ChunkMode.FULL else shallow
+    def fetch(step_index, chunk):
+        """A partial chunk's cached features and freshness."""
+        feats, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), step_index)
+        return feats, good
+
+    def eval_chunk(step_index, chunk):
+        sl = slice(chunk.start, chunk.stop)
+        if oracle is not None:
+            return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
+        feats = good = None
+        if chunk.mode is ChunkMode.PARTIAL:
+            feats, good = fetch(step_index, chunk)
+        eps, feats = evaluate(step_index, chunk, z[sl], feats, good)
+        if feats is not None:
+            cache.store_block(chunk.start, feats, step_index)
+        return eps
+
+    deep_flops = shallow_flops = 0
+    if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
+        shape = (config.latent_h, config.latent_w, config.garment_tokens)
+        for c in (c for plan in plans for c in plan.chunks):
+            deep, shallow = toy.chunk_cost(c.length, *shape)
+            if c.mode is ChunkMode.FULL:
+                deep_flops += deep
+            if c.mode is ChunkMode.FULL or not config.hard_skip:
+                shallow_flops += shallow
 
     sums = OverlapSum(n)
-    hard_skip = config.hard_skip
     t_start = time.perf_counter()
-    processes = _process_count(config, plans)
-    with _Helpers(processes - 1, evaluate) as helpers:
+    helpers = _helper_count(config, plans, deep_flops + shallow_flops)
+    if helpers:
+        # the chunks each step evaluates; helpers read them from here
+        steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
+                 for plan in plans]
+        # z, and each slot's inputs and results, in memory the helpers share
+        shared = _shared_array(z.shape, dtype)
+        shared[...] = z
+        z = shared
+        rows = (helpers * _DEPTH, max(c.length for chunks in steps for c in chunks))
+        eps_out = _shared_array(rows + z.shape[1:], dtype)
+        if cache is not None:
+            deep = toy.deep_feature_shape(config.latent_h, config.latent_w)
+            feats_in, good_in = _shared_array(rows + deep, dtype), _shared_array(rows, bool)
+            feats_out = _shared_array(rows + deep, dtype)
+        open_sums, spare_sums = {}, [sums]
+
+        def load(step_index, chunk, slot):
+            if chunk.mode is ChunkMode.PARTIAL:
+                feats, good = fetch(step_index, chunk)
+                feats_in[slot, :chunk.length] = feats
+                good_in[slot, :chunk.length] = good
+
+        def evaluate_slot(key, slot):
+            """Run in a helper: evaluate a chunk from its slot and write its
+            prediction and features there; whether it wrote features."""
+            chunk = steps[key[0]][key[1]]
+            feats = good = None
+            if chunk.mode is ChunkMode.PARTIAL:
+                feats = feats_in[slot, :chunk.length].copy()
+                good = good_in[slot, :chunk.length].copy()
+            eps, feats = evaluate(key[0], chunk, z[chunk.start:chunk.stop], feats, good)
+            eps_out[slot, :chunk.length] = eps
+            if feats is not None:
+                feats_out[slot, :chunk.length] = feats
+            return feats is not None
+
+        def unload(step_index, chunk, slot, has_feats):
+            return (eps_out[slot, :chunk.length].copy(),
+                    feats_out[slot, :chunk.length].copy() if has_feats else None)
+
+        def commit(step_index, chunk, result):
+            eps, feats = result
+            if feats is not None:
+                cache.store_block(chunk.start, feats, step_index)
+            if config.hard_skip:  # z is updated in place on this path
+                sl = slice(chunk.start, chunk.stop)
+                z[sl] = ddim_step(z[sl], eps, step_index, sched)
+                return
+            if step_index not in open_sums:
+                open_sums[step_index] = spare_sums.pop() if spare_sums else OverlapSum(n)
+                open_sums[step_index].reset(steps[step_index])
+            open_sums[step_index].add(chunk, eps)
+
+        def advance(step_index, first, stop):
+            if config.hard_skip:  # frames of dropped chunks miss this update
+                return
+            frames = slice(first, stop)
+            z[frames] = ddim_step(z[frames], open_sums[step_index].mean(frames),
+                                  step_index, sched)
+            if stop == n:
+                spare_sums.append(open_sums.pop(step_index))
+
+        with _Helpers(helpers, evaluate_slot) as pool:
+            _evaluate_on_helpers(pool, steps, n, load, unload, commit, advance)
+    else:
         for k, plan in enumerate(plans):
-            # the hard_skip ablation drops marked chunks: their frames miss
-            # this step's DDIM update
-            chunks = [c for c in plan.chunks if c.mode is ChunkMode.FULL or not hard_skip]
-            if not hard_skip:
-                sums.reset(chunks)
-            for c, (eps, feats) in helpers.step(k, chunks, inputs, cost):
-                if feats is not None:
-                    cache.store_block(c.start, feats, k)
-                if hard_skip:  # shift chunks are disjoint: update in place
-                    sl = slice(c.start, c.stop)
-                    z[sl] = ddim_step(z[sl], eps, k, sched)
-                else:
-                    sums.add(c, eps)
-            if not hard_skip:
-                z = ddim_step(z, sums.mean(), k, sched)
+            if config.hard_skip:
+                # naive-skip ablation: frames of dropped chunks miss this DDIM
+                # update; shift chunks are disjoint, so each kept one updates
+                # in place as soon as it is evaluated
+                for c in plan.chunks:
+                    if c.mode is ChunkMode.FULL:
+                        sl = slice(c.start, c.stop)
+                        z[sl] = ddim_step(z[sl], eval_chunk(k, c), k, sched)
+                continue
+            sums.reset(plan.chunks)
+            for c in plan.chunks:
+                sums.add(c, eval_chunk(k, c))
+            z = ddim_step(z, sums.mean(), k, sched)
     wall_seconds = time.perf_counter() - t_start
 
     chunks = [c for plan in plans for c in plan.chunks]
-    full = [c for c in chunks if c.mode is ChunkMode.FULL]
-    partials = len(chunks) - len(full)
-    deep_flops = shallow_flops = 0
-    if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
-        deep_flops = sum(costs[c.length][0] for c in full)
-        shallow_flops = sum(costs[c.length][1] for c in (full if config.hard_skip else chunks))
+    full = sum(1 for c in chunks if c.mode is ChunkMode.FULL)
+    partials = len(chunks) - full
     stats = RunStats(
-        n_total=n, full_chunk_evals=len(full),
+        n_total=n, full_chunk_evals=full,
         partial_chunk_evals=0 if config.hard_skip else partials,
         skipped_chunk_evals=partials if config.hard_skip else 0,
         deep_flops=deep_flops, shallow_flops=shallow_flops,
         wall_seconds=wall_seconds,
         freshness_trace=freshness.trace, forced_full=freshness.forced_full,
-        processes=processes,
+        processes=max(helpers, 1),
     )
     video = LatentVideo(z=z, freshness=freshness.last_full)
     return video, stats

@@ -2,8 +2,6 @@ import json
 import re
 import statistics
 
-import pytest
-
 from shiftcache import fileio
 from shiftcache.cli import _sweep_configs, main
 from shiftcache.scheduler import EngineConfig
@@ -128,9 +126,6 @@ MONOTONE_ROUNDS = 7
 
 
 class TestBench:
-    # On one core: a run on P cores takes about ceil(chunks / P) chunk
-    # times a step, so on 2 cores S=0 (3 chunks) and S=2 (4 chunks) tie.
-    @pytest.mark.usefixtures("one_core")
     def test_overlap_sweep_monotone_fps(self, tmp_path, capsys):
         # fps falls strictly as S grows, since cost grows with S. One
         # sub-second run is noisy, so each adjacent pair's fps ratio is

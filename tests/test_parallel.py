@@ -1,10 +1,11 @@
 """Parallel chunk evaluation in ``run_inference``.
 
 On a host with more than one usable core, a toy run forks helper
-processes that evaluate bins of each step's chunks. These tests hold the
-result to the serial path's bits on every golden config, and check that
-no helper outlives a run, whether it ends normally, by an error in a
-helper or by an error in this process.
+processes that evaluate its chunks as their frames become ready. The
+golden configs are below the FLOP threshold for that, so every test here
+lowers it to 0. These tests hold the result to the serial path's bits on
+every golden config, and check that no helper outlives a run, whether it
+ends normally, by an error in a helper or by an error in this process.
 """
 
 import os
@@ -13,8 +14,10 @@ import threading
 import numpy as np
 import pytest
 
+from shiftcache import scheduler
+from shiftcache.cache import FeatureCache
 from shiftcache.denoiser import ToyDenoiser
-from shiftcache.scheduler import OverlapSum, run_inference, split_by_cost, synthesize_conditions
+from shiftcache.scheduler import OverlapSum, run_inference, synthesize_conditions
 from test_golden import CONFIGS, FLOAT64, golden_config
 
 MULTI_CORE = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -26,6 +29,11 @@ needs_cores = pytest.mark.skipif(
 # most frames, so the order of a step's adds shows in the bits (the sum of
 # two covers is the same in either order).
 RUNS = {**CONFIGS, "overlap_s6": dict(policy="overlap", overlap_s=6)}
+
+
+@pytest.fixture(autouse=True)
+def helpers_for_any_run(monkeypatch):
+    monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", 0)
 
 
 def run(name: str):
@@ -62,16 +70,13 @@ def test_parallel_run_equals_serial_run(name, request):
     assert serial[1].processes == 1
 
 
-def test_split_deals_longest_first_to_the_least_loaded_bin():
-    # in falling cost: 5 (index 0) -> bin 0, 5 (index 2) -> bin 1, 3 -> bin 0
-    # (a tie: the lower bin), then each 1 -> bin 1, the lighter one
-    assert split_by_cost([5, 1, 5, 1, 3], 2) == [[0, 4], [1, 2, 3]]
-    assert split_by_cost([2, 2, 2], 1) == [[0, 1, 2]]
-    assert split_by_cost([4, 4], 3) == [[0], [1], []]
-    costs = [7, 3, 3, 9, 1, 1, 4, 12, 2]
-    bins = split_by_cost(costs, 3)
-    assert sorted(i for b in bins for i in b) == list(range(len(costs)))
-    assert bins == split_by_cost(list(costs), 3)
+@needs_cores
+def test_run_under_the_flop_threshold_is_serial(monkeypatch):
+    flops = run("p50_half")[1].total_flops
+    monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", flops + 1)
+    assert run("p50_half")[1].processes == 1
+    monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", flops)
+    assert run("p50_half")[1].processes > 1
 
 
 @needs_cores
@@ -101,38 +106,29 @@ def test_helper_error_is_raised_with_its_type_and_message(monkeypatch):
 
 
 @needs_cores
-@pytest.mark.parametrize("where", ["commit", "own_bin"])
-def test_error_in_this_process_mid_step_leaves_no_process(where, monkeypatch):
-    # overlap_s4 has 9 equal chunks a step, 5 of them in this process's
-    # bin on 2 cores. "commit": the second step's fifth add, after the
-    # helpers replied; "own_bin": an interrupt in this process's second
-    # chunk of the second step, while the helpers evaluate theirs
-    parent, calls = os.getpid(), []
+@pytest.mark.parametrize("where", ["commit", "dispatch"])
+def test_error_in_this_process_mid_run_leaves_no_process(where, monkeypatch):
+    # "commit": overlap_s4's fourteenth add, in its second step, with
+    # helpers busy on the chunks after it; "dispatch": an interrupt in the
+    # fifth cache fetch of p50_half, read to send a partial chunk
+    calls = []
     if where == "commit":
-        add = OverlapSum.add
-
-        def patched(self, *args):
-            calls.append(1)
-            if len(calls) == 9 + 5:
-                raise ValueError("commit failed")
-            return add(self, *args)
-
-        monkeypatch.setattr(OverlapSum, "add", patched)
-        error = ValueError
+        name, owner, error, after = "overlap_s4", OverlapSum, ValueError, 9 + 5
+        original = OverlapSum.add
     else:
-        full = ToyDenoiser.denoise_full
+        name, owner, error, after = "p50_half", FeatureCache, KeyboardInterrupt, 5
+        original = FeatureCache.fetch
 
-        def patched(self, *args, **kwargs):
-            if os.getpid() == parent:
-                calls.append(1)
-                if len(calls) == 5 + 2:
-                    raise KeyboardInterrupt
-            return full(self, *args, **kwargs)
+    def patched(self, *args):
+        calls.append(1)
+        if len(calls) == after:
+            raise error("failed here")
+        return original(self, *args)
 
-        monkeypatch.setattr(ToyDenoiser, "denoise_full", patched)
-        error = KeyboardInterrupt
+    monkeypatch.setattr(owner, "add" if where == "commit" else "fetch", patched)
     with pytest.raises(error):
-        run("overlap_s4")
+        run(name)
+    assert len(calls) == after
     assert_no_child_left()
 
 
