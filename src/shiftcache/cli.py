@@ -37,11 +37,11 @@ def cmd_plan(args) -> int:
     _print_effective_config(config)
     plans, _ = build_plans(config)
     sched = config.schedule()
-    for plan in plans:
+    for k, plan in enumerate(plans):
         cells = " | ".join(
             f"[{c.start},{c.stop}) {c.mode.value}" for c in plan.chunks
         )
-        print(f"step {plan.step_index:3d} (t={sched.timestep_at(plan.step_index):4d}): {cells}")
+        print(f"step {k:3d} (t={sched.timestep_at(k):4d}): {cells}")
     return 0
 
 

@@ -17,29 +17,40 @@ The chunks of one step do not depend on each other: shift chunks are
 disjoint, a partial chunk reads only deep features stored at earlier
 steps, and overlap predictions are averaged only after the whole step. A
 chunk of the next step needs only its own frames' updates. So
-``run_inference`` evaluates toy chunks on every usable core: helper
-processes, forked once per call, take the next chunk whose frames are
-ready as they come free, and the calling process commits every result in
-plan order. Every cache write, sum and DDIM update stays in the calling
-process, so the latents, freshness and counters are the same bits on any
-number of cores. The path is serial for a run under
-``_MIN_PARALLEL_FLOPS``, which would not pay for starting the helpers,
-on one usable core, for the oracle denoiser (its chunks are too small to
-pay for the transfer), where the platform has no ``fork`` or
+``run_inference`` evaluates a toy run's chunks on a ``concurrent.futures``
+process pool, forked inside the timed region with one helper per usable
+core (at most one per chunk of the largest step; there is no setting).
+The caller submits each chunk, with its latents and a partial chunk's
+cached features and freshness, as soon as its frames are updated through
+the step before, lowest step first, with ``_DEPTH`` chunks in flight per
+helper. It commits each step's results in plan order as they arrive (the
+cache writes, the overlap sum, and the DDIM update of each run of frames
+the step has finished), so steps overlap, and latents, freshness and
+counters are the same bits on any number of cores.
+
+A helper's error is raised with its type and message; a helper that dies
+raises ``BrokenProcessPool``, a RuntimeError. On an error in the caller
+the chunks in flight (at most ``_DEPTH`` per helper) finish before the
+helpers are joined, and on Linux a helper is killed when its caller dies,
+so none outlives the call. The path is serial (``RunStats.processes`` 1)
+under ``_MIN_PARALLEL_FLOPS``, on one usable core, for the oracle (its
+chunks are too small to pay for the transfer), without ``fork`` or
 ``sched_getaffinity``, in a daemonic process, and while a second Python
-thread is alive, because forking a threaded process is unsafe. The
-helpers' memory is outside the calling process's peak RSS, and a tracer
-that wraps functions in the calling process sees none of their chunk
-evaluations.
+thread is alive, since forking a threaded process is unsafe. Measured
+only on a 2-core host: the affinity mask does not see a cgroup CPU quota,
+and each helper keeps its BLAS thread pool. The helpers' memory is
+outside the caller's peak RSS, and a tracer of the caller's functions
+sees none of their chunk evaluations but counts the wait for them as
+engine time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
-import mmap
 import multiprocessing
 import os
-import selectors
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -93,9 +104,8 @@ class Chunk:
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    """Chunks for one sampling step."""
+    """Chunks for one sampling step (the step is its index in the plan list)."""
 
-    step_index: int
     chunks: tuple[Chunk, ...]
 
 
@@ -449,7 +459,7 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     if config.policy == "overlap":
         # every frame is fully computed at every step: nothing to simulate
         base = plan_overlap(config.n_total, config.chunk_len, config.overlap_s)
-        plans = [ChunkPlan(step_index=k, chunks=tuple(base)) for k in range(steps)]
+        plans = [ChunkPlan(chunks=tuple(base)) for _ in range(steps)]
         record = FreshnessRecord(trace=np.zeros((steps, config.n_total), dtype=np.int64),
                                  last_full=np.full(config.n_total, steps - 1, dtype=np.int64))
         return plans, record
@@ -460,7 +470,7 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     ]
     marked, record = mark_partial(raw, config.partial_fraction, config.staleness_cap,
                                   config.seed, config.chunk_len)
-    plans = [ChunkPlan(step_index=k, chunks=tuple(step)) for k, step in enumerate(marked)]
+    plans = [ChunkPlan(chunks=tuple(step)) for step in marked]
     return plans, record
 
 
@@ -473,132 +483,67 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
 _MIN_PARALLEL_FLOPS = 10 ** 9
 
 
-# Requests a helper holds at once: the one it evaluates and the next, so
-# it does not wait for this process between chunks.
+# Chunks in flight per helper: the one it evaluates and the next, so it
+# does not wait for this process between chunks.
 _DEPTH = 2
 
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
-def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zeroed array in anonymous shared memory, whose pages a process
-    forked after it is made reads and writes with its maker."""
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+_helper_evaluate = None  # in a helper, the run's evaluate (see _start_helper)
 
 
-def _serve(conn, evaluate, inherited) -> None:
-    """A helper's loop: answer each ``(key, slot)`` request with ``(key,
-    slot, evaluate(key, slot))``, or with the exception in place of the
-    result, until a None request or the end of the pipe. Closing the
-    ``inherited`` pipe ends first lets a helper see the end of its pipe if
-    its caller dies."""
-    for other in inherited:
-        other.close()
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        key, slot = request
-        try:
-            reply = evaluate(key, slot)
-        except Exception as exc:
-            reply = exc
-        conn.send((key, slot, reply))
+def _start_helper(evaluate, caller: int) -> None:
+    """A helper's initializer, inherited at fork rather than pickled, so
+    the run's ``evaluate`` closure reaches the helper through it. A pool's
+    helpers would outlive a killed caller, blocked on its queue, so where
+    Linux's prctl exists the helper is killed when its caller dies; the
+    pid check catches a caller that died before the prctl."""
+    global _helper_evaluate
+    _helper_evaluate = evaluate
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != caller:
+        os._exit(1)
 
 
-class _Helpers:
-    """Helper processes, forked at construction, that evaluate chunks for
-    the process that made them.
-
-    A helper inherits the run's denoiser, weights, conditions and plan at
-    fork, and its inputs and results pass through shared memory, so a
-    request and a reply are a few hundred bytes: neither end blocks
-    writing one while the other writes too. Leaving the ``with`` block
-    ends every helper, by a None request or, if the block raised, by
-    SIGKILL, and joins it, so none outlives the run.
-    """
-
-    def __init__(self, count: int, evaluate):
-        context = multiprocessing.get_context("fork")
-        self.conns: list = []
-        self.processes: list = []
-        self.replies = selectors.DefaultSelector()
-        try:
-            for _ in range(count):
-                ours, theirs = context.Pipe()
-                self.conns.append(ours)
-                process = context.Process(target=_serve, daemon=True,
-                                          args=(theirs, evaluate, list(self.conns)))
-                process.start()
-                self.processes.append(process)
-                theirs.close()
-                self.replies.register(ours, selectors.EVENT_READ)
-        except BaseException:
-            self.close(kill=True)
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close(kill=exc_type is not None)
-
-    def ready(self) -> list:
-        """The pipes with a reply to read (or whose helper has ended)."""
-        return [key.fileobj for key, _ in self.replies.select()]
-
-    def close(self, kill: bool) -> None:
-        for conn, process in zip(self.conns, self.processes):
-            if not kill:
-                try:
-                    conn.send(None)
-                    continue
-                except OSError:  # it has ended: kill it anyway
-                    pass
-            process.kill()
-        for process in self.processes:
-            process.join()
-        self.replies.close()
-        for conn in self.conns:
-            conn.close()
+def _evaluate(*args):
+    """Run in a helper: the run's ``evaluate`` of one chunk."""
+    return _helper_evaluate(*args)
 
 
-def _evaluate_on_helpers(helpers: _Helpers, steps: list[list[Chunk]], n_total: int,
-                         load, unload, commit, advance) -> None:
+def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_total: int,
+                         inputs, commit, advance) -> None:
     """Evaluate every chunk of ``steps`` (per step, its chunks in plan
-    order) on ``helpers`` and commit it here, without waiting for a step to
-    end before starting the next.
+    order) on a pool of ``helpers`` processes forked here, and commit it
+    here, without waiting for a step to end before starting the next.
 
-    Helper h owns the ``_DEPTH`` slots h * _DEPTH onwards. A chunk is sent,
-    as ``((k, index), slot)`` after ``load(k, chunk, slot)`` has written
-    its inputs, to the helper with the most free slots as soon as every
-    frame it reads is updated through the step before its own, lowest
-    step first. ``unload(k, chunk, slot, reply)`` copies its result out of
-    the slot, which is then free; a helper's exception is raised here.
-    Each step's results are committed in plan order, ``commit(k, chunk,
-    result)``, as they become a prefix of the plan. Frames that no
-    uncommitted chunk of step k covers and that are updated through step
-    k - 1 are then updated through step k: ``advance(k, first, stop)`` is
-    called for each newly finished run of frames, lowest step first. A
-    frame's inputs, adds and updates are those of the serial loop, in its
-    order.
+    A chunk is submitted, as ``evaluate(*inputs(k, chunk))``, as soon as
+    every frame it reads is updated through the step before its own,
+    lowest step first, while fewer than ``helpers * _DEPTH`` chunks are in
+    flight. A helper's exception is raised here. Each step's results are
+    committed in plan order, ``commit(k, chunk, result)``, as they become a
+    prefix of the plan. Frames that no uncommitted chunk of step k covers
+    and that are updated through step k - 1 are then updated through step
+    k: ``advance(k, first, stop)`` is called for each newly finished run of
+    frames, lowest step first. A frame's inputs, adds and updates are those
+    of the serial loop, in its order. No chunk's inputs are written before
+    it is committed, so the pool may pickle them after ``submit`` returns.
     """
+    from concurrent import futures  # only a parallel run pays for the import
+
     count = len(steps)
     committed = [0] * count    # per step: chunks committed, a prefix of the plan
-    sent = [0] * count         # per step: chunks sent, a prefix of the plan
+    sent = [0] * count         # per step: chunks submitted, a prefix of the plan
     held = {}                  # (step, index) -> result waiting for its turn
+    in_flight = {}             # future -> (step, index)
     # frontier[k]: frames below it are updated through step k
     frontier, below = [], n_total
     for chunks in steps:
         below = min(below, chunks[0].start if chunks else n_total)
         frontier.append(below)
-    free = {conn: list(range(h * _DEPTH, (h + 1) * _DEPTH))
-            for h, conn in enumerate(helpers.conns)}
-    lowest = 0                 # the lowest step with a chunk not sent
+    lowest = 0                 # the lowest step with a chunk not submitted
     left = sum(len(chunks) for chunks in steps)
 
     def next_ready():
@@ -613,66 +558,48 @@ def _evaluate_on_helpers(helpers: _Helpers, steps: list[list[Chunk]], n_total: i
 
     def send_ready():
         nonlocal lowest
-        while (key := next_ready()) is not None:
-            conn = max(free, key=lambda c: len(free[c]))
-            if not free[conn]:
-                return
+        while len(in_flight) < helpers * _DEPTH and (key := next_ready()) is not None:
             k, j = key
-            slot = free[conn].pop()
-            load(k, steps[k][j], slot)
-            conn.send((key, slot))
+            in_flight[pool.submit(_evaluate, *inputs(k, steps[k][j]))] = key
             sent[k] += 1
             while lowest < count and sent[lowest] == len(steps[lowest]):
                 lowest += 1
 
-    send_ready()
-    while left:
-        if all(len(slots) == _DEPTH for slots in free.values()):
-            raise RuntimeError("no chunk can be evaluated before the ones it waits for")
-        arrived = set()
-        for conn in helpers.ready():
-            try:
-                key, slot, reply = conn.recv()
-            except EOFError:
-                raise RuntimeError("a helper process ended without replying") from None
-            if isinstance(reply, Exception):
-                raise reply
-            k, j = key
-            held[key] = unload(k, steps[k][j], slot, reply)
-            free[conn].append(slot)
-            arrived.add(k)
-        send_ready()  # before the commits, so no helper waits on them
-        for first in sorted(arrived):
-            while (first, committed[first]) in held:
-                commit(first, steps[first][committed[first]],
-                       held.pop((first, committed[first])))
-                committed[first] += 1
-                left -= 1
-            for k in range(first, count):
-                limit = frontier[k - 1] if k else n_total
-                if committed[k] < len(steps[k]):
-                    limit = min(limit, steps[k][committed[k]].start)
-                if limit == frontier[k]:
-                    break
-                advance(k, frontier[k], limit)
-                frontier[k] = limit
+    with futures.ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_helper,
+                                     initargs=(evaluate, os.getpid())) as pool:
         send_ready()
+        while left:
+            if not in_flight:
+                raise RuntimeError("no chunk can be evaluated before the ones it waits for")
+            done, _ = futures.wait(in_flight, return_when=futures.FIRST_COMPLETED)
+            arrived = set()
+            for future in done:
+                key = in_flight.pop(future)
+                held[key] = future.result()
+                arrived.add(key[0])
+            send_ready()  # before the commits, so no helper waits on them
+            for first in sorted(arrived):
+                while (first, committed[first]) in held:
+                    commit(first, steps[first][committed[first]],
+                           held.pop((first, committed[first])))
+                    committed[first] += 1
+                    left -= 1
+                for k in range(first, count):
+                    limit = frontier[k - 1] if k else n_total
+                    if committed[k] < len(steps[k]):
+                        limit = min(limit, steps[k][committed[k]].start)
+                    if limit == frontier[k]:
+                        break
+                    advance(k, frontier[k], limit)
+                    frontier[k] = limit
+            send_ready()
 
 
 def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
     """How many helper processes evaluate a run of ``flops`` FLOPs: one per
-    usable core (``os.sched_getaffinity``), at most one per chunk of the
-    largest step. 0, the serial path, on one usable core, below
-    ``_MIN_PARALLEL_FLOPS``, for the oracle denoiser, on a platform without
-    ``fork`` or ``sched_getaffinity``, while a second Python thread is
-    alive, or in a daemonic process (which ``multiprocessing`` lets start
-    none).
-
-    Measured only on a 2-core host. The affinity mask does not see a
-    cgroup CPU quota, so a container held to fewer CPUs than it can see
-    gets more helpers than CPUs; and each helper keeps its BLAS library's
-    own thread pool, idle on the toy's small matmuls, which would contend
-    for the cores with the helpers on larger ones."""
+    usable core, at most one per chunk of the largest step, or 0 for the
+    serial path (see the module docstring)."""
     if (config.denoiser == "oracle" or flops < _MIN_PARALLEL_FLOPS
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
@@ -698,22 +625,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     instead. ``dtype`` must be float32 or float64.
 
     A toy run of at least ``_MIN_PARALLEL_FLOPS`` is evaluated on every
-    usable core (``RunStats.processes``, see ``_helper_count``) by helper
-    processes forked once per call, inside the timed region. Each chunk is
-    sent to a helper as soon as the frames it reads are updated through the
-    previous step, so a step need not end before the next one starts; the
-    latents, a partial chunk's cached features and freshness, and each
-    chunk's prediction and features pass through shared memory. This
-    process commits the results in plan order, writing the cache, the sums
-    and the DDIM updates itself: each chunk runs the same code on the same
-    inputs, and a frame gets the same adds and updates in the same order,
-    so the result is the same bits as the serial loop's. A helper's error
-    is raised here with its type and message; the helpers are killed on any
-    error here and joined before the call returns or raises. Their memory
-    is outside this process's peak RSS, and a tracer that wraps functions
-    in this process (``perfbench/run.py --trace 1``) sees no denoiser call,
-    while its engine self time includes the wait for the helpers. The path
-    is serial where ``_helper_count`` gives 0.
+    usable core (``RunStats.processes``) with the same bits, as the module
+    docstring describes.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
@@ -759,19 +672,19 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
         return eps, feats if cache is not None else None
 
-    def fetch(step_index, chunk):
-        """A partial chunk's cached features and freshness."""
-        feats, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), step_index)
-        return feats, good
+    def inputs(step_index, chunk):
+        """``evaluate``'s arguments for a toy chunk: a partial chunk's cached
+        features and freshness are fetched here."""
+        feats = good = None
+        if chunk.mode is ChunkMode.PARTIAL:
+            feats, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), step_index)
+        return step_index, chunk, z[chunk.start:chunk.stop], feats, good
 
     def eval_chunk(step_index, chunk):
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
             return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
-        feats = good = None
-        if chunk.mode is ChunkMode.PARTIAL:
-            feats, good = fetch(step_index, chunk)
-        eps, feats = evaluate(step_index, chunk, z[sl], feats, good)
+        eps, feats = evaluate(*inputs(step_index, chunk))
         if feats is not None:
             cache.store_block(chunk.start, feats, step_index)
         return eps
@@ -790,44 +703,10 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     t_start = time.perf_counter()
     helpers = _helper_count(config, plans, deep_flops + shallow_flops)
     if helpers:
-        # the chunks each step evaluates; helpers read them from here
+        # the chunks each step evaluates
         steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
                  for plan in plans]
-        # z, and each slot's inputs and results, in memory the helpers share
-        shared = _shared_array(z.shape, dtype)
-        shared[...] = z
-        z = shared
-        rows = (helpers * _DEPTH, max(c.length for chunks in steps for c in chunks))
-        eps_out = _shared_array(rows + z.shape[1:], dtype)
-        if cache is not None:
-            deep = toy.deep_feature_shape(config.latent_h, config.latent_w)
-            feats_in, good_in = _shared_array(rows + deep, dtype), _shared_array(rows, bool)
-            feats_out = _shared_array(rows + deep, dtype)
         open_sums, spare_sums = {}, [sums]
-
-        def load(step_index, chunk, slot):
-            if chunk.mode is ChunkMode.PARTIAL:
-                feats, good = fetch(step_index, chunk)
-                feats_in[slot, :chunk.length] = feats
-                good_in[slot, :chunk.length] = good
-
-        def evaluate_slot(key, slot):
-            """Run in a helper: evaluate a chunk from its slot and write its
-            prediction and features there; whether it wrote features."""
-            chunk = steps[key[0]][key[1]]
-            feats = good = None
-            if chunk.mode is ChunkMode.PARTIAL:
-                feats = feats_in[slot, :chunk.length].copy()
-                good = good_in[slot, :chunk.length].copy()
-            eps, feats = evaluate(key[0], chunk, z[chunk.start:chunk.stop], feats, good)
-            eps_out[slot, :chunk.length] = eps
-            if feats is not None:
-                feats_out[slot, :chunk.length] = feats
-            return feats is not None
-
-        def unload(step_index, chunk, slot, has_feats):
-            return (eps_out[slot, :chunk.length].copy(),
-                    feats_out[slot, :chunk.length].copy() if has_feats else None)
 
         def commit(step_index, chunk, result):
             eps, feats = result
@@ -851,8 +730,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             if stop == n:
                 spare_sums.append(open_sums.pop(step_index))
 
-        with _Helpers(helpers, evaluate_slot) as pool:
-            _evaluate_on_helpers(pool, steps, n, load, unload, commit, advance)
+        _evaluate_on_helpers(helpers, evaluate, steps, n, inputs, commit, advance)
     else:
         for k, plan in enumerate(plans):
             if config.hard_skip:

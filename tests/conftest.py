@@ -7,6 +7,9 @@ are a closed-form model, against them.
 ``one_core`` narrows this test process to one usable core, so
 ``run_inference`` takes its serial path and evaluates every chunk in this
 process, where a spy patched into it (such as ``matmul_count``) sees it.
+
+``no_child_left`` fails the session if any test left a child process,
+such as a helper of ``run_inference``, running or unreaped.
 """
 
 import os
@@ -63,6 +66,16 @@ def matmul_count(monkeypatch) -> MatmulCounter:
 
     monkeypatch.setattr(denoiser.ToyDenoiser, "_deep_stage", counted_deep_stage)
     return counter
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a test left a child process behind (waitpid gave pid {pid})")
 
 
 @pytest.fixture

@@ -5,11 +5,17 @@ processes that evaluate its chunks as their frames become ready. The
 golden configs are below the FLOP threshold for that, so every test here
 lowers it to 0. These tests hold the result to the serial path's bits on
 every golden config, and check that no helper outlives a run, whether it
-ends normally, by an error in a helper or by an error in this process.
+ends normally, by an error or the death of a helper, by an error in this
+process or by the death of the process that made the helpers.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +154,83 @@ def test_run_with_a_second_thread_alive_is_serial_and_equal():
     assert not thread.is_alive()
     assert serial[1].processes == 1
     assert_same_run(parallel, serial)
+
+
+@needs_cores
+def test_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
+    # inherited at fork, the patch kills only a helper
+    parent = os.getpid()
+    full = ToyDenoiser.denoise_full
+
+    def denoise_full(self, *args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return full(self, *args, **kwargs)
+
+    monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
+    with pytest.raises(RuntimeError):
+        run("overlap_s4")
+    assert_no_child_left()
+
+
+# Runs overlap_s4 with helpers, prints their pids at its fourteenth add
+# (in its second step, with helpers busy) and SIGKILLs itself there.
+CALLER_PROBE = """
+import multiprocessing, os, signal
+from shiftcache import scheduler
+from shiftcache.scheduler import OverlapSum, run_inference, synthesize_conditions
+from test_golden import CONFIGS, golden_config
+
+scheduler._MIN_PARALLEL_FLOPS = 0
+calls, add = [], OverlapSum.add
+
+def patched(self, *args):
+    calls.append(1)
+    if len(calls) == 14:
+        print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return add(self, *args)
+
+OverlapSum.add = patched
+config = golden_config(**CONFIGS["overlap_s4"])
+run_inference(config, synthesize_conditions(config))
+"""
+
+
+def ended(pid: int) -> bool:
+    """Whether process ``pid`` is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@needs_cores
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="a helper ends with its caller only where prctl exists")
+def test_helpers_end_when_their_caller_is_killed_mid_run():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    # the helpers inherit the probe's stdout, so read its first line only
+    with subprocess.Popen([sys.executable, "-c", CALLER_PROBE], stdout=subprocess.PIPE,
+                          text=True, env={**os.environ, "PYTHONPATH": path}) as probe:
+        pids = [int(pid) for pid in probe.stdout.readline().split()]
+        assert probe.wait(timeout=120) == -signal.SIGKILL
+    assert len(pids) > 1
+    deadline = time.monotonic() + 5
+    while not all(ended(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in pids if not ended(pid)]
+    for pid in alive:  # so that a failure leaks no process
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
+
+
+@needs_cores
+def test_two_parallel_runs_in_a_row_leave_no_thread():
+    # a pool thread left alive would send the next run down the serial path
+    threads = threading.active_count()
+    for _ in range(2):
+        assert run("p50_half")[1].processes > 1
+        assert threading.active_count() == threads
