@@ -17,40 +17,34 @@ The chunks of one step do not depend on each other: shift chunks are
 disjoint, a partial chunk reads only deep features stored at earlier
 steps, and overlap predictions are averaged only after the whole step. A
 chunk of the next step needs only its own frames' updates. So
-``run_inference`` evaluates a toy run's chunks on a ``concurrent.futures``
-process pool, forked inside the timed region with one helper per usable
-core (at most one per chunk of the largest step; there is no setting).
-The caller submits each chunk, with its latents and a partial chunk's
-cached features and freshness, as soon as its frames are updated through
-the step before, lowest step first, with ``_DEPTH`` chunks in flight per
-helper. It commits each step's results in plan order as they arrive (the
-cache writes, the overlap sum, and the DDIM update of each run of frames
-the step has finished), so steps overlap, and latents, freshness and
-counters are the same bits on any number of cores.
+``run_inference`` forks, inside the timed region, one helper process per
+usable core (at most one per chunk of the largest step; there is no
+setting), each with a ``multiprocessing`` pipe. It sends each chunk, with
+its latents and a partial chunk's cached features and freshness, as soon
+as its frames are updated through the step before, lowest step first,
+``_DEPTH`` in flight per helper, and commits each step's results in plan
+order as they arrive: the cache writes, the overlap sum, and the DDIM
+update of each run of frames the step has finished. So steps overlap, and
+latents, freshness and counters are the same bits on any number of cores.
 
 A helper's error is raised with its type and message; a helper that dies
-raises ``BrokenProcessPool``, a RuntimeError. On an error in the caller
-the chunks in flight (at most ``_DEPTH`` per helper) finish before the
-helpers are joined, and on Linux a helper is killed when its caller dies,
-so none outlives the call. The path is serial (``RunStats.processes`` 1)
-under ``_MIN_PARALLEL_FLOPS``, on one usable core, for the oracle (its
-chunks are too small to pay for the transfer), without ``fork`` or
-``sched_getaffinity``, in a daemonic process, and while a second Python
-thread is alive, since forking a threaded process is unsafe. Measured
-only on a 2-core host: the affinity mask does not see a cgroup CPU quota,
-and each helper keeps its BLAS thread pool. The helpers' memory is
-outside the caller's peak RSS, and a tracer of the caller's functions
-sees none of their chunk evaluations but counts the wait for them as
-engine time.
+raises RuntimeError. On an error in the caller the chunks in flight
+finish before the helpers are joined, and a helper ends when its pipe
+does, so none outlives its caller or the call. The path is serial
+(``RunStats.processes`` 1) under ``_MIN_PARALLEL_FLOPS``, on one usable
+core, for the oracle (its chunks are too small to pay for the transfer),
+without ``fork`` or ``sched_getaffinity``, in a daemonic process, and
+while a second Python thread is alive, since forking a threaded process
+is unsafe. README's engine section gives the caveats for measurements.
 """
 
 from __future__ import annotations
 
-import ctypes
 import enum
+import itertools
 import multiprocessing
 import os
-import signal
+import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -475,108 +469,116 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
 
 
 # Below this many FLOPs (``chunk_cost`` summed over the plan) a run stays
-# serial. A helper costs 10-30 ms to start: the fork, and then the first
-# write to each page it shares with its parent. A run of 1 GFLOP takes
-# about 0.3 s on one core of the 2-core host this was measured on, so
-# helpers would add several percent to a smaller run, and more than they
-# save to the tests' 0.1 GFLOP runs.
+# serial. A helper costs 10-30 ms to start (the fork, then the first write
+# to each page it shares with its parent), several percent of a 1 GFLOP
+# run (0.3 s on one core of a 2-core host) and more than it saves on the
+# tests' 0.1 GFLOP runs.
 _MIN_PARALLEL_FLOPS = 10 ** 9
 
 
-# Chunks in flight per helper: the one it evaluates and the next, so it
-# does not wait for this process between chunks.
+# Chunks in flight per helper, so that it never waits for this process.
 _DEPTH = 2
 
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
-_helper_evaluate = None  # in a helper, the run's evaluate (see _start_helper)
+def _helper(conn, evaluate, inherited) -> None:
+    """A helper's loop: answer each request, ``evaluate``'s arguments for a
+    chunk, with its result or exception, until the pipe ends. Closing the
+    ``inherited`` ends lets it end when the caller dies. A thread reads the
+    requests as they come, so the two ends never both block writing."""
+    for other in inherited:
+        other.close()
+    requests = queue.SimpleQueue()
 
+    def read():
+        try:
+            while True:
+                requests.put(conn.recv())
+        except (EOFError, OSError):
+            requests.put(None)
 
-def _start_helper(evaluate, caller: int) -> None:
-    """A helper's initializer, inherited at fork rather than pickled, so
-    the run's ``evaluate`` closure reaches the helper through it. A pool's
-    helpers would outlive a killed caller, blocked on its queue, so where
-    Linux's prctl exists the helper is killed when its caller dies; the
-    pid check catches a caller that died before the prctl."""
-    global _helper_evaluate
-    _helper_evaluate = evaluate
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != caller:
-        os._exit(1)
-
-
-def _evaluate(*args):
-    """Run in a helper: the run's ``evaluate`` of one chunk."""
-    return _helper_evaluate(*args)
+    threading.Thread(target=read, daemon=True).start()
+    for args in iter(requests.get, None):
+        try:
+            reply = evaluate(*args)
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has closed its end
+            return
 
 
 def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_total: int,
                          inputs, commit, advance) -> None:
     """Evaluate every chunk of ``steps`` (per step, its chunks in plan
-    order) on a pool of ``helpers`` processes forked here, and commit it
-    here, without waiting for a step to end before starting the next.
+    order) on ``helpers`` processes forked here, and commit it here,
+    without waiting for a step to end before starting the next.
 
-    A chunk is submitted, as ``evaluate(*inputs(k, chunk))``, as soon as
-    every frame it reads is updated through the step before its own,
-    lowest step first, while fewer than ``helpers * _DEPTH`` chunks are in
-    flight. A helper's exception is raised here. Each step's results are
+    A chunk is sent as ``inputs(k, chunk)``, to be answered with
+    ``evaluate(*inputs)``, as soon as every frame it reads is updated
+    through the step before its own, lowest step first, to the helper with
+    the fewest of its ``_DEPTH`` chunks in flight. Each step's results are
     committed in plan order, ``commit(k, chunk, result)``, as they become a
     prefix of the plan. Frames that no uncommitted chunk of step k covers
     and that are updated through step k - 1 are then updated through step
-    k: ``advance(k, first, stop)`` is called for each newly finished run of
-    frames, lowest step first. A frame's inputs, adds and updates are those
-    of the serial loop, in its order. No chunk's inputs are written before
-    it is committed, so the pool may pickle them after ``submit`` returns.
+    k, by ``advance(k, first, stop)`` per newly finished run of frames,
+    lowest step first. So a frame's inputs, adds and updates are those of
+    the serial loop, in its order.
     """
-    from concurrent import futures  # only a parallel run pays for the import
+    from multiprocessing import connection  # only a parallel run pays for the import
 
     count = len(steps)
     committed = [0] * count    # per step: chunks committed, a prefix of the plan
-    sent = [0] * count         # per step: chunks submitted, a prefix of the plan
+    sent = [0] * count         # per step: chunks sent, a prefix of the plan
     held = {}                  # (step, index) -> result waiting for its turn
-    in_flight = {}             # future -> (step, index)
     # frontier[k]: frames below it are updated through step k
-    frontier, below = [], n_total
-    for chunks in steps:
-        below = min(below, chunks[0].start if chunks else n_total)
-        frontier.append(below)
-    lowest = 0                 # the lowest step with a chunk not submitted
+    frontier = list(itertools.accumulate((c[0].start if c else n_total for c in steps), min))
+    lowest = 0                 # the lowest step with a chunk not sent
     left = sum(len(chunks) for chunks in steps)
-
-    def next_ready():
-        for k in range(lowest, count):
-            limit = frontier[k - 1] if k else n_total
-            if limit == 0:  # so is every later step's
-                return None
-            j = sent[k]
-            if j < len(steps[k]) and steps[k][j].stop <= limit:
-                return k, j
-        return None
+    queued = {}                # our end of a helper's pipe -> its keys in flight, oldest first
 
     def send_ready():
         nonlocal lowest
-        while len(in_flight) < helpers * _DEPTH and (key := next_ready()) is not None:
-            k, j = key
-            in_flight[pool.submit(_evaluate, *inputs(k, steps[k][j]))] = key
-            sent[k] += 1
-            while lowest < count and sent[lowest] == len(steps[lowest]):
+        for k in range(lowest, count):
+            limit = frontier[k - 1] if k else n_total
+            while sent[k] < len(steps[k]) and steps[k][sent[k]].stop <= limit:
+                conn = min(queued, key=lambda c: len(queued[c]))
+                if len(queued[conn]) == _DEPTH:
+                    return
+                try:
+                    conn.send(inputs(k, steps[k][sent[k]]))
+                except OSError:
+                    raise RuntimeError("a helper process ended") from None
+                queued[conn].append((k, sent[k]))
+                sent[k] += 1
+            if lowest == k and sent[k] == len(steps[k]):
                 lowest += 1
 
-    with futures.ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_helper,
-                                     initargs=(evaluate, os.getpid())) as pool:
+    context = multiprocessing.get_context("fork")
+    processes = []
+    try:
+        for _ in range(helpers):
+            ours, theirs = context.Pipe()
+            queued[ours] = []
+            process = context.Process(target=_helper, daemon=True,
+                                      args=(theirs, evaluate, list(queued)))
+            process.start()
+            processes.append(process)
+            theirs.close()
         send_ready()
         while left:
-            if not in_flight:
+            if not any(queued.values()):
                 raise RuntimeError("no chunk can be evaluated before the ones it waits for")
-            done, _ = futures.wait(in_flight, return_when=futures.FIRST_COMPLETED)
             arrived = set()
-            for future in done:
-                key = in_flight.pop(future)
-                held[key] = future.result()
+            for conn in connection.wait(list(queued)):
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    raise RuntimeError("a helper process ended without replying") from None
+                if isinstance(reply, Exception):
+                    raise reply
+                key = queued[conn].pop(0)
+                held[key] = reply
                 arrived.add(key[0])
             send_ready()  # before the commits, so no helper waits on them
             for first in sorted(arrived):
@@ -594,12 +596,16 @@ def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_tot
                     advance(k, frontier[k], limit)
                     frontier[k] = limit
             send_ready()
+    finally:  # a helper ends at the end of its pipe, after its chunks in flight
+        for conn in queued:
+            conn.close()
+        for process in processes:
+            process.join()
 
 
 def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
-    """How many helper processes evaluate a run of ``flops`` FLOPs: one per
-    usable core, at most one per chunk of the largest step, or 0 for the
-    serial path (see the module docstring)."""
+    """Helper processes for a run of ``flops`` FLOPs: one per usable core, at
+    most one per chunk of the largest step, or 0 (module docstring)."""
     if (config.denoiser == "oracle" or flops < _MIN_PARALLEL_FLOPS
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
@@ -622,11 +628,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     per frame. The oracle writes each chunk's residual into one scratch
     buffer per chunk length, allocated once per run. Under ``hard_skip``
     each kept chunk's frames are updated as soon as it is evaluated
-    instead. ``dtype`` must be float32 or float64.
-
-    A toy run of at least ``_MIN_PARALLEL_FLOPS`` is evaluated on every
-    usable core (``RunStats.processes``) with the same bits, as the module
-    docstring describes.
+    instead. ``dtype`` must be float32 or float64. A large toy run is
+    evaluated on every usable core with the same bits (module docstring).
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)

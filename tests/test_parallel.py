@@ -4,9 +4,10 @@ On a host with more than one usable core, a toy run forks helper
 processes that evaluate its chunks as their frames become ready. The
 golden configs are below the FLOP threshold for that, so every test here
 lowers it to 0. These tests hold the result to the serial path's bits on
-every golden config, and check that no helper outlives a run, whether it
-ends normally, by an error or the death of a helper, by an error in this
-process or by the death of the process that made the helpers.
+every golden config and on chunks larger than a pipe holds, and check
+that no helper outlives a run, whether it ends normally, by an error or
+the death of a helper, by an error in this process or by the death of
+the process that made the helpers.
 """
 
 import os
@@ -157,6 +158,30 @@ def test_run_with_a_second_thread_alive_is_serial_and_equal():
 
 
 @needs_cores
+def test_chunks_larger_than_a_pipe_buffer_do_not_hang(request):
+    # 128 frames of 12x12 float64 latents: each request and reply is about
+    # 600 KB, more than a socket buffer holds, so a helper must not write
+    # its reply while the caller writes its next request and neither reads
+    config = golden_config(policy="overlap", n_total=3 * 128, chunk_len=128, ddim_steps=1,
+                           latent_h=12, latent_w=12)
+    conditions = synthesize_conditions(config, dtype=np.float64)
+
+    def hang(signum, frame):
+        pytest.fail("the run was still waiting on its helpers after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        parallel = run_inference(config, conditions, dtype=np.float64)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert parallel[1].processes > 1
+    request.getfixturevalue("one_core")
+    assert_same_run(parallel, run_inference(config, conditions, dtype=np.float64))
+
+
+@needs_cores
 def test_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
     # inherited at fork, the patch kills only a helper
     parent = os.getpid()
@@ -208,7 +233,7 @@ def ended(pid: int) -> bool:
 
 @needs_cores
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="a helper ends with its caller only where prctl exists")
+                    reason="reads process states from /proc")
 def test_helpers_end_when_their_caller_is_killed_mid_run():
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
@@ -229,7 +254,7 @@ def test_helpers_end_when_their_caller_is_killed_mid_run():
 
 @needs_cores
 def test_two_parallel_runs_in_a_row_leave_no_thread():
-    # a pool thread left alive would send the next run down the serial path
+    # a thread left alive would send the next run down the serial path
     threads = threading.active_count()
     for _ in range(2):
         assert run("p50_half")[1].processes > 1
