@@ -6,7 +6,7 @@ from .cache import CacheMiss, FeatureCache, StaleCacheError, build_mask
 from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
 from .metrics import flicker_index, ssim, video_ssim
-from .numerics import MASK_BLOCK, AttentionMask, MaskVariant
+from .numerics import MaskVariant
 from .pose_select import (
     DEFAULT_JOINT_TRIPLES,
     JointTripleSpec,

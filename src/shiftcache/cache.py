@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import MASK_BLOCK, AttentionMask, MaskVariant
+from .numerics import MaskVariant
 
 GOOD_MAX_STALENESS = 1
 
@@ -84,9 +84,11 @@ class FeatureCache:
         return self._feats[frames], computed, staleness <= GOOD_MAX_STALENESS
 
 
-def build_mask(variant: MaskVariant, good: np.ndarray) -> AttentionMask:
-    """L x L additive mask for one chunk, from its non-empty 1-D bool
-    freshness array (True = good); anything else is a ValueError.
+def build_mask(variant: MaskVariant, good: np.ndarray) -> np.ndarray:
+    """[L, L] bool mask for one chunk, True where query row q may not attend
+    to key column k, from its non-empty 1-D bool freshness array (True =
+    good); anything else is a ValueError. ``attention`` gives each blocked
+    key an exact zero weight after the exp.
 
     full:    every frame attends to every frame.
     half:    every query attends exactly to the good frames.
@@ -98,22 +100,14 @@ def build_mask(variant: MaskVariant, good: np.ndarray) -> AttentionMask:
     """
     if not isinstance(good, np.ndarray) or good.dtype != bool or good.ndim != 1 or not good.size:
         raise ValueError(f"freshness must be a non-empty 1-D bool array, got {good!r}")
-    length = len(good)
-
-    if variant is MaskVariant.FULL:
-        blocked = np.zeros((length, length), dtype=bool)
-    elif variant is MaskVariant.HALF:
-        if not good.any():
-            return build_mask(MaskVariant.FULL, good)
-        blocked = np.broadcast_to(~good[None, :], (length, length)).copy()
-    elif variant is MaskVariant.QUARTER:
-        blocked = np.zeros((length, length), dtype=bool)
-        blocked[good, :] = ~good[None, :]
-    elif variant is MaskVariant.CAUSAL:
-        k = np.arange(length)
-        blocked = k[None, :] < k[:, None]
-    else:
+    if not isinstance(variant, MaskVariant):
         raise ValueError(f"unknown mask variant: {variant!r}")
-
-    matrix = np.where(blocked, np.float32(MASK_BLOCK), np.float32(0.0))
-    return AttentionMask(matrix=matrix)
+    length = len(good)
+    if variant is MaskVariant.CAUSAL:
+        return np.tri(length, k=-1, dtype=bool)
+    blocked = np.zeros((length, length), dtype=bool)
+    if variant is MaskVariant.HALF and good.any():
+        blocked[:] = ~good
+    elif variant is MaskVariant.QUARTER:
+        blocked[good] = ~good
+    return blocked

@@ -126,8 +126,7 @@ def cmd_masks(args) -> int:
     tokens = args.flags.lower()
     if not tokens or any(c not in "gb" for c in tokens):
         raise ValueError("flags must be a non-empty string over {g, b}, e.g. 'bbgg'")
-    mask = build_mask(MaskVariant(args.variant), np.array([c == "g" for c in tokens]))
-    blocked = mask.blocked()
+    blocked = build_mask(MaskVariant(args.variant), np.array([c == "g" for c in tokens]))
     for row in blocked:
         print(" ".join("X" if cell else "0" for cell in row))
     return 0

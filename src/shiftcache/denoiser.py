@@ -32,7 +32,7 @@ import numpy as np
 from . import numerics
 from .cache import build_mask
 from .diffusion import NoiseSchedule, oracle_residual, oracle_scales
-from .numerics import AttentionMask, MaskVariant
+from .numerics import MaskVariant
 
 MLP_RATIO = 2
 NORM_EPS = 1e-6
@@ -51,27 +51,22 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / scale[..., None]
 
 
-def attention(q, k, v, mask: AttentionMask | None = None) -> np.ndarray:
+def attention(q, k, v, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax attention of projected [B, Q, C] queries over [B, K, C]
     keys/values: the one kernel behind spatial and temporal attention.
 
     The 1/sqrt(C) scale must already be folded into q, as ``attend``
-    does; the optional [Q, K] additive mask is shared across the batch
-    axis. Normalization divides the (small) output instead of the logits
-    array, and the usual max-subtraction is skipped: inputs are
-    RMS-normalized upstream, which bounds |logit| well below float32 exp
-    overflow. Blocked mask entries push logits to the bottom of the float
-    range, where exp underflows to an exact zero weight.
+    does; the optional [Q, K] bool mask of ``build_mask`` is shared across
+    the batch axis and multiplies the weights after the exp, so each
+    blocked key gets an exact zero weight. Normalization divides the
+    (small) output instead of the logits array, and the usual
+    max-subtraction is skipped: inputs are RMS-normalized upstream, which
+    bounds |logit|, blocked or open, well below float32 exp overflow.
     """
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    if mask is not None:
-        if mask.size != k.shape[-2]:
-            raise ValueError(f"mask size {mask.size} != sequence length {k.shape[-2]}")
-        # adding MASK_BLOCK to bounded logits cannot overflow: the logit is
-        # far below one ulp at that magnitude, so the sum rounds back to
-        # MASK_BLOCK and exp() underflows it to an exact zero
-        logits += mask.matrix
     np.exp(logits, out=logits)
+    if mask is not None:
+        logits *= ~mask
     denom = logits.sum(axis=-1, keepdims=True)
     out = np.matmul(logits, v)
     out /= denom
@@ -104,7 +99,7 @@ class BlockWeights:
     w2: np.ndarray       # MLP [MLP_RATIO * C, C]
 
 
-def attend(queries, keys, w: AttentionWeights, mask: AttentionMask | None = None) -> np.ndarray:
+def attend(queries, keys, w: AttentionWeights, mask: np.ndarray | None = None) -> np.ndarray:
     """One attention sublayer: [B, Q, C] queries over [B, K, C] keys (which
     are also the values) through the q/k/v/o projections of ``w``, with q
     scaled by 1/sqrt(C) in its own dtype, and the optional [Q, K] mask."""
@@ -215,7 +210,7 @@ class ToyDenoiser:
     # -- sublayers ----------------------------------------------------------
 
     def _block(self, tokens, weights: BlockWeights, g_tokens, pos_enc,
-               mask: AttentionMask | None) -> np.ndarray:
+               mask: np.ndarray | None) -> np.ndarray:
         tokens = tokens + spatial_attention(_rms_norm(tokens), g_tokens, weights.adapter,
                                             weights.spatial)
         # temporal self-attention over the [(HW), L, C] view

@@ -1,21 +1,17 @@
-"""Dense-array primitives: the additive attention mask, the sinusoidal
+"""Dense-array primitives: the attention mask variants, the sinusoidal
 frame encoding and the separable smoothing filter.
 
-Everything here is pure numpy (float32 by default). The attention kernel
-that applies these masks lives in the denoiser, next to the projections.
+Everything here is pure numpy (float32 by default). A mask is the bool
+[L, L] array ``cache.build_mask`` returns, True where a key is blocked;
+the attention kernel that applies it, giving each blocked key an exact
+zero weight after the exp, lives in the denoiser, next to the projections.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
-
-# Additive mask sentinel: most-negative finite float32. exp() underflows to
-# exactly 0.0 for any realistic logit offset, so blocked keys get weight 0
-# without producing NaNs (as long as each query keeps one open key).
-MASK_BLOCK = float(np.finfo(np.float32).min)
 
 
 class MaskVariant(enum.Enum):
@@ -23,30 +19,6 @@ class MaskVariant(enum.Enum):
     HALF = "half"
     QUARTER = "quarter"
     CAUSAL = "causal"
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """L x L additive attention mask with entries in {0, MASK_BLOCK}."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"mask must be square, got shape {m.shape}")
-        if not np.all((m == 0.0) | (m == MASK_BLOCK)):
-            raise ValueError("mask entries must be 0 or the block sentinel")
-        if np.any(np.all(m == MASK_BLOCK, axis=1)):
-            raise ValueError("mask has a fully blocked query row")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def blocked(self) -> np.ndarray:
-        """Boolean [L, L] array, True where attention is blocked."""
-        return self.matrix == MASK_BLOCK
 
 
 def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:

@@ -45,6 +45,7 @@ import itertools
 import multiprocessing
 import os
 import queue
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -484,7 +485,9 @@ def _helper(conn, evaluate, inherited) -> None:
     """A helper's loop: answer each request, ``evaluate``'s arguments for a
     chunk, with its result or exception, until the pipe ends. Closing the
     ``inherited`` ends lets it end when the caller dies. A thread reads the
-    requests as they come, so the two ends never both block writing."""
+    requests as they come, so the two ends never both block writing. Ctrl-C
+    interrupts the caller alone, whose pipes then close."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
     requests = queue.SimpleQueue()
@@ -618,18 +621,19 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    Per step, the chunks run one at a time in plan order: a full chunk
-    writes the deep-feature cache on shift runs as soon as it is evaluated,
-    a partial chunk reads it under the configured mask variant. Each
-    chunk's prediction goes into one per-frame sum as soon as the chunk
-    finishes, so peak memory does not grow with the overlap; the sum is
-    divided once per frame by its cover count, counted once per plan (a
-    single cover passes through unchanged), and one DDIM update is applied
-    per frame. The oracle writes each chunk's residual into one scratch
-    buffer per chunk length, allocated once per run. Under ``hard_skip``
-    each kept chunk's frames are updated as soon as it is evaluated
-    instead. ``dtype`` must be float32 or float64. A large toy run is
-    evaluated on every usable core with the same bits (module docstring).
+    On the serial path, per step, the chunks run one at a time in plan
+    order: a full chunk writes the deep-feature cache on shift runs as soon
+    as it is evaluated, a partial chunk reads it under the configured mask
+    variant. Each chunk's prediction goes into one per-frame sum as soon as
+    the chunk finishes, so peak memory does not grow with the overlap; the
+    sum is divided once per frame by its cover count, counted once per plan
+    (a single cover passes through unchanged), and one DDIM update is
+    applied per frame. The oracle writes each chunk's residual into one
+    scratch buffer per chunk length, allocated once per run. Under
+    ``hard_skip`` each kept chunk's frames are updated as soon as it is
+    evaluated instead. ``dtype`` must be float32 or float64. A large toy
+    run is evaluated on every usable core with the same bits (module
+    docstring).
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)

@@ -234,8 +234,7 @@ def test_criterion_6_mask_structure_suite():
         length = int(rng.integers(1, 25))
         good = rng.random(length) < rng.random()
         for variant in MaskVariant:
-            mask = build_mask(variant, good)
-            blocked = mask.blocked()
+            blocked = build_mask(variant, good)
             assert not blocked.all(axis=1).any(), "no fully blocked query rows"
             if variant is MaskVariant.FULL:
                 assert not blocked.any()

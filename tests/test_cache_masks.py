@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from shiftcache.cache import (
     build_mask,
 )
 from shiftcache.denoiser import attention
-from shiftcache.numerics import MASK_BLOCK, MaskVariant
+from shiftcache.numerics import MaskVariant
 
 SLICE = (3, 2, 2)
 N_FRAMES = 16
@@ -123,35 +125,54 @@ def flags_of(pattern: str) -> np.ndarray:
     return np.array([c == "g" for c in pattern])
 
 
+def assert_mask_structure(good: np.ndarray) -> None:
+    """What every variant's mask must be for the freshness ``good``."""
+    length = len(good)
+    for variant in MaskVariant:
+        blocked = build_mask(variant, good)
+        assert blocked.shape == (length, length)
+        assert blocked.dtype == bool
+        # no fully blocked query rows after fallback
+        assert not np.any(blocked.all(axis=1))
+        if variant is MaskVariant.FULL or (variant is MaskVariant.HALF and not good.any()):
+            assert not blocked.any()
+        elif variant is MaskVariant.HALF:
+            # column k fully blocked iff frame k is bad
+            np.testing.assert_array_equal(blocked.all(axis=0), ~good)
+            # the good-query submatrix of quarter equals half's
+            quarter = build_mask(MaskVariant.QUARTER, good)
+            np.testing.assert_array_equal(quarter[good], blocked[good])
+        elif variant is MaskVariant.QUARTER:
+            assert not blocked[~good].any()  # bad queries unrestricted
+        else:
+            k_idx = np.arange(length)
+            np.testing.assert_array_equal(blocked, k_idx[None, :] < k_idx[:, None])
+
+
 class TestBuildMask:
     def test_half_reference_pattern(self):
-        mask = build_mask(MaskVariant.HALF, flags_of("bbgg"))
-        expected_row = np.array([MASK_BLOCK, MASK_BLOCK, 0.0, 0.0], dtype=np.float32)
-        for row in mask.matrix:
-            np.testing.assert_array_equal(row, expected_row)
+        blocked = build_mask(MaskVariant.HALF, flags_of("bbgg"))
+        np.testing.assert_array_equal(blocked, [[True, True, False, False]] * 4)
 
     def test_quarter_reference_pattern(self):
-        mask = build_mask(MaskVariant.QUARTER, flags_of("bbgg"))
-        np.testing.assert_array_equal(mask.matrix[0], np.zeros(4, dtype=np.float32))
-        np.testing.assert_array_equal(mask.matrix[1], np.zeros(4, dtype=np.float32))
-        blocked_row = np.array([MASK_BLOCK, MASK_BLOCK, 0.0, 0.0], dtype=np.float32)
-        np.testing.assert_array_equal(mask.matrix[2], blocked_row)
-        np.testing.assert_array_equal(mask.matrix[3], blocked_row)
+        blocked = build_mask(MaskVariant.QUARTER, flags_of("bbgg"))
+        np.testing.assert_array_equal(blocked, [[False] * 4, [False] * 4,
+                                                [True, True, False, False],
+                                                [True, True, False, False]])
 
     def test_full_is_all_zero(self):
-        mask = build_mask(MaskVariant.FULL, flags_of("bgbg"))
-        np.testing.assert_array_equal(mask.matrix, np.zeros((4, 4), dtype=np.float32))
+        blocked = build_mask(MaskVariant.FULL, flags_of("bgbg"))
+        np.testing.assert_array_equal(blocked, np.zeros((4, 4), dtype=bool))
 
     def test_causal_upper_triangular_including_diagonal(self):
-        mask = build_mask(MaskVariant.CAUSAL, flags_of("bbgg"))
-        blocked = mask.blocked()
+        blocked = build_mask(MaskVariant.CAUSAL, flags_of("bbgg"))
         for q in range(4):
             for k in range(4):
                 assert blocked[q, k] == (k < q)
 
     def test_half_all_bad_degrades_to_full(self):
-        mask = build_mask(MaskVariant.HALF, flags_of("bbbb"))
-        np.testing.assert_array_equal(mask.matrix, np.zeros((4, 4), dtype=np.float32))
+        blocked = build_mask(MaskVariant.HALF, flags_of("bbbb"))
+        np.testing.assert_array_equal(blocked, np.zeros((4, 4), dtype=bool))
 
     @pytest.mark.parametrize("good", [
         np.array([], dtype=bool),             # empty
@@ -168,25 +189,14 @@ class TestBuildMask:
     @given(pattern=st.lists(st.booleans(), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_structure_properties(self, pattern):
-        length = len(pattern)
-        good = np.array(pattern)
-        for variant in MaskVariant:
-            mask = build_mask(variant, good)
-            blocked = mask.blocked()
-            # no fully blocked query rows after fallback
-            assert not np.any(blocked.all(axis=1))
-            if variant is MaskVariant.HALF and good.any():
-                # column k fully blocked iff frame k is bad
-                np.testing.assert_array_equal(blocked.all(axis=0), ~good)
-                # the good-query submatrix of quarter equals half's
-                quarter = build_mask(MaskVariant.QUARTER, good)
-                np.testing.assert_array_equal(
-                    quarter.blocked()[good], blocked[good])
-            if variant is MaskVariant.QUARTER:
-                assert not blocked[~good].any()  # bad queries unrestricted
-            if variant is MaskVariant.CAUSAL:
-                k_idx = np.arange(length)
-                np.testing.assert_array_equal(blocked, k_idx[None, :] < k_idx[:, None])
+        assert_mask_structure(np.array(pattern))
+
+    def test_structure_properties_on_every_pattern_up_to_length_8(self):
+        patterns = [np.array(bits) for length in range(1, 9)
+                    for bits in itertools.product([False, True], repeat=length)]
+        assert len(patterns) == 510
+        for good in patterns:
+            assert_mask_structure(good)
 
     def test_half_blocks_bad_value_perturbations_exactly(self):
         # behavioral information-flow check: bad keys carry exactly zero

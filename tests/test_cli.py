@@ -246,6 +246,32 @@ class TestMasks:
             "X X X 0",
         ]
 
+    # (variant, flags) -> printed grid; X marks a blocked key
+    PINNED_GRIDS = {
+        ("full", "bbgg"): ["0 0 0 0"] * 4,
+        ("full", "gbgb"): ["0 0 0 0"] * 4,
+        ("full", "bbbb"): ["0 0 0 0"] * 4,
+        ("full", "g"): ["0"],
+        ("half", "bbgg"): ["X X 0 0"] * 4,
+        ("half", "gbgb"): ["0 X 0 X"] * 4,
+        ("half", "bbbb"): ["0 0 0 0"] * 4,  # no good frame: falls back to full
+        ("half", "g"): ["0"],
+        ("quarter", "bbgg"): ["0 0 0 0", "0 0 0 0", "X X 0 0", "X X 0 0"],
+        ("quarter", "gbgb"): ["0 X 0 X", "0 0 0 0", "0 X 0 X", "0 0 0 0"],
+        ("quarter", "bbbb"): ["0 0 0 0"] * 4,
+        ("quarter", "g"): ["0"],
+        ("causal", "bbgg"): ["0 0 0 0", "X 0 0 0", "X X 0 0", "X X X 0"],
+        ("causal", "gbgb"): ["0 0 0 0", "X 0 0 0", "X X 0 0", "X X X 0"],
+        ("causal", "bbbb"): ["0 0 0 0", "X 0 0 0", "X X 0 0", "X X X 0"],
+        ("causal", "g"): ["0"],
+    }
+
+    def test_grids_pinned(self, capsys):
+        for (variant, flags), expected in self.PINNED_GRIDS.items():
+            code, out, _ = run_cli(capsys, "masks", "--variant", variant, "--flags", flags)
+            assert code == 0
+            assert out.splitlines() == expected, (variant, flags)
+
     def test_bad_flags_rejected(self, capsys):
         code, _, err = run_cli(capsys, "masks", "--variant", "half", "--flags", "xyz")
         assert code == 1

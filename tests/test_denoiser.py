@@ -184,8 +184,7 @@ class TestAttend:
         n = _rms_norm(rng.standard_normal((6, L, cfg.deep_width)) * 3.0)
         n += sinusoidal_encoding_batch(np.arange(40, 40 + L), cfg.deep_width)
         mask = None if variant is None else build_mask(variant, rng.random(L) < 0.5)
-        self.check(attend(n, n, w, mask), n, n, w,
-                   None if mask is None else mask.blocked())
+        self.check(attend(n, n, w, mask), n, n, w, mask)
 
     def test_spatial_with_garment_keys(self):
         cfg = tiny_config(shallow_width=8)

@@ -6,8 +6,9 @@ golden configs are below the FLOP threshold for that, so every test here
 lowers it to 0. These tests hold the result to the serial path's bits on
 every golden config and on chunks larger than a pipe holds, and check
 that no helper outlives a run, whether it ends normally, by an error or
-the death of a helper, by an error in this process or by the death of
-the process that made the helpers.
+the death of a helper, by an error in this process, by Ctrl-C (with one
+traceback, the caller's) or by the death of the process that made the
+helpers.
 """
 
 import os
@@ -199,8 +200,8 @@ def test_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
 
 
 # Runs overlap_s4 with helpers, prints their pids at its fourteenth add
-# (in its second step, with helpers busy) and SIGKILLs itself there.
-CALLER_PROBE = """
+# (in its second step, with helpers busy) and does {action} there.
+PROBE = """
 import multiprocessing, os, signal
 from shiftcache import scheduler
 from shiftcache.scheduler import OverlapSum, run_inference, synthesize_conditions
@@ -213,13 +214,21 @@ def patched(self, *args):
     calls.append(1)
     if len(calls) == 14:
         print(*(child.pid for child in multiprocessing.active_children()), flush=True)
-        os.kill(os.getpid(), signal.SIGKILL)
+        {action}
     return add(self, *args)
 
 OverlapSum.add = patched
 config = golden_config(**CONFIGS["overlap_s4"])
 run_inference(config, synthesize_conditions(config))
 """
+
+
+def start_probe(action: str, **popen):
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    return subprocess.Popen([sys.executable, "-c", PROBE.format(action=action)],
+                            stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, **popen)
 
 
 def ended(pid: int) -> bool:
@@ -231,17 +240,8 @@ def ended(pid: int) -> bool:
         return True
 
 
-@needs_cores
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads process states from /proc")
-def test_helpers_end_when_their_caller_is_killed_mid_run():
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    # the helpers inherit the probe's stdout, so read its first line only
-    with subprocess.Popen([sys.executable, "-c", CALLER_PROBE], stdout=subprocess.PIPE,
-                          text=True, env={**os.environ, "PYTHONPATH": path}) as probe:
-        pids = [int(pid) for pid in probe.stdout.readline().split()]
-        assert probe.wait(timeout=120) == -signal.SIGKILL
+def assert_all_end(pids: list[int]) -> None:
+    """Every process of ``pids`` ends within 5 s; any left is killed."""
     assert len(pids) > 1
     deadline = time.monotonic() + 5
     while not all(ended(pid) for pid in pids) and time.monotonic() < deadline:
@@ -250,6 +250,36 @@ def test_helpers_end_when_their_caller_is_killed_mid_run():
     for pid in alive:  # so that a failure leaks no process
         os.kill(pid, signal.SIGKILL)
     assert alive == []
+
+
+@needs_cores
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads process states from /proc")
+def test_helpers_end_when_their_caller_is_killed_mid_run():
+    # the helpers inherit the probe's stdout, so read its first line only
+    with start_probe("os.kill(os.getpid(), signal.SIGKILL)") as probe:
+        pids = [int(pid) for pid in probe.stdout.readline().split()]
+        assert probe.wait(timeout=120) == -signal.SIGKILL
+    assert_all_end(pids)
+
+
+@needs_cores
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads process states from /proc")
+def test_ctrl_c_mid_run_prints_one_traceback_and_leaves_no_helper():
+    # SIGINT to the probe's whole process group, as Ctrl-C in a terminal
+    # sends it: the caller alone raises KeyboardInterrupt
+    with start_probe("os.killpg(os.getpgrp(), signal.SIGINT)", stderr=subprocess.PIPE,
+                     start_new_session=True) as probe:
+        try:
+            out, err = probe.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(probe.pid, signal.SIGKILL)
+            raise
+    assert probe.returncode == -signal.SIGINT, err
+    assert err.count("Traceback") == 1, err
+    assert err.rstrip().endswith("KeyboardInterrupt"), err
+    assert_all_end([int(pid) for pid in out.split()])
 
 
 @needs_cores
