@@ -2,7 +2,7 @@
 chunks with deep-feature caching and masked temporal attention, benchmarked
 against the overlap/averaging baseline."""
 
-from .cache import CacheMiss, FeatureCache, StaleCacheError, build_mask
+from .cache import FeatureCache, build_mask
 from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
 from .metrics import flicker_index, ssim, video_ssim

@@ -1,9 +1,12 @@
-"""Per-frame deep-feature cache and the temporal-attention mask builders.
+"""Per-frame deep-feature store and the temporal-attention mask builders.
 
 Freshness is counted in sampling-step positions: a frame fully computed at
 step position ``k`` and reused at position ``k + d`` has staleness ``d``.
-Staleness 1 is "good", staleness 2 is "bad"; the scheduler guarantees the
-cap is never exceeded, and ``fetch`` re-checks it.
+Staleness 1 is "good", staleness 2 is "bad". The cache holds features
+only: the run's ``FreshnessRecord``, filled by ``mark_partial``, says how
+stale each reused frame is, and ``mark_partial`` guarantees the cap is
+never exceeded (``tests/test_cache_reads.py`` checks this on the
+engine's runs).
 """
 
 from __future__ import annotations
@@ -15,27 +18,13 @@ from .numerics import MaskVariant
 GOOD_MAX_STALENESS = 1
 
 
-class CacheMiss(KeyError):
-    """Requested a frame with no stored deep features."""
-
-
-class StaleCacheError(ValueError):
-    """Stored features are older than the staleness cap allows."""
-
-
 class FeatureCache:
-    """Deep features of every frame in one preallocated [N, ...slice] array,
-    plus the step position each frame was last computed at (-1: never)."""
+    """Deep features of every frame in one preallocated [N, ...slice] array."""
 
-    def __init__(self, n_frames: int, slice_shape: tuple[int, ...],
-                 staleness_cap: int = 2, dtype=np.float32):
-        if staleness_cap < 1:
-            raise ValueError("staleness cap must be >= 1")
-        self.staleness_cap = staleness_cap
+    def __init__(self, n_frames: int, slice_shape: tuple[int, ...], dtype=np.float32):
         self._feats = np.zeros((n_frames,) + tuple(slice_shape), dtype=dtype)
-        self._computed_at = np.full(n_frames, -1, dtype=np.int64)
 
-    def store_block(self, first_frame: int, feats: np.ndarray, step_index: int) -> None:
+    def store_block(self, first_frame: int, feats: np.ndarray) -> None:
         """Copy consecutive frames [first_frame, first_frame + len(feats))
         from one [L, ...slice] array into the cache."""
         stop = first_frame + len(feats)
@@ -47,22 +36,11 @@ class FeatureCache:
         if not 0 <= first_frame < stop <= len(self._feats):
             raise ValueError(f"frames [{first_frame}, {stop}) outside the cache's "
                              f"{len(self._feats)} frames")
-        prev = self._computed_at[first_frame:stop]
-        if np.any(prev > step_index):
-            frame = first_frame + int(np.argmax(prev))
-            raise ValueError(f"cache write for frame {frame} moves computed_at backwards "
-                             f"({int(prev.max())} -> {step_index})")
         self._feats[first_frame:stop] = feats
-        self._computed_at[first_frame:stop] = step_index
 
-    def fetch(self, frames, current_step_position: int):
-        """A copy of the features for ``frames`` plus their freshness.
-
-        Returns (feats [len(frames), ...slice], computed_at [len(frames)],
-        good [len(frames)] bool, True where staleness is at most 1). Raises
-        ValueError for a frame outside the cache, CacheMiss for unstored
-        frames and StaleCacheError when any staleness exceeds the cap.
-        """
+    def fetch(self, frames) -> np.ndarray:
+        """A copy of the features for ``frames``, [len(frames), ...slice].
+        Raises ValueError for no frames or a frame outside the cache."""
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size == 0:
             raise ValueError("fetch needs at least one frame")
@@ -70,18 +48,7 @@ class FeatureCache:
         if np.any(outside):
             raise ValueError(f"frame {int(frames[np.argmax(outside)])} outside the cache's "
                              f"{len(self._feats)} frames")
-        computed = self._computed_at[frames]
-        if np.any(computed < 0):
-            raise CacheMiss(int(frames[np.argmin(computed)]))
-        staleness = current_step_position - computed
-        if np.any(staleness < 0):
-            raise ValueError("cache entry computed in the future of the requested step")
-        if np.any(staleness > self.staleness_cap):
-            worst = frames[int(np.argmax(staleness))]
-            raise StaleCacheError(
-                f"frame {worst} staleness {int(staleness.max())} exceeds cap {self.staleness_cap}"
-            )
-        return self._feats[frames], computed, staleness <= GOOD_MAX_STALENESS
+        return self._feats[frames]
 
 
 def build_mask(variant: MaskVariant, good: np.ndarray) -> np.ndarray:

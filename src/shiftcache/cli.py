@@ -66,27 +66,26 @@ def cmd_sample(args) -> int:
 
 
 def _sweep_configs(base: EngineConfig, sweep: str):
-    """(label, config) pairs for a named sweep over the base config."""
+    """(label, config) pairs for a named sweep over the base config. Rows
+    on the overlap policy compute every chunk fully and drop none."""
     L = base.chunk_len
+    overlap = dict(policy="overlap", partial_fraction=0.0, hard_skip=False)
     if sweep == "none":
         return [("run", base)]
     if sweep == "overlap":
         return [
-            (f"overlap_s{s}", dataclasses.replace(
-                base, policy="overlap", overlap_s=s, partial_fraction=0.0))
+            (f"overlap_s{s}", dataclasses.replace(base, overlap_s=s, **overlap))
             for s in dict.fromkeys((0, L // 4, L // 2, L - 1))  # L < 4 repeats values
         ]
     if sweep == "chunk_length":
         return [
             (f"chunk{length}", dataclasses.replace(
-                base, policy="overlap", chunk_len=length, overlap_s=length // 4,
-                partial_fraction=0.0))
+                base, chunk_len=length, overlap_s=length // 4, **overlap))
             for length in (8, 16, 24)
         ]
     if sweep == "shiftcache":
         return [
-            ("baseline_s0", dataclasses.replace(
-                base, policy="overlap", overlap_s=0, partial_fraction=0.0)),
+            ("baseline_s0", dataclasses.replace(base, overlap_s=0, **overlap)),
             ("fs", dataclasses.replace(
                 base, policy="shift", shift_mode="fixed", partial_fraction=0.0)),
             ("rs", dataclasses.replace(

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import FeatureCache
+from .cache import GOOD_MAX_STALENESS, FeatureCache
 from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
 from .numerics import MaskVariant, correlate_symmetric
@@ -321,6 +321,8 @@ class EngineConfig:
             raise ValueError("the oracle denoiser has no deep stage to cache; use partial_fraction=0")
         if self.hard_skip and self.policy != "shift":
             raise ValueError("hard_skip is an ablation of the shift policy")
+        if not isinstance(self.mask_variant, MaskVariant):
+            raise ValueError(f"mask_variant must be a MaskVariant, got {self.mask_variant!r}")
         if self.staleness_cap not in (1, 2):
             raise ValueError("staleness_cap must be 1 or 2 (freshness is binary good/bad)")
         if self.seed < 0:
@@ -663,7 +665,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     cache = None
     if config.policy == "shift" and toy is not None and not config.hard_skip:
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
-                             staleness_cap=config.staleness_cap, dtype=dtype)
+                             dtype=dtype)
 
     def evaluate(step_index, chunk, z_chunk, feats, good):
         """(eps, deep features to cache or None) of a toy chunk, from its
@@ -681,10 +683,11 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
 
     def inputs(step_index, chunk):
         """``evaluate``'s arguments for a toy chunk: a partial chunk's cached
-        features and freshness are fetched here."""
+        features are fetched here, its freshness read from the record."""
         feats = good = None
         if chunk.mode is ChunkMode.PARTIAL:
-            feats, _, good = cache.fetch(np.arange(chunk.start, chunk.stop), step_index)
+            feats = cache.fetch(np.arange(chunk.start, chunk.stop))
+            good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
         return step_index, chunk, z[chunk.start:chunk.stop], feats, good
 
     def eval_chunk(step_index, chunk):
@@ -693,7 +696,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
         eps, feats = evaluate(*inputs(step_index, chunk))
         if feats is not None:
-            cache.store_block(chunk.start, feats, step_index)
+            cache.store_block(chunk.start, feats)
         return eps
 
     deep_flops = shallow_flops = 0
@@ -718,7 +721,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         def commit(step_index, chunk, result):
             eps, feats = result
             if feats is not None:
-                cache.store_block(chunk.start, feats, step_index)
+                cache.store_block(chunk.start, feats)
             if config.hard_skip:  # z is updated in place on this path
                 sl = slice(chunk.start, chunk.stop)
                 z[sl] = ddim_step(z[sl], eps, step_index, sched)

@@ -295,9 +295,9 @@ def test_criterion_7_partial_compute_sanity():
         x, offsets = assemble_input(z, video, mask_img, pose), np.arange(L)
 
         eps_full, deep = d.denoise_full(x, offsets, garment)
-        cache = FeatureCache(L, d.deep_feature_shape(h, w), staleness_cap=2)
-        cache.store_block(0, deep, 3)
-        feats, _, good = cache.fetch(offsets, 3)
+        cache = FeatureCache(L, d.deep_feature_shape(h, w))
+        cache.store_block(0, deep)
+        feats, good = cache.fetch(offsets), np.ones(L, dtype=bool)
         eps_part = d.denoise_partial(x, offsets, feats, good, MaskVariant.FULL, garment)
         rel = float(np.linalg.norm(eps_part - eps_full) / np.linalg.norm(eps_full))
         worst_rel = max(worst_rel, rel)
@@ -305,7 +305,7 @@ def test_criterion_7_partial_compute_sanity():
         z_next = ddim_step(z, eps_full, 3, sched)
         x_next = assemble_input(z_next, video, mask_img, pose)
         eps_ref, _ = d.denoise_full(x_next, offsets, garment)
-        feats, _, good = cache.fetch(offsets, 4)
+        feats = cache.fetch(offsets)
         eps_stale = d.denoise_partial(x_next, offsets, feats, good, MaskVariant.FULL, garment)
         eps_zero = d.denoise_partial(x_next, offsets, np.zeros_like(feats), good,
                                      MaskVariant.FULL, garment)

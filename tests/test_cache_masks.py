@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcache.cache import (
-    CacheMiss,
-    FeatureCache,
-    StaleCacheError,
-    build_mask,
-)
+from shiftcache.cache import FeatureCache, build_mask
 from shiftcache.denoiser import attention
 from shiftcache.numerics import MaskVariant
 
@@ -22,103 +17,60 @@ def _feats(value, frames=1):
     return np.full((frames,) + SLICE, value, dtype=np.float32)
 
 
-def _cache(staleness_cap=2):
-    return FeatureCache(N_FRAMES, SLICE, staleness_cap=staleness_cap)
+def _cache():
+    return FeatureCache(N_FRAMES, SLICE)
 
 
 class TestFeatureCache:
-    def test_store_then_fetch_next_step_is_good(self):
+    def test_store_then_fetch(self):
         cache = _cache()
-        cache.store_block(0, _feats(1.0), step_index=3)
-        feats, computed, good = cache.fetch([0], current_step_position=4)
-        assert computed.tolist() == [3]
-        assert good.dtype == bool and good.tolist() == [True]
-        np.testing.assert_array_equal(feats, _feats(1.0))
+        cache.store_block(0, _feats(1.0))
+        np.testing.assert_array_equal(cache.fetch([0]), _feats(1.0), strict=True)
 
     def test_last_writer_wins(self):
         cache = _cache()
-        cache.store_block(5, _feats(1.0), step_index=1)
-        cache.store_block(5, _feats(2.0), step_index=2)
-        feats, _, _ = cache.fetch([5], current_step_position=3)
-        np.testing.assert_array_equal(feats, _feats(2.0))
-
-    def test_staleness_two_flagged_bad(self):
-        cache = _cache()
-        cache.store_block(1, _feats(0.5), step_index=2)
-        _, _, good = cache.fetch([1], current_step_position=4)
-        assert good.tolist() == [False]
-
-    def test_mixed_halves_delta_half_chunk(self):
-        # First half last fully computed two steps ago, second half one step
-        # ago: flags come out [bad x 4, good x 4].
-        cache = _cache()
-        cache.store_block(0, _feats(0.0, frames=4), step_index=5)
-        cache.store_block(4, _feats(1.0, frames=4), step_index=6)
-        _, _, good = cache.fetch(range(8), current_step_position=7)
-        assert good.tolist() == [False] * 4 + [True] * 4
-
-    def test_cache_miss(self):
-        cache = _cache()
-        cache.store_block(0, _feats(1.0), step_index=0)
-        with pytest.raises(CacheMiss):
-            cache.fetch([0, 1], current_step_position=1)
+        cache.store_block(5, _feats(1.0))
+        cache.store_block(5, _feats(2.0))
+        np.testing.assert_array_equal(cache.fetch([5]), _feats(2.0))
 
     @pytest.mark.parametrize("frame", [-1, -N_FRAMES, N_FRAMES, N_FRAMES + 3])
     def test_frame_outside_cache_rejected_naming_it(self, frame):
         # a negative index must not wrap to a frame at the end of the video
         cache = _cache()
-        cache.store_block(0, _feats(1.0, frames=N_FRAMES), step_index=0)
+        cache.store_block(0, _feats(1.0, frames=N_FRAMES))
         with pytest.raises(ValueError, match=f"frame {frame} outside the cache's {N_FRAMES} frames"):
-            cache.fetch([0, frame], current_step_position=1)
+            cache.fetch([0, frame])
 
-    def test_staleness_over_cap_rejected(self):
-        cache = _cache(staleness_cap=2)
-        cache.store_block(0, _feats(1.0), step_index=0)
-        with pytest.raises(StaleCacheError):
-            cache.fetch([0], current_step_position=3)
+    def test_empty_fetch_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            _cache().fetch([])
 
     def test_slice_shape_enforced(self):
         cache = _cache()
         with pytest.raises(ValueError, match="slice shape"):
-            cache.store_block(1, np.zeros((1, 3, 2, 3), dtype=np.float32), step_index=0)
+            cache.store_block(1, np.zeros((1, 3, 2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="dtype"):
-            cache.store_block(1, np.zeros((1,) + SLICE), step_index=0)
+            cache.store_block(1, np.zeros((1,) + SLICE))
         with pytest.raises(ValueError, match="outside"):
-            cache.store_block(N_FRAMES - 1, _feats(1.0, frames=2), step_index=0)
-
-    def test_computed_at_monotonic_per_frame(self):
-        # frame 2 alone would go back: the whole block write is refused
-        cache = _cache()
-        cache.store_block(2, _feats(1.0), step_index=4)
-        cache.store_block(0, _feats(1.0, frames=2), step_index=3)
-        with pytest.raises(ValueError, match="frame 2 moves computed_at backwards"):
-            cache.store_block(0, _feats(2.0, frames=4), step_index=3)
-        feats, computed, _ = cache.fetch(range(3), current_step_position=4)
-        assert computed.tolist() == [3, 3, 4]
-        np.testing.assert_array_equal(feats, _feats(1.0, frames=3))
-        with pytest.raises(CacheMiss):
-            cache.fetch([3], current_step_position=4)
+            cache.store_block(N_FRAMES - 1, _feats(1.0, frames=2))
 
     def test_store_block_matches_per_frame_store(self):
         block = np.random.default_rng(0).standard_normal((4,) + SLICE).astype(np.float32)
         a, b = _cache(), _cache()
-        a.store_block(10, block, step_index=2)
+        a.store_block(10, block)
         for i in range(4):
-            b.store_block(10 + i, block[i:i + 1], step_index=2)
-        fa, ca, _ = a.fetch(range(10, 14), 3)
-        fb, cb, _ = b.fetch(range(10, 14), 3)
-        np.testing.assert_array_equal(fa, fb)
-        np.testing.assert_array_equal(ca, cb)
+            b.store_block(10 + i, block[i:i + 1])
+        np.testing.assert_array_equal(a.fetch(range(10, 14)), b.fetch(range(10, 14)))
 
     def test_store_block_copies(self):
         block = np.ones((2,) + SLICE, dtype=np.float32)
         cache = _cache()
-        cache.store_block(0, block, step_index=0)
+        cache.store_block(0, block)
         block[:] = 7.0
-        feats, _, _ = cache.fetch([0, 1], 1)
+        feats = cache.fetch([0, 1])
         np.testing.assert_array_equal(feats, np.ones((2,) + SLICE, dtype=np.float32))
         feats[:] = 9.0  # fetch returns a copy, not a view of the cache
-        np.testing.assert_array_equal(cache.fetch([0, 1], 1)[0], np.ones((2,) + SLICE))
+        np.testing.assert_array_equal(cache.fetch([0, 1]), np.ones((2,) + SLICE))
 
 
 def flags_of(pattern: str) -> np.ndarray:

@@ -2,6 +2,8 @@ import json
 import re
 import statistics
 
+import pytest
+
 from shiftcache import fileio
 from shiftcache.cli import _sweep_configs, main
 from shiftcache.scheduler import EngineConfig
@@ -211,6 +213,21 @@ class TestBench:
                 cells[wall_ms] = cells[fps_proxy] = "*"
                 rows.append(",".join(cells))
             assert rows == expected, sweep
+
+    @pytest.mark.parametrize("sweep,count", [("shiftcache", 5), ("overlap", 4),
+                                             ("chunk_length", 3)])
+    def test_sweeps_run_on_a_hard_skip_base(self, tmp_path, capsys, sweep, count):
+        # overlap rows drop hard_skip, an ablation of the shift policy;
+        # shift rows keep it
+        cfg = write_config(tmp_path, {**TINY, "hard_skip": True, "partial_fraction": 0.5})
+        out_csv = tmp_path / f"{sweep}.csv"
+        code, _, err = run_cli(capsys, "bench", "--config", cfg, "--sweep", sweep,
+                               "--out", str(out_csv))
+        assert code == 0, err
+        _, rows = parse_csv(out_csv.read_text())
+        assert len(rows) == count
+        for label, config in _sweep_configs(EngineConfig(hard_skip=True), sweep):
+            assert config.hard_skip == (config.policy == "shift"), label
 
     def test_overlap_sweep_labels_unique(self):
         # S in {0, L//4, L//2, L-1}, each value once and in that order

@@ -374,6 +374,14 @@ class TestRunInference:
         with pytest.raises(ValueError, match=match):
             small_config(**kw).validate()
 
+    @pytest.mark.parametrize("kw", [dict(mask_variant="half", partial_fraction=0.5),
+                                    dict(mask_variant="nonsense", partial_fraction=0.0)])
+    def test_mask_variant_not_a_mask_variant_rejected_naming_the_key(self, kw):
+        # rejected when the config is validated, not at the first partial
+        # chunk, and also on a run that would build no mask
+        with pytest.raises(ValueError, match="^mask_variant must be a MaskVariant"):
+            small_config(**kw).validate()
+
     def test_latent_video_freshness_tracks_last_full(self):
         cfg = small_config(partial_fraction=0.0, ddim_steps=4)
         video, _ = run_inference(cfg)
