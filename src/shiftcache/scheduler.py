@@ -13,33 +13,45 @@ All randomness (initial noise, random shifts, partial marking, synthetic
 conditioning) derives from the single config seed via tagged substreams,
 so identical configs reproduce bit-identical runs.
 
-The chunks of one step do not depend on each other: shift chunks are
-disjoint, a partial chunk reads only deep features stored at earlier
-steps, and overlap predictions are averaged only after the whole step. A
-chunk of the next step needs only its own frames' updates. So
-``run_inference`` forks, inside the timed region, one helper process per
-usable core (at most one per chunk of the largest step; there is no
-setting), each with a ``multiprocessing`` pipe. It sends each chunk, with
-its latents and a partial chunk's cached features and freshness, as soon
-as its frames are updated through the step before, lowest step first,
-``_DEPTH`` in flight per helper, and commits each step's results in plan
-order as they arrive: the cache writes, the overlap sum, and the DDIM
-update of each run of frames the step has finished. So steps overlap, and
-latents, freshness and counters are the same bits on any number of cores.
+A large run is evaluated on every usable core, inside the timed region,
+by helper processes forked for the call (one per usable core; there is
+no setting), each with a ``multiprocessing`` pipe. Latents, freshness and
+counters are the same bits on any number of cores.
+
+* Toy runs: the chunks of one step do not depend on each other (shift
+  chunks are disjoint, a partial chunk reads only deep features stored at
+  earlier steps, and overlap predictions are averaged only after the whole
+  step), and a chunk of the next step needs only its own frames' updates.
+  So the caller sends each chunk, with its latents and a partial chunk's
+  cached features and freshness, as soon as its frames are updated
+  through the step before, lowest step first, ``_DEPTH`` in flight per
+  helper, and commits each step's results in plan order as they arrive:
+  the cache writes, the overlap sum, and the DDIM update of each run of
+  frames the step has finished. So steps overlap. At most one helper runs
+  per chunk of the largest step.
+* Oracle runs: the oracle is frame-local, so a frame's residual, overlap
+  sum and DDIM update read only that frame. Each helper gets one
+  contiguous band of frames and runs every step on it, through the serial
+  loop with each chunk clipped to the band, and sends back the band's
+  latents. Every (chunk, frame) residual and add runs once, in plan order
+  for each frame; the overlap work is not deduplicated. At most one helper
+  runs per frame.
 
 A helper's error is raised with its type and message; a helper that dies
-raises RuntimeError. On an error in the caller the chunks in flight
+raises RuntimeError. On an error in the caller the requests in flight
 finish before the helpers are joined, and a helper ends when its pipe
 does, so none outlives its caller or the call. The path is serial
-(``RunStats.processes`` 1) under ``_MIN_PARALLEL_FLOPS``, on one usable
-core, for the oracle (its chunks are too small to pay for the transfer),
-without ``fork`` or ``sched_getaffinity``, in a daemonic process, and
-while a second Python thread is alive, since forking a threaded process
-is unsafe. README's engine section gives the caveats for measurements.
+(``RunStats.processes`` 1) under ``_MIN_PARALLEL_FLOPS`` of work, on one
+usable core, without ``fork`` or ``sched_getaffinity``, in a daemonic
+process, and while a second Python thread is alive, since forking a
+threaded process is unsafe. README's engine section gives the caveats
+for measurements.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import enum
 import itertools
 import multiprocessing
@@ -157,7 +169,8 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
 
 
 class OverlapSum:
-    """Per-frame sum and cover count of one step's chunk predictions.
+    """Per-frame sum and cover count of one step's chunk predictions over
+    frames [first, stop) of the video.
 
     ``reset`` zeroes the sum and counts, once per plan, how many chunks
     cover each frame; each prediction is then added as its chunk is
@@ -166,40 +179,55 @@ class OverlapSum:
     dtype and is allocated once.
     """
 
-    def __init__(self, n_total: int):
-        self.n_total = n_total
-        self.total: np.ndarray | None = None   # [N, ...]
-        self.count: np.ndarray | None = None   # [N] int64
+    def __init__(self, stop: int, first: int = 0):
+        self.first, self.stop = first, stop
+        self.total: np.ndarray | None = None   # [stop - first, ...]
+        self.count: np.ndarray | None = None   # [stop - first] int64
 
     def reset(self, chunks) -> None:
         """Zero the sum and count the covers of ``chunks`` (difference of
         chunk starts and stops, then a running sum). Raise ValueError
         naming the first frame no chunk covers."""
-        n = self.n_total
+        n = self.stop - self.first
         bounds = np.array([(c.start, c.start + c.length) for c in chunks],
-                          dtype=np.int64).reshape(-1, 2)
+                          dtype=np.int64).reshape(-1, 2) - self.first
         if len(bounds) and bounds[:, 1].max() > n:
-            raise ValueError(f"a chunk ends past the video's {n} frames")
+            raise ValueError(f"a chunk ends past the video's {self.stop} frames")
         edges = (np.bincount(bounds[:, 0], minlength=n + 1)
                  - np.bincount(bounds[:, 1], minlength=n + 1))
         self.count = np.cumsum(edges[:n])
         if np.any(self.count == 0):
-            raise ValueError(f"frame {int(np.argmin(self.count))} not covered by any chunk")
+            frame = self.first + int(np.argmin(self.count))
+            raise ValueError(f"frame {frame} not covered by any chunk")
         if self.total is not None:
             self.total.fill(0)
 
     def add(self, chunk: Chunk, eps: np.ndarray) -> None:
         if self.total is None:
-            self.total = np.zeros((self.n_total,) + eps.shape[1:], dtype=eps.dtype)
-        self.total[chunk.start:chunk.stop] += eps
+            self.total = np.zeros((self.stop - self.first,) + eps.shape[1:], dtype=eps.dtype)
+        self.total[chunk.start - self.first:chunk.stop - self.first] += eps
 
     def mean(self, frames: slice = slice(None)) -> np.ndarray:
-        """The per-frame mean of ``frames`` (default: all), in the sum's own
-        buffer (valid until the next ``reset``). A frame covered once
-        divides by 1, which is exact."""
+        """The per-frame mean of ``frames`` (default: all; counted from
+        ``first``), in the sum's own buffer (valid until the next
+        ``reset``). A frame covered once divides by 1, which is exact."""
         total = self.total[frames]
         return np.divide(total, self.count[frames].astype(total.dtype)[:, None, None, None],
                          out=total)
+
+
+def _clip(chunks: tuple[Chunk, ...], first: int, stop: int) -> tuple[Chunk, ...]:
+    """The parts of a plan's ``chunks`` inside frames [first, stop), in plan
+    order. Plan chunks ascend in start and in stop, so the chunks that meet
+    the band are one run of the plan, and only those an edge cuts are
+    rebuilt."""
+    inside = chunks[bisect.bisect_right(chunks, first, key=lambda c: c.stop):
+                    bisect.bisect_left(chunks, stop, key=lambda c: c.start)]
+    if inside and (inside[0].start < first or inside[-1].stop > stop):
+        inside = tuple(c if first <= c.start and c.stop <= stop else
+                       Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
+                       for c in inside)
+    return inside
 
 
 def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
@@ -471,12 +499,17 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     return plans, record
 
 
-# Below this many FLOPs (``chunk_cost`` summed over the plan) a run stays
-# serial. A helper costs 10-30 ms to start (the fork, then the first write
-# to each page it shares with its parent), several percent of a 1 GFLOP
-# run (0.3 s on one core of a 2-core host) and more than it saves on the
-# tests' 0.1 GFLOP runs.
+# Below this much work a run stays serial. A toy run's work is its FLOPs
+# (``chunk_cost`` summed over the plan). The oracle counts no FLOPs, so
+# its work is counted, for this decision only, as _ORACLE_OPS elementwise
+# operations per latent element per chunk-frame it evaluates; its serial
+# loop (residual, add, mean, DDIM update) runs about 3 G of those a second
+# on one core of a 2-core host, near the toy's matmul rate. A helper costs
+# 10-30 ms to start (the fork, then the first write to each page it shares
+# with its parent), several percent of 10**9 units of work (about 0.3 s on
+# one core) and more than it saves on the tests' 0.1 G runs.
 _MIN_PARALLEL_FLOPS = 10 ** 9
+_ORACLE_OPS = 4
 
 
 # Chunks in flight per helper, so that it never waits for this process.
@@ -484,8 +517,8 @@ _DEPTH = 2
 
 
 def _helper(conn, evaluate, inherited) -> None:
-    """A helper's loop: answer each request, ``evaluate``'s arguments for a
-    chunk, with its result or exception, until the pipe ends. Closing the
+    """A helper's loop: answer each request, ``evaluate``'s arguments, with
+    its result or exception, until the pipe ends. Closing the
     ``inherited`` ends lets it end when the caller dies. A thread reads the
     requests as they come, so the two ends never both block writing. Ctrl-C
     interrupts the caller alone, whose pipes then close."""
@@ -511,6 +544,62 @@ def _helper(conn, evaluate, inherited) -> None:
             conn.send(reply)
         except OSError:  # the caller has closed its end
             return
+
+
+@contextlib.contextmanager
+def _forked_helpers(count: int, evaluate):
+    """``count`` helper processes forked here, each running ``_helper`` with
+    ``evaluate``; yields our ends of their pipes. On exit the pipes close,
+    and each helper, once it has answered the requests it holds, ends and
+    is joined."""
+    context = multiprocessing.get_context("fork")
+    conns, processes = [], []
+    try:
+        for _ in range(count):
+            ours, theirs = context.Pipe()
+            conns.append(ours)
+            process = context.Process(target=_helper, daemon=True,
+                                      args=(theirs, evaluate, list(conns)))
+            process.start()
+            processes.append(process)
+            theirs.close()
+        yield conns
+    finally:
+        for conn in conns:
+            conn.close()
+        for process in processes:
+            process.join()
+
+
+def _send(conn, request) -> None:
+    try:
+        conn.send(request)
+    except OSError:
+        raise RuntimeError("a helper process ended") from None
+
+
+def _receive(conn):
+    """A helper's reply; its exception is raised here."""
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError):
+        raise RuntimeError("a helper process ended without replying") from None
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
+def _run_bands_on_helpers(helpers: int, run_band, z: np.ndarray) -> None:
+    """Split the frames of ``z`` into ``helpers`` contiguous bands of nearly
+    equal length, none empty, run ``run_band(first, stop)`` for each on its
+    own helper forked here, and write each band's latents into ``z``."""
+    n = len(z)
+    bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
+    with _forked_helpers(helpers, run_band) as conns:
+        for conn, band in zip(conns, bands):
+            _send(conn, band)
+        for conn, (first, stop) in zip(conns, bands):
+            z[first:stop] = _receive(conn)
 
 
 def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_total: int,
@@ -550,40 +639,22 @@ def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_tot
                 conn = min(queued, key=lambda c: len(queued[c]))
                 if len(queued[conn]) == _DEPTH:
                     return
-                try:
-                    conn.send(inputs(k, steps[k][sent[k]]))
-                except OSError:
-                    raise RuntimeError("a helper process ended") from None
+                _send(conn, inputs(k, steps[k][sent[k]]))
                 queued[conn].append((k, sent[k]))
                 sent[k] += 1
             if lowest == k and sent[k] == len(steps[k]):
                 lowest += 1
 
-    context = multiprocessing.get_context("fork")
-    processes = []
-    try:
-        for _ in range(helpers):
-            ours, theirs = context.Pipe()
-            queued[ours] = []
-            process = context.Process(target=_helper, daemon=True,
-                                      args=(theirs, evaluate, list(queued)))
-            process.start()
-            processes.append(process)
-            theirs.close()
+    with _forked_helpers(helpers, evaluate) as conns:
+        queued.update((conn, []) for conn in conns)
         send_ready()
         while left:
             if not any(queued.values()):
                 raise RuntimeError("no chunk can be evaluated before the ones it waits for")
             arrived = set()
-            for conn in connection.wait(list(queued)):
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    raise RuntimeError("a helper process ended without replying") from None
-                if isinstance(reply, Exception):
-                    raise reply
+            for conn in connection.wait(conns):
                 key = queued[conn].pop(0)
-                held[key] = reply
+                held[key] = _receive(conn)
                 arrived.add(key[0])
             send_ready()  # before the commits, so no helper waits on them
             for first in sorted(arrived):
@@ -601,21 +672,25 @@ def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_tot
                     advance(k, frontier[k], limit)
                     frontier[k] = limit
             send_ready()
-    finally:  # a helper ends at the end of its pipe, after its chunks in flight
-        for conn in queued:
-            conn.close()
-        for process in processes:
-            process.join()
 
 
 def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
-    """Helper processes for a run of ``flops`` FLOPs: one per usable core, at
-    most one per chunk of the largest step, or 0 (module docstring)."""
-    if (config.denoiser == "oracle" or flops < _MIN_PARALLEL_FLOPS
+    """Helper processes for a run of ``flops`` FLOPs (0 for the oracle,
+    whose work is counted here in ``_ORACLE_OPS`` units): one per usable
+    core, at most one per chunk of the largest step of a toy run and one
+    per frame of an oracle run, or 0 (module docstring)."""
+    if config.denoiser == "oracle":
+        # the oracle evaluates full chunks only: hard_skip drops the others
+        frames = sum(c.length for plan in plans for c in plan.chunks if c.mode is ChunkMode.FULL)
+        flops = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * frames
+        most = config.n_total
+    else:
+        most = max(len(plan.chunks) for plan in plans)
+    if (flops < _MIN_PARALLEL_FLOPS
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return 0
-    count = min(len(os.sched_getaffinity(0)), max(len(plan.chunks) for plan in plans))
+    count = min(len(os.sched_getaffinity(0)), most)
     return count if count > 1 else 0
 
 
@@ -623,18 +698,23 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    On the serial path, per step, the chunks run one at a time in plan
-    order: a full chunk writes the deep-feature cache on shift runs as soon
-    as it is evaluated, a partial chunk reads it under the configured mask
-    variant. Each chunk's prediction goes into one per-frame sum as soon as
-    the chunk finishes, so peak memory does not grow with the overlap; the
-    sum is divided once per frame by its cover count, counted once per plan
-    (a single cover passes through unchanged), and one DDIM update is
-    applied per frame. The oracle writes each chunk's residual into one
-    scratch buffer per chunk length, allocated once per run. Under
+    The loop is ``run_band``, over a band of frames [first, stop). Per
+    step, the plan's chunks, each clipped to the band, run one at a time in
+    plan order: a full chunk writes the deep-feature cache on shift runs as
+    soon as it is evaluated, a partial chunk reads it under the configured
+    mask variant. Each chunk's prediction goes into one per-frame sum as
+    soon as the chunk finishes, so peak memory does not grow with the
+    overlap; the sum is divided once per frame by its cover count, counted
+    once per plan (a single cover passes through unchanged), and one DDIM
+    update is applied per frame. The oracle writes each chunk's residual
+    into one scratch buffer per chunk length, allocated once per run. Under
     ``hard_skip`` each kept chunk's frames are updated as soon as it is
-    evaluated instead. ``dtype`` must be float32 or float64. A large toy
-    run is evaluated on every usable core with the same bits (module
+    evaluated instead. ``dtype`` must be float32 or float64.
+
+    A serial run is ``run_band`` on all frames, where no chunk is cut. A
+    large oracle run gives each helper one band, which the frame-local
+    oracle evaluates with the same bits; a large toy run is evaluated
+    chunk by chunk on every usable core, also with the same bits (module
     docstring).
     """
     _check_dtype(dtype)
@@ -642,7 +722,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     if config.denoiser == "oracle":
         # Allocated before the run's latent-sized arrays: placed after them,
         # these long-lived buffers split the heap space those arrays reuse
-        # from run to run, and a later run grew peak RSS by one latent.
+        # from run to run, and a later run grew peak RSS by one latent. A
+        # chunk a band edge cuts gets a buffer of its own.
         scratch = {length: np.empty((length, 4, config.latent_h, config.latent_w), dtype=dtype)
                    for length in {c.length for plan in plans for c in plan.chunks}}
     if conditions is None:
@@ -681,23 +762,45 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
         return eps, feats if cache is not None else None
 
-    def inputs(step_index, chunk):
+    def inputs(step_index, chunk, z_chunk):
         """``evaluate``'s arguments for a toy chunk: a partial chunk's cached
         features are fetched here, its freshness read from the record."""
         feats = good = None
         if chunk.mode is ChunkMode.PARTIAL:
             feats = cache.fetch(np.arange(chunk.start, chunk.stop))
             good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
-        return step_index, chunk, z[chunk.start:chunk.stop], feats, good
+        return step_index, chunk, z_chunk, feats, good
 
-    def eval_chunk(step_index, chunk):
-        sl = slice(chunk.start, chunk.stop)
+    def eval_chunk(step_index, chunk, z_chunk):
         if oracle is not None:
-            return oracle.eps_for(z[sl], step_index, sl, out=scratch[chunk.length])
-        eps, feats = evaluate(*inputs(step_index, chunk))
+            return oracle.eps_for(z_chunk, step_index, slice(chunk.start, chunk.stop),
+                                  out=scratch.get(chunk.length))
+        eps, feats = evaluate(*inputs(step_index, chunk, z_chunk))
         if feats is not None:
             cache.store_block(chunk.start, feats)
         return eps
+
+    def run_band(first, stop):
+        """Every step of the plan on frames [first, stop) of ``z``, each
+        chunk clipped to them; returns their latents."""
+        band = z[first:stop]
+        sums = OverlapSum(stop, first)
+        for k, plan in enumerate(plans):
+            chunks = _clip(plan.chunks, first, stop)
+            if config.hard_skip:
+                # naive-skip ablation: frames of dropped chunks miss this DDIM
+                # update; shift chunks are disjoint, so each kept one updates
+                # in place as soon as it is evaluated
+                for c in chunks:
+                    if c.mode is ChunkMode.FULL:
+                        sl = slice(c.start - first, c.stop - first)
+                        band[sl] = ddim_step(band[sl], eval_chunk(k, c, band[sl]), k, sched)
+                continue
+            sums.reset(chunks)
+            for c in chunks:
+                sums.add(c, eval_chunk(k, c, band[c.start - first:c.stop - first]))
+            band = ddim_step(band, sums.mean(), k, sched)
+        return band
 
     deep_flops = shallow_flops = 0
     if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
@@ -709,14 +812,17 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             if c.mode is ChunkMode.FULL or not config.hard_skip:
                 shallow_flops += shallow
 
-    sums = OverlapSum(n)
     t_start = time.perf_counter()
     helpers = _helper_count(config, plans, deep_flops + shallow_flops)
-    if helpers:
+    if not helpers:
+        z = run_band(0, n)
+    elif oracle is not None:
+        _run_bands_on_helpers(helpers, run_band, z)
+    else:
         # the chunks each step evaluates
         steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
                  for plan in plans]
-        open_sums, spare_sums = {}, [sums]
+        open_sums, spare_sums = {}, []
 
         def commit(step_index, chunk, result):
             eps, feats = result
@@ -740,22 +846,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             if stop == n:
                 spare_sums.append(open_sums.pop(step_index))
 
-        _evaluate_on_helpers(helpers, evaluate, steps, n, inputs, commit, advance)
-    else:
-        for k, plan in enumerate(plans):
-            if config.hard_skip:
-                # naive-skip ablation: frames of dropped chunks miss this DDIM
-                # update; shift chunks are disjoint, so each kept one updates
-                # in place as soon as it is evaluated
-                for c in plan.chunks:
-                    if c.mode is ChunkMode.FULL:
-                        sl = slice(c.start, c.stop)
-                        z[sl] = ddim_step(z[sl], eval_chunk(k, c), k, sched)
-                continue
-            sums.reset(plan.chunks)
-            for c in plan.chunks:
-                sums.add(c, eval_chunk(k, c))
-            z = ddim_step(z, sums.mean(), k, sched)
+        _evaluate_on_helpers(helpers, evaluate, steps, n,
+                             lambda k, c: inputs(k, c, z[c.start:c.stop]), commit, advance)
     wall_seconds = time.perf_counter() - t_start
 
     chunks = [c for plan in plans for c in plan.chunks]

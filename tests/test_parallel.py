@@ -1,14 +1,17 @@
 """Parallel chunk evaluation in ``run_inference``.
 
 On a host with more than one usable core, a toy run forks helper
-processes that evaluate its chunks as their frames become ready. The
-golden configs are below the FLOP threshold for that, so every test here
-lowers it to 0. These tests hold the result to the serial path's bits on
-every golden config and on chunks larger than a pipe holds, and check
-that no helper outlives a run, whether it ends normally, by an error or
-the death of a helper, by an error in this process, by Ctrl-C (with one
-traceback, the caller's) or by the death of the process that made the
-helpers.
+processes that evaluate its chunks as their frames become ready, and an
+oracle run forks one helper per band of frames, which runs every step on
+its band. The golden configs are below the work threshold for that, so
+every test here lowers it to 0. These tests hold the result to the serial
+path's bits on every golden config, on oracle runs whose band edges cut
+chunks or that have fewer frames than cores, and on chunks larger than a
+pipe holds; they check that no helper outlives a run, whether it ends
+normally, by an error or the death of a helper, by an error in this
+process, by Ctrl-C (with one traceback, the caller's) or by the death of
+the process that made the helpers; and they check which benchmark runs
+go parallel.
 """
 
 import os
@@ -22,21 +25,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shiftcache
 from shiftcache import scheduler
 from shiftcache.cache import FeatureCache
-from shiftcache.denoiser import ToyDenoiser
-from shiftcache.scheduler import OverlapSum, run_inference, synthesize_conditions
+from shiftcache.denoiser import OracleDenoiser, ToyDenoiser
+from shiftcache.scheduler import (OverlapSum, build_plans, run_inference,
+                                  synthesize_conditions)
 from test_golden import CONFIGS, FLOAT64, golden_config
+from test_perfbench_sites import PERFBENCH
 
 MULTI_CORE = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 needs_cores = pytest.mark.skipif(
     not MULTI_CORE, reason="one usable core: run_inference forks no helpers to compare with")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="run_inference forks no helpers")
 
 
 # Beside the golden configs: with overlap 6 of 8 frames, four chunks cover
 # most frames, so the order of a step's adds shows in the bits (the sum of
-# two covers is the same in either order).
-RUNS = {**CONFIGS, "overlap_s6": dict(policy="overlap", overlap_s=6)}
+# two covers is the same in either order); the oracle runs it on bands, as
+# it does the shift policy with half the chunks dropped by hard_skip.
+RUNS = {**CONFIGS, "overlap_s6": dict(policy="overlap", overlap_s=6),
+        "oracle_overlap_s6": dict(policy="overlap", overlap_s=6, denoiser="oracle"),
+        "oracle_hard_skip": dict(CONFIGS["hard_skip"], denoiser="oracle")}
+THRESHOLD = scheduler._MIN_PARALLEL_FLOPS
 
 
 @pytest.fixture(autouse=True)
@@ -73,9 +84,59 @@ def test_parallel_run_equals_serial_run(name, request):
     request.getfixturevalue("one_core")
     serial = run(name)
     assert_same_run(parallel, serial)
-    # the oracle is serial on any number of cores
-    assert (parallel[1].processes > 1) == (RUNS[name].get("denoiser") != "oracle")
+    assert parallel[1].processes > 1
     assert serial[1].processes == 1
+
+
+def fake_cores(monkeypatch, count: int) -> None:
+    """Make ``run_inference`` see ``count`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_bands_equal_serial(config, monkeypatch, cores: int, bands: int) -> None:
+    """An oracle run on ``cores`` usable cores splits into ``bands`` bands
+    and has the serial run's bits."""
+    fake_cores(monkeypatch, cores)
+    parallel = run_inference(config)
+    assert parallel[1].processes == bands
+    monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", THRESHOLD)
+    serial = run_inference(config)
+    assert serial[1].processes == 1
+    assert_same_run(parallel, serial)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_band_edges_that_cut_chunks_keep_the_bits(monkeypatch):
+    # 41 frames on 3 bands, [0, 13), [13, 27) and [27, 41): overlap 6 of 8
+    # starts a chunk every 2 frames, so each edge cuts four chunks a step
+    config = golden_config(denoiser="oracle", policy="overlap", overlap_s=6, n_total=41)
+    chunks = build_plans(config)[0][0].chunks
+    for edge in (13, 27):
+        assert sum(c.start < edge < c.stop for c in chunks) == 4
+    assert_bands_equal_serial(config, monkeypatch, cores=3, bands=3)
+
+
+@needs_fork
+def test_fewer_frames_than_cores_gives_one_frame_per_band(monkeypatch):
+    config = golden_config(denoiser="oracle", policy="overlap", overlap_s=2, n_total=5,
+                           chunk_len=4)
+    assert_bands_equal_serial(config, monkeypatch, cores=8, bands=5)
+
+
+@needs_fork
+def test_benchmark_oracle_run_goes_parallel_and_its_warmup_stays_serial(monkeypatch):
+    # oracle-s15 evaluates 25 steps of 2033 16-frame chunks of 4x16x12
+    # latents, 4 units of work per element: 2.5e9 in all; its warm-up, 3
+    # steps of 17 chunks on 32 frames, counts 2.5e6
+    fake_cores(monkeypatch, 2)
+    config = PERFBENCH.make_config(shiftcache, "oracle-s15", 0)
+    warmup = PERFBENCH.warmup_config(config)
+    for run_config, helpers, work in ((config, 2, 2_498_150_400), (warmup, 0, 2_506_752)):
+        plans, _ = build_plans(run_config)
+        for threshold, expected in ((work, 2), (work + 1, 0), (THRESHOLD, helpers)):
+            monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", threshold)
+            assert scheduler._helper_count(run_config, plans, 0) == expected
 
 
 @needs_cores
@@ -94,23 +155,59 @@ def test_normal_run_leaves_no_process():
     assert_no_child_left()
 
 
-@needs_cores
-def test_helper_error_is_raised_with_its_type_and_message(monkeypatch):
-    # inherited at fork, the patch raises only in a helper
+def in_helpers(monkeypatch, owner, name: str, action) -> None:
+    """Patch ``owner.name`` to call ``action()`` first in a helper only: the
+    patch is inherited at fork, and this process's pid is not a helper's."""
     parent = os.getpid()
-    full = ToyDenoiser.denoise_full
+    original = getattr(owner, name)
 
-    def denoise_full(self, *args, **kwargs):
+    def patched(*args, **kwargs):
         if os.getpid() != parent:
-            raise FloatingPointError("raised in a helper")
-        return full(self, *args, **kwargs)
+            action()
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
+    monkeypatch.setattr(owner, name, patched)
+
+
+def raise_in_helper():
+    raise FloatingPointError("raised in a helper")
+
+
+def kill_helper():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# (owner, method, run): the helper evaluating toy chunks, then bands
+HELPER_SITES = {"toy": (ToyDenoiser, "denoise_full", "overlap_s4"),
+                "bands": (OracleDenoiser, "eps_for", "oracle_f64")}
+
+
+def assert_helper_error_raised_with_its_type_and_message(monkeypatch, site: str) -> None:
+    owner, name, run_name = HELPER_SITES[site]
+    in_helpers(monkeypatch, owner, name, raise_in_helper)
     with pytest.raises(FloatingPointError) as caught:
-        run("overlap_s4")
+        run(run_name)
     assert caught.type is FloatingPointError
     assert str(caught.value) == "raised in a helper"
     assert_no_child_left()
+
+
+def assert_killed_helper_raises(monkeypatch, site: str) -> None:
+    owner, name, run_name = HELPER_SITES[site]
+    in_helpers(monkeypatch, owner, name, kill_helper)
+    with pytest.raises(RuntimeError):
+        run(run_name)
+    assert_no_child_left()
+
+
+@needs_cores
+def test_helper_error_is_raised_with_its_type_and_message(monkeypatch):
+    assert_helper_error_raised_with_its_type_and_message(monkeypatch, "toy")
+
+
+@needs_cores
+def test_band_helper_error_is_raised_with_its_type_and_message(monkeypatch):
+    assert_helper_error_raised_with_its_type_and_message(monkeypatch, "bands")
 
 
 @needs_cores
@@ -184,19 +281,12 @@ def test_chunks_larger_than_a_pipe_buffer_do_not_hang(request):
 
 @needs_cores
 def test_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
-    # inherited at fork, the patch kills only a helper
-    parent = os.getpid()
-    full = ToyDenoiser.denoise_full
+    assert_killed_helper_raises(monkeypatch, "toy")
 
-    def denoise_full(self, *args, **kwargs):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return full(self, *args, **kwargs)
 
-    monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
-    with pytest.raises(RuntimeError):
-        run("overlap_s4")
-    assert_no_child_left()
+@needs_cores
+def test_band_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
+    assert_killed_helper_raises(monkeypatch, "bands")
 
 
 # Runs overlap_s4 with helpers, prints their pids at its fourteenth add
