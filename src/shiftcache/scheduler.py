@@ -13,34 +13,37 @@ All randomness (initial noise, random shifts, partial marking, synthetic
 conditioning) derives from the single config seed via tagged substreams,
 so identical configs reproduce bit-identical runs.
 
-A large run is evaluated on every usable core, inside the timed region,
-by helper processes forked for the call (one per usable core; there is
-no setting), each with a ``multiprocessing`` pipe. Latents, freshness and
-counters are the same bits on any number of cores.
+Each run is three closures of ``run_inference``: ``evaluate`` predicts a
+chunk's noise (from cached deep features for a partial chunk), ``commit``
+caches a full chunk's deep features and adds its prediction to its
+step's per-frame overlap sum (or, under ``hard_skip``, updates its
+frames), and ``advance`` gives a run of frames one DDIM update by their
+overlap mean. Three drivers call them, with the same bits on any number
+of cores:
 
-* Toy runs: the chunks of one step do not depend on each other (shift
-  chunks are disjoint, a partial chunk reads only deep features stored at
-  earlier steps, and overlap predictions are averaged only after the whole
-  step), and a chunk of the next step needs only its own frames' updates.
-  So the caller sends each chunk, with its latents and a partial chunk's
-  cached features and freshness, as soon as its frames are updated
+* Serial: per step, every chunk in plan order, then one ``advance``.
+* Oracle bands: the oracle is frame-local, so each helper runs the serial
+  loop on one contiguous band of frames, each chunk clipped to it, and
+  sends back the band's latents. Every (chunk, frame) residual and add
+  runs once, in plan order for each frame; at most one helper runs per
+  frame.
+* Toy helpers: a step's chunks do not depend on each other (shift chunks
+  are disjoint, a partial chunk reads only deep features stored at
+  earlier steps, and overlap predictions are averaged after the whole
+  step), and a chunk of the next step needs only its own frames'
+  updates. So the caller sends each chunk, with its latents and a partial
+  chunk's cached features and freshness, once its frames are updated
   through the step before, lowest step first, ``_DEPTH`` in flight per
-  helper, and commits each step's results in plan order as they arrive:
-  the cache writes, the overlap sum, and the DDIM update of each run of
-  frames the step has finished. So steps overlap. At most one helper runs
-  per chunk of the largest step.
-* Oracle runs: the oracle is frame-local, so a frame's residual, overlap
-  sum and DDIM update read only that frame. Each helper gets one
-  contiguous band of frames and runs every step on it, through the serial
-  loop with each chunk clipped to the band, and sends back the band's
-  latents. Every (chunk, frame) residual and add runs once, in plan order
-  for each frame; the overlap work is not deduplicated. At most one helper
-  runs per frame.
+  helper; it commits each step's results in plan order as they arrive and
+  advances each run of frames the step has finished, so steps overlap.
+  At most one helper runs per chunk of the largest step.
 
-A helper's error is raised with its type and message; a helper that dies
-raises RuntimeError. On an error in the caller the requests in flight
+Helpers are forked for the call, one per usable core (there is no
+setting), each with a ``multiprocessing`` pipe. A helper's error is
+raised with its type and message; a helper that dies raises
+RuntimeError. On an error in the caller the requests in flight
 finish before the helpers are joined, and a helper ends when its pipe
-does, so none outlives its caller or the call. The path is serial
+does, so none outlives its caller or the call. A run is serial
 (``RunStats.processes`` 1) under ``_MIN_PARALLEL_FLOPS`` of work, on one
 usable core, without ``fork`` or ``sched_getaffinity``, in a daemonic
 process, and while a second Python thread is alive, since forking a
@@ -698,24 +701,20 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                   dtype=np.float32) -> tuple[LatentVideo, RunStats]:
     """Run the full sampling loop under the configured policy.
 
-    The loop is ``run_band``, over a band of frames [first, stop). Per
-    step, the plan's chunks, each clipped to the band, run one at a time in
-    plan order: a full chunk writes the deep-feature cache on shift runs as
-    soon as it is evaluated, a partial chunk reads it under the configured
-    mask variant. Each chunk's prediction goes into one per-frame sum as
-    soon as the chunk finishes, so peak memory does not grow with the
-    overlap; the sum is divided once per frame by its cover count, counted
-    once per plan (a single cover passes through unchanged), and one DDIM
-    update is applied per frame. The oracle writes each chunk's residual
-    into one scratch buffer per chunk length, allocated once per run. Under
+    Per step, each chunk is evaluated and committed in plan order: a full
+    chunk writes the deep-feature cache on shift runs, a partial chunk
+    reads it under the configured mask variant, and each prediction goes
+    into one per-frame sum, so peak memory does not grow with the overlap.
+    ``advance`` divides the sum by each frame's cover count, counted once
+    per plan (a single cover passes through unchanged), and applies one
+    DDIM update per frame. The oracle writes each chunk's residual into one
+    scratch buffer per chunk length, allocated once per run. Under
     ``hard_skip`` each kept chunk's frames are updated as soon as it is
-    evaluated instead. ``dtype`` must be float32 or float64.
+    committed instead. ``dtype`` must be float32 or float64.
 
-    A serial run is ``run_band`` on all frames, where no chunk is cut. A
-    large oracle run gives each helper one band, which the frame-local
-    oracle evaluates with the same bits; a large toy run is evaluated
-    chunk by chunk on every usable core, also with the same bits (module
-    docstring).
+    A serial run, and each helper's band of a large oracle run, is
+    ``run_band``; a large toy run is evaluated on the helpers and committed
+    here (module docstring).
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
@@ -748,11 +747,26 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
                              dtype=dtype)
 
+    # the chunks each step evaluates: hard_skip drops the partial ones
+    steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
+             for plan in plans]
+    deep_flops = shallow_flops = 0
+    if toy is not None:  # a partial chunk skips the deep stage
+        shape = (config.latent_h, config.latent_w, config.garment_tokens)
+        for c in itertools.chain.from_iterable(steps):
+            deep, shallow = toy.chunk_cost(c.length, *shape)
+            if c.mode is ChunkMode.FULL:
+                deep_flops += deep
+            shallow_flops += shallow
+
     def evaluate(step_index, chunk, z_chunk, feats, good):
-        """(eps, deep features to cache or None) of a toy chunk, from its
-        latents, cached features and freshness (None for a full chunk) and
-        what the run fixed before its first step."""
+        """(eps, deep features to cache or None) of a chunk, from its
+        latents, a partial chunk's cached features and freshness (None for
+        a full chunk) and what the run fixed before its first step."""
         sl = slice(chunk.start, chunk.stop)
+        if oracle is not None:
+            # scratch eps: valid until the next evaluate of this length, so commit adds it first
+            return oracle.eps_for(z_chunk, step_index, sl, out=scratch.get(chunk.length)), None
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
@@ -762,92 +776,63 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
         return eps, feats if cache is not None else None
 
-    def inputs(step_index, chunk, z_chunk):
-        """``evaluate``'s arguments for a toy chunk: a partial chunk's cached
-        features are fetched here, its freshness read from the record."""
+    def inputs(step_index, chunk):
+        """``evaluate``'s arguments for a chunk: its latents, and a partial
+        chunk's cached features, fetched here, and freshness from the record."""
         feats = good = None
         if chunk.mode is ChunkMode.PARTIAL:
             feats = cache.fetch(np.arange(chunk.start, chunk.stop))
             good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
-        return step_index, chunk, z_chunk, feats, good
+        return step_index, chunk, z[chunk.start:chunk.stop], feats, good
 
-    def eval_chunk(step_index, chunk, z_chunk):
-        if oracle is not None:
-            return oracle.eps_for(z_chunk, step_index, slice(chunk.start, chunk.stop),
-                                  out=scratch.get(chunk.length))
-        eps, feats = evaluate(*inputs(step_index, chunk, z_chunk))
+    open_sums, spare_sums = {}, []
+
+    def commit(step_index, chunk, result):
+        """Cache a full chunk's deep features, then update its frames in
+        place (hard_skip) or add its eps to its step's overlap sum."""
+        eps, feats = result
         if feats is not None:
             cache.store_block(chunk.start, feats)
-        return eps
+        if config.hard_skip:
+            sl = slice(chunk.start, chunk.stop)
+            z[sl] = ddim_step(z[sl], eps, step_index, sched)
+            return
+        if step_index not in open_sums:  # over the frames the step's chunks span
+            chunks = steps[step_index]
+            sums = spare_sums.pop() if spare_sums else OverlapSum(chunks[-1].stop, chunks[0].start)
+            sums.reset(chunks)
+            open_sums[step_index] = sums
+        open_sums[step_index].add(chunk, eps)
+
+    def advance(step_index, first, stop):
+        """The DDIM update of frames [first, stop) by their overlap mean."""
+        if config.hard_skip:  # frames of dropped chunks miss this update
+            return
+        sums = open_sums[step_index]
+        mean = sums.mean(slice(first - sums.first, stop - sums.first))
+        z[first:stop] = ddim_step(z[first:stop], mean, step_index, sched)
+        if stop == sums.stop:
+            spare_sums.append(open_sums.pop(step_index))
 
     def run_band(first, stop):
-        """Every step of the plan on frames [first, stop) of ``z``, each
-        chunk clipped to them; returns their latents."""
-        band = z[first:stop]
-        sums = OverlapSum(stop, first)
-        for k, plan in enumerate(plans):
-            chunks = _clip(plan.chunks, first, stop)
-            if config.hard_skip:
-                # naive-skip ablation: frames of dropped chunks miss this DDIM
-                # update; shift chunks are disjoint, so each kept one updates
-                # in place as soon as it is evaluated
-                for c in chunks:
-                    if c.mode is ChunkMode.FULL:
-                        sl = slice(c.start - first, c.stop - first)
-                        band[sl] = ddim_step(band[sl], eval_chunk(k, c, band[sl]), k, sched)
-                continue
-            sums.reset(chunks)
+        """Every step on frames [first, stop) of ``z``, each chunk clipped to
+        them, evaluated and committed here; returns their latents."""
+        nonlocal steps  # from here on, the chunks this process evaluates
+        steps = [_clip(chunks, first, stop) for chunks in steps]
+        for k, chunks in enumerate(steps):
             for c in chunks:
-                sums.add(c, eval_chunk(k, c, band[c.start - first:c.stop - first]))
-            band = ddim_step(band, sums.mean(), k, sched)
-        return band
-
-    deep_flops = shallow_flops = 0
-    if toy is not None:  # a partial chunk skips the deep stage, a dropped one everything
-        shape = (config.latent_h, config.latent_w, config.garment_tokens)
-        for c in (c for plan in plans for c in plan.chunks):
-            deep, shallow = toy.chunk_cost(c.length, *shape)
-            if c.mode is ChunkMode.FULL:
-                deep_flops += deep
-            if c.mode is ChunkMode.FULL or not config.hard_skip:
-                shallow_flops += shallow
+                commit(k, c, evaluate(*inputs(k, c)))
+            advance(k, first, stop)
+        return z[first:stop]
 
     t_start = time.perf_counter()
     helpers = _helper_count(config, plans, deep_flops + shallow_flops)
     if not helpers:
-        z = run_band(0, n)
+        run_band(0, n)
     elif oracle is not None:
         _run_bands_on_helpers(helpers, run_band, z)
     else:
-        # the chunks each step evaluates
-        steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
-                 for plan in plans]
-        open_sums, spare_sums = {}, []
-
-        def commit(step_index, chunk, result):
-            eps, feats = result
-            if feats is not None:
-                cache.store_block(chunk.start, feats)
-            if config.hard_skip:  # z is updated in place on this path
-                sl = slice(chunk.start, chunk.stop)
-                z[sl] = ddim_step(z[sl], eps, step_index, sched)
-                return
-            if step_index not in open_sums:
-                open_sums[step_index] = spare_sums.pop() if spare_sums else OverlapSum(n)
-                open_sums[step_index].reset(steps[step_index])
-            open_sums[step_index].add(chunk, eps)
-
-        def advance(step_index, first, stop):
-            if config.hard_skip:  # frames of dropped chunks miss this update
-                return
-            frames = slice(first, stop)
-            z[frames] = ddim_step(z[frames], open_sums[step_index].mean(frames),
-                                  step_index, sched)
-            if stop == n:
-                spare_sums.append(open_sums.pop(step_index))
-
-        _evaluate_on_helpers(helpers, evaluate, steps, n,
-                             lambda k, c: inputs(k, c, z[c.start:c.stop]), commit, advance)
+        _evaluate_on_helpers(helpers, evaluate, steps, n, inputs, commit, advance)
     wall_seconds = time.perf_counter() - t_start
 
     chunks = [c for plan in plans for c in plan.chunks]

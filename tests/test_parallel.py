@@ -29,7 +29,7 @@ import shiftcache
 from shiftcache import scheduler
 from shiftcache.cache import FeatureCache
 from shiftcache.denoiser import OracleDenoiser, ToyDenoiser
-from shiftcache.scheduler import (OverlapSum, build_plans, run_inference,
+from shiftcache.scheduler import (ChunkMode, OverlapSum, build_plans, run_inference,
                                   synthesize_conditions)
 from test_golden import CONFIGS, FLOAT64, golden_config
 from test_perfbench_sites import PERFBENCH
@@ -114,6 +114,17 @@ def test_band_edges_that_cut_chunks_keep_the_bits(monkeypatch):
     chunks = build_plans(config)[0][0].chunks
     for edge in (13, 27):
         assert sum(c.start < edge < c.stop for c in chunks) == 4
+    assert_bands_equal_serial(config, monkeypatch, cores=3, bands=3)
+
+
+@needs_fork
+def test_band_edges_that_cut_kept_hard_skip_chunks_keep_the_bits(monkeypatch):
+    # the golden hard_skip run on the oracle, 41 frames on 3 bands: each
+    # kept chunk an edge cuts is updated in place on its in-band frames only
+    config = golden_config(**RUNS["oracle_hard_skip"], n_total=41)
+    kept = [c for plan in build_plans(config)[0] for c in plan.chunks
+            if c.mode is ChunkMode.FULL]
+    assert any(c.start < edge < c.stop for c in kept for edge in (13, 27))
     assert_bands_equal_serial(config, monkeypatch, cores=3, bands=3)
 
 

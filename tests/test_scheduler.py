@@ -26,6 +26,8 @@ from shiftcache.scheduler import (
     synthesize_conditions,
 )
 
+from test_golden import CONFIGS as GOLDEN_RUNS, golden_config
+
 TINY_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
                              deep_blocks=2, seed=0)
 
@@ -495,6 +497,34 @@ class TestStreamedAggregation:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * latent_bytes, f"peak {peak / latent_bytes:.1f}x the latents"
+
+
+class TestOneUpdatePerStep:
+    """A serial run applies one DDIM update a step to all its frames, not
+    one per run of frames, except under hard_skip, which updates each kept
+    chunk as it is committed."""
+
+    RUNS = {**GOLDEN_RUNS, "oracle_hard_skip": dict(GOLDEN_RUNS["hard_skip"], denoiser="oracle")}
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.usefixtures("one_core")  # the spy counts in this process only
+    def test_ddim_step_calls(self, monkeypatch, name):
+        config = golden_config(**self.RUNS[name])
+        calls, step = [], scheduler.ddim_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(scheduler, "ddim_step", counted)
+        _, stats = run_inference(config)
+        assert stats.processes == 1
+        if config.hard_skip:
+            kept = sum(c.mode is ChunkMode.FULL for p in build_plans(config)[0] for c in p.chunks)
+            assert stats.skipped_chunk_evals > 0
+            assert len(calls) == kept == stats.full_chunk_evals
+        else:
+            assert len(calls) == config.ddim_steps
 
 
 class TestRunFlops:
