@@ -11,32 +11,35 @@ Two scheduling policies over a video of ``n_total`` frames:
 
 All randomness (initial noise, random shifts, partial marking, synthetic
 conditioning) derives from the single config seed via tagged substreams,
-so identical configs reproduce bit-identical runs.
+so identical configs reproduce bit-identical runs on one numpy and BLAS
+build at one BLAS thread count (a matmul may round differently on another
+count).
 
-Each run is three closures of ``run_inference``: ``evaluate`` predicts a
-chunk's noise (from cached deep features for a partial chunk), ``commit``
-caches a full chunk's deep features and adds its prediction to its
-step's per-frame overlap sum (or, under ``hard_skip``, updates its
-frames), and ``advance`` gives a run of frames one DDIM update by their
-overlap mean. Three drivers call them, with the same bits on any number
-of cores:
+Each run has one loop, ``run_band``: per step, each chunk in plan order is
+evaluated (``evaluate``, from cached deep features for a partial chunk)
+and committed, its deep features cached and its prediction added to the
+step's per-frame overlap sum (or, under ``hard_skip``, its frames
+updated), and then the frames get one DDIM update by their overlap mean.
+The loop gives the same bits on any number of cores:
 
-* Serial: per step, every chunk in plan order, then one ``advance``.
-* Oracle bands: the oracle is frame-local, so each helper runs the serial
-  loop on one contiguous band of frames, each chunk clipped to it, and
-  sends back the band's latents. Every (chunk, frame) residual and add
-  runs once, in plan order for each frame; at most one helper runs per
-  frame.
-* Toy helpers: a step's chunks do not depend on each other (shift chunks
-  are disjoint, a partial chunk reads only deep features stored at
-  earlier steps, and overlap predictions are averaged after the whole
-  step), and a chunk of the next step needs only its own frames'
-  updates. So the caller sends each chunk, with its latents and a partial
-  chunk's cached features and freshness, once its frames are updated
-  through the step before, lowest step first, ``_DEPTH`` in flight per
-  helper; it commits each step's results in plan order as they arrive and
-  advances each run of frames the step has finished, so steps overlap.
-  At most one helper runs per chunk of the largest step.
+* Serial: ``run_band`` over all frames, one update a step.
+* Oracle bands: the oracle is frame-local, so each helper runs the loop
+  on one contiguous band of frames, each chunk clipped to it, and sends
+  back the band's latents. Every (chunk, frame) residual and add runs
+  once, in plan order for each frame; at most one helper runs per frame.
+* Toy helpers: the loop takes each chunk's result from ``_in_order``,
+  which sends chunks ahead. A step's chunks do not depend on each other
+  (shift chunks are disjoint, a partial chunk reads only deep features
+  stored at earlier steps, and a frame's overlap mean is taken once no
+  later chunk of the step covers it), and a chunk of the next step needs
+  only its own frames' updates. So after each commit the loop updates the
+  frames no later chunk of the step covers, and a chunk, with its latents
+  and a partial chunk's cached features and freshness, is sent in plan
+  order once its frames are updated through the step before, ``_DEPTH``
+  in flight per helper: the next step's first chunks run while this
+  step's last ones do. At most one helper runs per chunk of the largest
+  step. Each helper keeps the caller's BLAS thread setting, so its
+  matmuls round as the caller's do and a helper run has the serial bits.
 
 Helpers are forked for the call, one per usable core (there is no
 setting), each with a ``multiprocessing`` pipe. A helper's error is
@@ -54,6 +57,7 @@ for measurements.
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import enum
 import itertools
@@ -592,89 +596,29 @@ def _receive(conn):
     return reply
 
 
-def _run_bands_on_helpers(helpers: int, run_band, z: np.ndarray) -> None:
-    """Split the frames of ``z`` into ``helpers`` contiguous bands of nearly
-    equal length, none empty, run ``run_band(first, stop)`` for each on its
-    own helper forked here, and write each band's latents into ``z``."""
-    n = len(z)
-    bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
-    with _forked_helpers(helpers, run_band) as conns:
-        for conn, band in zip(conns, bands):
-            _send(conn, band)
-        for conn, (first, stop) in zip(conns, bands):
-            z[first:stop] = _receive(conn)
-
-
-def _evaluate_on_helpers(helpers: int, evaluate, steps: list[list[Chunk]], n_total: int,
-                         inputs, commit, advance) -> None:
-    """Evaluate every chunk of ``steps`` (per step, its chunks in plan
-    order) on ``helpers`` processes forked here, and commit it here,
-    without waiting for a step to end before starting the next.
-
-    A chunk is sent as ``inputs(k, chunk)``, to be answered with
-    ``evaluate(*inputs)``, as soon as every frame it reads is updated
-    through the step before its own, lowest step first, to the helper with
-    the fewest of its ``_DEPTH`` chunks in flight. Each step's results are
-    committed in plan order, ``commit(k, chunk, result)``, as they become a
-    prefix of the plan. Frames that no uncommitted chunk of step k covers
-    and that are updated through step k - 1 are then updated through step
-    k, by ``advance(k, first, stop)`` per newly finished run of frames,
-    lowest step first. So a frame's inputs, adds and updates are those of
-    the serial loop, in its order.
-    """
+def _in_order(conns, requests, ready, inputs):
+    """Yield the answers to ``requests``, (step, chunk) pairs, in their
+    order, from the helpers at the other ends of ``conns``. Each request is
+    sent in order as ``inputs(*request)``, once ``ready(*request)``, to the
+    helper with the fewest of its ``_DEPTH`` requests in flight."""
     from multiprocessing import connection  # only a parallel run pays for the import
 
-    count = len(steps)
-    committed = [0] * count    # per step: chunks committed, a prefix of the plan
-    sent = [0] * count         # per step: chunks sent, a prefix of the plan
-    held = {}                  # (step, index) -> result waiting for its turn
-    # frontier[k]: frames below it are updated through step k
-    frontier = list(itertools.accumulate((c[0].start if c else n_total for c in steps), min))
-    lowest = 0                 # the lowest step with a chunk not sent
-    left = sum(len(chunks) for chunks in steps)
-    queued = {}                # our end of a helper's pipe -> its keys in flight, oldest first
-
-    def send_ready():
-        nonlocal lowest
-        for k in range(lowest, count):
-            limit = frontier[k - 1] if k else n_total
-            while sent[k] < len(steps[k]) and steps[k][sent[k]].stop <= limit:
+    queued = {conn: collections.deque() for conn in conns}  # indices in flight, oldest first
+    answers, sent = {}, 0
+    for i in range(len(requests)):
+        while True:
+            while sent < len(requests) and ready(*requests[sent]):
                 conn = min(queued, key=lambda c: len(queued[c]))
                 if len(queued[conn]) == _DEPTH:
-                    return
-                _send(conn, inputs(k, steps[k][sent[k]]))
-                queued[conn].append((k, sent[k]))
-                sent[k] += 1
-            if lowest == k and sent[k] == len(steps[k]):
-                lowest += 1
-
-    with _forked_helpers(helpers, evaluate) as conns:
-        queued.update((conn, []) for conn in conns)
-        send_ready()
-        while left:
-            if not any(queued.values()):
-                raise RuntimeError("no chunk can be evaluated before the ones it waits for")
-            arrived = set()
-            for conn in connection.wait(conns):
-                key = queued[conn].pop(0)
-                held[key] = _receive(conn)
-                arrived.add(key[0])
-            send_ready()  # before the commits, so no helper waits on them
-            for first in sorted(arrived):
-                while (first, committed[first]) in held:
-                    commit(first, steps[first][committed[first]],
-                           held.pop((first, committed[first])))
-                    committed[first] += 1
-                    left -= 1
-                for k in range(first, count):
-                    limit = frontier[k - 1] if k else n_total
-                    if committed[k] < len(steps[k]):
-                        limit = min(limit, steps[k][committed[k]].start)
-                    if limit == frontier[k]:
-                        break
-                    advance(k, frontier[k], limit)
-                    frontier[k] = limit
-            send_ready()
+                    break
+                _send(conn, inputs(*requests[sent]))
+                queued[conn].append(sent)
+                sent += 1
+            if i in answers:
+                break
+            for conn in connection.wait([c for c in conns if queued[c]]):
+                answers[queued[conn].popleft()] = _receive(conn)
+        yield answers.pop(i)
 
 
 def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
@@ -705,16 +649,16 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     chunk writes the deep-feature cache on shift runs, a partial chunk
     reads it under the configured mask variant, and each prediction goes
     into one per-frame sum, so peak memory does not grow with the overlap.
-    ``advance`` divides the sum by each frame's cover count, counted once
-    per plan (a single cover passes through unchanged), and applies one
-    DDIM update per frame. The oracle writes each chunk's residual into one
-    scratch buffer per chunk length, allocated once per run. Under
-    ``hard_skip`` each kept chunk's frames are updated as soon as it is
-    committed instead. ``dtype`` must be float32 or float64.
+    The DDIM update divides the sum by each frame's cover count, counted
+    once per plan (a single cover passes through unchanged). The oracle
+    writes each chunk's residual into one scratch buffer per chunk length,
+    allocated once per run. Under ``hard_skip`` each kept chunk's frames
+    are updated as soon as it is committed instead. ``dtype`` must be
+    float32 or float64.
 
-    A serial run, and each helper's band of a large oracle run, is
-    ``run_band``; a large toy run is evaluated on the helpers and committed
-    here (module docstring).
+    ``run_band`` is the one loop: of a serial run, of each helper's band of
+    a large oracle run, and of a large toy run, whose chunks it evaluates
+    on the helpers through ``_in_order`` (module docstring).
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
@@ -765,7 +709,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         a full chunk) and what the run fixed before its first step."""
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
-            # scratch eps: valid until the next evaluate of this length, so commit adds it first
+            # scratch eps: valid until the next evaluate of this length, so the loop adds it first
             return oracle.eps_for(z_chunk, step_index, sl, out=scratch.get(chunk.length)), None
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
@@ -785,54 +729,59 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
         return step_index, chunk, z[chunk.start:chunk.stop], feats, good
 
-    open_sums, spare_sums = {}, []
-
-    def commit(step_index, chunk, result):
-        """Cache a full chunk's deep features, then update its frames in
-        place (hard_skip) or add its eps to its step's overlap sum."""
-        eps, feats = result
-        if feats is not None:
-            cache.store_block(chunk.start, feats)
-        if config.hard_skip:
-            sl = slice(chunk.start, chunk.stop)
-            z[sl] = ddim_step(z[sl], eps, step_index, sched)
-            return
-        if step_index not in open_sums:  # over the frames the step's chunks span
-            chunks = steps[step_index]
-            sums = spare_sums.pop() if spare_sums else OverlapSum(chunks[-1].stop, chunks[0].start)
-            sums.reset(chunks)
-            open_sums[step_index] = sums
-        open_sums[step_index].add(chunk, eps)
-
-    def advance(step_index, first, stop):
-        """The DDIM update of frames [first, stop) by their overlap mean."""
-        if config.hard_skip:  # frames of dropped chunks miss this update
-            return
-        sums = open_sums[step_index]
-        mean = sums.mean(slice(first - sums.first, stop - sums.first))
-        z[first:stop] = ddim_step(z[first:stop], mean, step_index, sched)
-        if stop == sums.stop:
-            spare_sums.append(open_sums.pop(step_index))
-
-    def run_band(first, stop):
+    def run_band(first, stop, conns=None):
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
-        them, evaluated and committed here; returns their latents."""
-        nonlocal steps  # from here on, the chunks this process evaluates
-        steps = [_clip(chunks, first, stop) for chunks in steps]
-        for k, chunks in enumerate(steps):
-            for c in chunks:
-                commit(k, c, evaluate(*inputs(k, c)))
-            advance(k, first, stop)
+        them, in plan order: evaluated here, or on the helpers at the other
+        ends of ``conns``, and committed here. Returns their latents."""
+        band = [_clip(chunks, first, stop) for chunks in steps]
+        sums = OverlapSum(stop, first)
+        # frames below at[1] are updated through step at[0], the rest through one step less
+        at = [0, first]
+        if conns:
+            answers = _in_order(conns, [(k, c) for k, chunks in enumerate(band) for c in chunks],
+                                lambda k, c: k <= at[0] or (k == at[0] + 1 and c.stop <= at[1]),
+                                inputs)
+
+        def update(k, upto):
+            """Step k's DDIM update of frames [at[1], upto) by their overlap
+            mean; under hard_skip they had theirs at their commit, if any."""
+            if not config.hard_skip:
+                frames = slice(at[1], upto)
+                z[frames] = ddim_step(z[frames], sums.mean(slice(at[1] - first, upto - first)),
+                                      k, sched)
+            at[1] = upto
+
+        for k, chunks in enumerate(band):
+            at[:] = k, first
+            if not config.hard_skip:
+                sums.reset(chunks)
+            for i, c in enumerate(chunks):
+                eps, feats = next(answers) if conns else evaluate(*inputs(k, c))
+                if feats is not None:
+                    cache.store_block(c.start, feats)
+                if config.hard_skip:
+                    z[c.start:c.stop] = ddim_step(z[c.start:c.stop], eps, k, sched)
+                else:
+                    sums.add(c, eps)
+                if conns and i + 1 < len(chunks):  # so the next step's chunks go out sooner
+                    update(k, chunks[i + 1].start)
+            update(k, stop)
         return z[first:stop]
 
     t_start = time.perf_counter()
     helpers = _helper_count(config, plans, deep_flops + shallow_flops)
     if not helpers:
         run_band(0, n)
-    elif oracle is not None:
-        _run_bands_on_helpers(helpers, run_band, z)
+    elif oracle is not None:  # one band of nearly equal length per helper, none empty
+        bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
+        with _forked_helpers(helpers, run_band) as conns:
+            for conn, band in zip(conns, bands):
+                _send(conn, band)
+            for conn, (first, stop) in zip(conns, bands):
+                z[first:stop] = _receive(conn)
     else:
-        _evaluate_on_helpers(helpers, evaluate, steps, n, inputs, commit, advance)
+        with _forked_helpers(helpers, evaluate) as conns:
+            run_band(0, n, conns)
     wall_seconds = time.perf_counter() - t_start
 
     chunks = [c for plan in plans for c in plan.chunks]

@@ -7,11 +7,12 @@ its band. The golden configs are below the work threshold for that, so
 every test here lowers it to 0. These tests hold the result to the serial
 path's bits on every golden config, on oracle runs whose band edges cut
 chunks or that have fewer frames than cores, and on chunks larger than a
-pipe holds; they check that no helper outlives a run, whether it ends
-normally, by an error or the death of a helper, by an error in this
-process, by Ctrl-C (with one traceback, the caller's) or by the death of
-the process that made the helpers; and they check which benchmark runs
-go parallel.
+pipe holds. They check that a toy run sends chunks of the next step
+before the step's last update, and that no helper outlives a run, whether
+it ends normally, by an error or the death of a helper, by an error in
+this process, by Ctrl-C (with one traceback, the caller's) or by the
+death of the process that made the helpers; and they check which
+benchmark runs go parallel.
 """
 
 import os
@@ -148,6 +149,32 @@ def test_benchmark_oracle_run_goes_parallel_and_its_warmup_stays_serial(monkeypa
         for threshold, expected in ((work, 2), (work + 1, 0), (THRESHOLD, helpers)):
             monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", threshold)
             assert scheduler._helper_count(run_config, plans, 0) == expected
+
+
+@needs_fork
+@pytest.mark.parametrize("name", ["overlap_s4", "p50_half"])
+def test_helpers_send_the_next_step_before_this_one_ends(name, monkeypatch):
+    # the caller updates a step's frames as its chunks are committed, so
+    # some of the next step's chunks are already out when its last one is
+    fake_cores(monkeypatch, 2)
+    events, send, step = [], scheduler._send, scheduler.ddim_step
+
+    def spied_send(conn, request):
+        events.append(("send", request[0]))
+        send(conn, request)
+
+    def spied_step(z, eps, k, sched):
+        events.append(("update", k))
+        return step(z, eps, k, sched)
+
+    monkeypatch.setattr(scheduler, "_send", spied_send)
+    monkeypatch.setattr(scheduler, "ddim_step", spied_step)
+    _, stats = run(name)
+    assert stats.processes == 2
+    steps = golden_config(**RUNS[name]).ddim_steps
+    for k in range(steps - 1):
+        last_update = max(i for i, event in enumerate(events) if event == ("update", k))
+        assert events.index(("send", k + 1)) < last_update, k
 
 
 @needs_cores
