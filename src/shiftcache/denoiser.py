@@ -336,8 +336,8 @@ class OracleDenoiser:
 
     The two schedule scalars of every step are computed once, here, in the
     target's dtype, and a step whose ``alpha_bar`` is 1 is rejected before
-    any chunk runs. ``run_inference`` passes ``eps_for`` one scratch buffer
-    per chunk length, allocated once per run, and adds each residual into
+    any chunk runs. ``run_inference`` passes ``eps_for`` the first frames of
+    one scratch buffer, allocated once per run, and adds each residual into
     its per-step sum, whose cover count it computes once per plan.
     """
 

@@ -410,7 +410,9 @@ class RunStats:
 
 @dataclass
 class Conditions:
-    """Per-frame conditioning plus the oracle's target video."""
+    """Per-frame conditioning plus the oracle's target video. The toy reads
+    the first four fields and the oracle ``target_x0``; conditions a run
+    synthesizes for itself hold None in the fields its denoiser does not read."""
 
     masked_video: np.ndarray   # [N, 4, H, W]
     binary_mask: np.ndarray    # [N, 1, H, W], values in {0, 1}
@@ -453,13 +455,25 @@ def _check_dtype(dtype) -> None:
 
 
 def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
-    """Seeded smooth-noise stand-ins for the real conditioning inputs."""
+    """Seeded smooth-noise stand-ins for every conditioning input; ValueError
+    for a ``dtype`` other than float32 or float64, then for an invalid config."""
     _check_dtype(dtype)
+    config.validate()
+    return _synthesize(config, dtype, ("toy", "oracle"))
+
+
+def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
+    """The fields the ``readers`` denoisers read, with the bits of
+    ``synthesize_conditions``, and None for the rest. Each field's noise is
+    drawn from one stream in one order (video, pose, target, garment), so
+    an unread field costs its draw alone: no smoothing, scaling or cast."""
     rng = np.random.default_rng([config.seed, _STREAM_CONDITIONS])
     n, h, w = config.n_total, config.latent_h, config.latent_w
 
-    def smooth(channels):
-        x = rng.standard_normal((n, channels, h, w))
+    def smooth(reader):
+        x = rng.standard_normal((n, 4, h, w))
+        if reader not in readers:
+            return None
         for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
             frames = slice(first, first + _SMOOTH_BLOCK_FRAMES)
             # H, then W: the axis order of gaussian_filter, which the bits follow
@@ -471,16 +485,14 @@ def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
         x /= max(x.std(), 1e-12)
         return x.astype(dtype)
 
-    video = smooth(4)
+    video, pose, target = smooth("toy"), smooth("toy"), smooth("oracle")
+    garment = rng.standard_normal((config.garment_tokens, config.toy.shallow_width))
+    if "toy" not in readers:
+        return Conditions(None, None, None, None, target_x0=target)
     mask = np.zeros((n, 1, h, w), dtype=dtype)
     mask[:, :, h // 4: (3 * h) // 4, w // 4: (3 * w) // 4] = 1
-    masked_video = video * (1 - mask)
-    pose = smooth(4)
-    target = smooth(4)
-    garment = rng.standard_normal(
-        (config.garment_tokens, config.toy.shallow_width)).astype(np.float32)
-    return Conditions(masked_video=masked_video, binary_mask=mask, pose=pose,
-                      garment=garment, target_x0=target)
+    return Conditions(masked_video=video * (1 - mask), binary_mask=mask, pose=pose,
+                      garment=garment.astype(np.float32), target_x0=target)
 
 
 def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]:
@@ -628,7 +640,8 @@ def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> i
     per frame of an oracle run, or 0 (module docstring)."""
     if config.denoiser == "oracle":
         # the oracle evaluates full chunks only: hard_skip drops the others
-        frames = sum(c.length for plan in plans for c in plan.chunks if c.mode is ChunkMode.FULL)
+        full = ChunkMode.FULL  # looked up once, not per chunk: an enum lookup is ~0.1 us
+        frames = sum(c.length for plan in plans for c in plan.chunks if c.mode is full)
         flops = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * frames
         most = config.n_total
     else:
@@ -651,10 +664,11 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     into one per-frame sum, so peak memory does not grow with the overlap.
     The DDIM update divides the sum by each frame's cover count, counted
     once per plan (a single cover passes through unchanged). The oracle
-    writes each chunk's residual into one scratch buffer per chunk length,
-    allocated once per run. Under ``hard_skip`` each kept chunk's frames
-    are updated as soon as it is committed instead. ``dtype`` must be
-    float32 or float64.
+    writes each chunk's residual into the first frames of one scratch
+    buffer, allocated once per run. Under ``hard_skip`` each kept chunk's
+    frames are updated as soon as it is committed instead. ``dtype`` must
+    be float32 or float64. Without ``conditions`` the run synthesizes the
+    ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
     ``run_band`` is the one loop: of a serial run, of each helper's band of
     a large oracle run, and of a large toy run, whose chunks it evaluates
@@ -662,15 +676,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
-    if config.denoiser == "oracle":
-        # Allocated before the run's latent-sized arrays: placed after them,
-        # these long-lived buffers split the heap space those arrays reuse
-        # from run to run, and a later run grew peak RSS by one latent. A
-        # chunk a band edge cuts gets a buffer of its own.
-        scratch = {length: np.empty((length, 4, config.latent_h, config.latent_w), dtype=dtype)
-                   for length in {c.length for plan in plans for c in plan.chunks}}
     if conditions is None:
-        conditions = synthesize_conditions(config, dtype=dtype)
+        conditions = _synthesize(config, dtype, (config.denoiser,))
     else:
         conditions.check(config, dtype)
     sched = config.schedule()
@@ -682,6 +689,9 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     else:
         toy = None
         oracle = OracleDenoiser(conditions.target_x0, sched)
+        # a chunk of any length, one a band edge cuts too, gets a view of it
+        buffer = np.empty((config.chunk_len, 4, config.latent_h, config.latent_w), dtype=dtype)
+        scratch = {length: buffer[:length] for length in range(1, config.chunk_len + 1)}
 
     rng = np.random.default_rng([config.seed, _STREAM_NOISE])
     z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
@@ -692,8 +702,10 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                              dtype=dtype)
 
     # the chunks each step evaluates: hard_skip drops the partial ones
-    steps = [[c for c in plan.chunks if c.mode is ChunkMode.FULL or not config.hard_skip]
-             for plan in plans]
+    steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
+             else plan.chunks for plan in plans]
+    modes = [c.mode for plan in plans for c in plan.chunks]  # one walk, for the counts
+    full, partials = modes.count(ChunkMode.FULL), modes.count(ChunkMode.PARTIAL)
     deep_flops = shallow_flops = 0
     if toy is not None:  # a partial chunk skips the deep stage
         shape = (config.latent_h, config.latent_w, config.garment_tokens)
@@ -709,8 +721,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         a full chunk) and what the run fixed before its first step."""
         sl = slice(chunk.start, chunk.stop)
         if oracle is not None:
-            # scratch eps: valid until the next evaluate of this length, so the loop adds it first
-            return oracle.eps_for(z_chunk, step_index, sl, out=scratch.get(chunk.length)), None
+            # scratch eps: valid until the next evaluate, so the loop adds it first
+            return oracle.eps_for(z_chunk, step_index, sl, out=scratch[chunk.length]), None
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
@@ -784,9 +796,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             run_band(0, n, conns)
     wall_seconds = time.perf_counter() - t_start
 
-    chunks = [c for plan in plans for c in plan.chunks]
-    full = sum(1 for c in chunks if c.mode is ChunkMode.FULL)
-    partials = len(chunks) - full
     stats = RunStats(
         n_total=n, full_chunk_evals=full,
         partial_chunk_evals=0 if config.hard_skip else partials,

@@ -26,7 +26,8 @@ from shiftcache.scheduler import (
     synthesize_conditions,
 )
 
-from test_golden import CONFIGS as GOLDEN_RUNS, golden_config
+from test_golden import CONFIGS as GOLDEN_RUNS, FLOAT64, golden_config
+from test_parallel import assert_same_run, fake_cores, needs_fork
 
 TINY_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
                              deep_blocks=2, seed=0)
@@ -675,6 +676,53 @@ class TestSynthesizeConditions:
         np.testing.assert_array_equal(got.masked_video, video * (1 - got.binary_mask))
         np.testing.assert_array_equal(got.pose, pose)
         np.testing.assert_array_equal(got.target_x0, target)
+
+    @pytest.mark.parametrize("kw,match", [(dict(latent_h=3), "latent dims must be even"),
+                                          (dict(n_total=0), "n_total must be >= 1")])
+    def test_invalid_config_rejected_after_the_dtype(self, kw, match):
+        cfg = EngineConfig(**kw)
+        with pytest.raises(ValueError, match=match):
+            synthesize_conditions(cfg)
+        with pytest.raises(ValueError, match="dtype must be float32 or float64"):
+            synthesize_conditions(cfg, dtype=np.float16)
+
+
+class TestOwnConditions:
+    """A run given no conditions synthesizes only the fields its denoiser
+    reads, each with the bits ``synthesize_conditions`` gives it."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_same_run_as_with_synthesized_conditions(self, name):
+        config = golden_config(**GOLDEN_RUNS[name])
+        dtype = np.float64 if name in FLOAT64 else np.float32
+        assert_same_run(run_inference(config, dtype=dtype),
+                        run_inference(config, synthesize_conditions(config, dtype), dtype))
+
+    @needs_fork
+    def test_same_run_on_oracle_bands(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", 0)
+        fake_cores(monkeypatch, 2)
+        config = golden_config(**GOLDEN_RUNS["oracle_f64"])
+        own = run_inference(config, dtype=np.float64)
+        given = run_inference(config, synthesize_conditions(config, np.float64), np.float64)
+        assert own[1].processes == given[1].processes == 2
+        assert_same_run(own, given)
+
+    @pytest.mark.parametrize("denoiser,fields", [("toy", 2), ("oracle", 1)])
+    def test_smooths_only_the_fields_its_denoiser_reads(self, monkeypatch, denoiser, fields):
+        # the toy reads the video and the pose, the oracle the target; each
+        # field is smoothed along H, then W, in blocks of frames
+        config = golden_config(denoiser=denoiser)
+        calls, correlate = [], scheduler.correlate_symmetric
+        monkeypatch.setattr(scheduler, "correlate_symmetric",
+                            lambda *args: calls.append(1) or correlate(*args))
+        blocks = math.ceil(config.n_total / _SMOOTH_BLOCK_FRAMES)
+        assert blocks == 2
+        run_inference(config)
+        assert len(calls) == 2 * blocks * fields
+        calls.clear()
+        synthesize_conditions(config)
+        assert len(calls) == 2 * blocks * 3
 
 
 class TestHardSkipAblation:
