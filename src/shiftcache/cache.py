@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import MaskVariant
+from .numerics import MaskVariant, as_frame_indices
 
 GOOD_MAX_STALENESS = 1
 
@@ -40,8 +40,9 @@ class FeatureCache:
 
     def fetch(self, frames) -> np.ndarray:
         """A copy of the features for ``frames``, [len(frames), ...slice].
-        Raises ValueError for no frames or a frame outside the cache."""
-        frames = np.asarray(frames, dtype=np.int64)
+        Raises ValueError for no frames, a frame outside the cache or a
+        dtype other than an integer one."""
+        frames = as_frame_indices(frames)
         if frames.size == 0:
             raise ValueError("fetch needs at least one frame")
         outside = (frames < 0) | (frames >= len(self._feats))

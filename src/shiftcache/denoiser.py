@@ -227,7 +227,7 @@ class ToyDenoiser:
 
     def _pos_enc(self, offsets, width: int) -> np.ndarray:
         # chunk offset patterns repeat every sampling step; memoize them
-        offsets = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
+        offsets = np.ascontiguousarray(numerics.as_frame_indices(offsets), dtype=np.int64)
         key = (offsets.tobytes(), width)
         cache = self._pe_cache
         hit = cache.get(key)
@@ -284,8 +284,9 @@ class ToyDenoiser:
 
     def denoise_full(self, x: np.ndarray, offsets: np.ndarray, garment: np.ndarray):
         """Full forward pass over the [L, 13, H, W] ``x`` of ``assemble_input``,
-        at the [L] absolute frame indices ``offsets``, with [M, C_f] garment
-        tokens. Returns (eps [L,4,H,W], deep features [L,(H/2)(W/2),C_d])."""
+        at the [L] absolute frame indices ``offsets`` (an integer dtype, else
+        ValueError), with [M, C_f] garment tokens. Returns (eps [L,4,H,W],
+        deep features [L,(H/2)(W/2),C_d])."""
         tokens, hw = self._shallow_in(x, offsets, garment)
         deep_tokens = self._deep_stage(tokens, garment, hw, offsets)
         return self._shallow_out(tokens, deep_tokens, garment, hw, offsets, None), deep_tokens

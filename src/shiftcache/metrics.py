@@ -26,12 +26,6 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
     return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Window-weighted local means over the last two axes."""
-    out = correlate_symmetric(img, window, -2, "edge")
-    return correlate_symmetric(out, window, -1, "edge")
-
-
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local structural similarity between two images.
 
@@ -56,8 +50,11 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
 
-    mu_a, mu_b, mean_aa, mean_bb, mean_ab = _windowed_mean(
-        np.stack([a, b, a * a, b * b, a * b]), _gaussian_window())
+    # window-weighted local means; the kernel wraps at the borders, but only
+    # the windows a radius from every border are kept, and they read no padding
+    window = _gaussian_window()
+    mu_a, mu_b, mean_aa, mean_bb, mean_ab = correlate_symmetric(correlate_symmetric(
+        np.stack([a, b, a * a, b * b, a * b]), window, -2), window, -1)
     var_a = mean_aa - mu_a * mu_a
     var_b = mean_bb - mu_b * mu_b
     cov = mean_ab - mu_a * mu_b

@@ -1,5 +1,6 @@
 """Dense-array primitives: the attention mask variants, the sinusoidal
-frame encoding and the separable smoothing filter.
+frame encoding, with the integer frame-index check, and the separable
+smoothing filter, whose one padding mode wraps.
 
 Everything here is pure numpy (float32 by default). A mask is the bool
 [L, L] array ``cache.build_mask`` returns, True where a key is blocked;
@@ -21,13 +22,22 @@ class MaskVariant(enum.Enum):
     CAUSAL = "causal"
 
 
+def as_frame_indices(frames) -> np.ndarray:
+    """``frames`` as an array (an integer one passes uncopied); ValueError for
+    any other dtype, bool too, unless empty: no index is cast or read as a mask."""
+    frames = np.asarray(frames)
+    if frames.size and frames.dtype.kind not in "iu":
+        raise ValueError(f"frame indices must have an integer dtype, got {frames.dtype}")
+    return frames
+
+
 def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     """Interleaved sin/cos codes at geometric frequencies, one row per frame.
 
     enc[f, 2i] = sin(t_f / 10000^(2i/dim)), enc[f, 2i+1] = cos(same), as
     float32 of shape [len(frame_indices), dim].
     """
-    idx = np.asarray(frame_indices)
+    idx = as_frame_indices(frame_indices)
     if idx.ndim != 1:
         raise ValueError("frame_indices must be one-dimensional")
     if np.any(idx < 0):
@@ -43,28 +53,24 @@ def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     return enc.astype(np.float32)
 
 
-def correlate_symmetric(x: np.ndarray, weights: np.ndarray, axis: int, mode: str) -> np.ndarray:
+def correlate_symmetric(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Correlate ``x`` along ``axis`` with an odd-length symmetric kernel, in float64.
 
     With radius r = len(weights) // 2 the result is
     ``out[i] = x[i]*w[r]``, then ``out[i] += (x[i-j] + x[i+j])*w[r-j]`` for
-    j = r down to 1. That is the summation order of
+    j = r down to 1, with ``x`` extended periodically past its ends (axes
+    shorter than the radius too). That is the summation order of
     ``scipy.ndimage.correlate1d`` for symmetric kernels, so results agree
-    with it bit for bit. ``mode`` extends ``x`` past its ends: ``"wrap"``
-    is periodic, ``"edge"`` repeats the end sample (scipy's ``"nearest"``).
-    Axes shorter than the radius are extended the same way.
+    with it bit for bit in its ``"wrap"`` mode, and in any mode on the
+    outputs at least r from either end, which read no padding.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] % 2 == 0 or not np.array_equal(w, w[::-1]):
         raise ValueError("weights must be a one-dimensional symmetric kernel of odd length")
-    if mode not in ("wrap", "edge"):
-        raise ValueError(f"mode must be 'wrap' or 'edge', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     axis = axis % x.ndim
     r, n = w.shape[0] // 2, x.shape[axis]
-    source = np.arange(-r, n + r)  # padded position -> position in x
-    source = source % n if mode == "wrap" else np.clip(source, 0, n - 1)
-    padded = np.take(x, source, axis=axis)
+    padded = np.take(x, np.arange(-r, n + r) % n, axis=axis)  # padded position -> x
 
     def shifted(j):
         """x[i + j] for every output position i."""

@@ -104,15 +104,10 @@ def select_best_frame(frames, specs=DEFAULT_JOINT_TRIPLES,
                       conf_threshold: float = DEFAULT_CONF_THRESHOLD) -> int:
     """Frame index maximizing visible parts; ties broken by lower score,
     then by smaller frame index."""
-    frames = list(frames)
-    if not frames:
+    rows = score_table(frames, specs, conf_threshold)
+    if not rows:
         raise ValueError("no frames to select from")
-    scored = [
-        (frame.frame_index, *perfect_pose_score(frame, specs, conf_threshold))
-        for frame in frames
-    ]
-    scored.sort(key=lambda row: (-row[2], row[1], row[0]))
-    return scored[0][0]
+    return min(rows, key=lambda row: (-row[2], row[1], row[0]))[0]
 
 
 def score_table(frames, specs=DEFAULT_JOINT_TRIPLES,

@@ -411,8 +411,8 @@ class RunStats:
 @dataclass
 class Conditions:
     """Per-frame conditioning plus the oracle's target video. The toy reads
-    the first four fields and the oracle ``target_x0``; conditions a run
-    synthesizes for itself hold None in the fields its denoiser does not read."""
+    the first four fields and the oracle ``target_x0``. A caller passes all
+    five arrays; a run that synthesizes its own holds None in unread ones."""
 
     masked_video: np.ndarray   # [N, 4, H, W]
     binary_mask: np.ndarray    # [N, 1, H, W], values in {0, 1}
@@ -421,11 +421,11 @@ class Conditions:
     target_x0: np.ndarray      # [N, 4, H, W]
 
     def check(self, config: EngineConfig, dtype) -> None:
-        """Raise ValueError naming the first field whose shape does not
-        match the config, whose dtype is not the run's ``dtype`` (float32
-        for the garment, which meets the toy's float32 weights) or which
-        holds NaN or inf, or the mask if it holds a value other than 0 and
-        1. Run once per run: the engine checks no chunk again."""
+        """Raise ValueError naming the first field that is not an ndarray,
+        whose shape does not match the config, whose dtype is not the run's
+        ``dtype`` (float32 for the garment, which meets the toy's float32
+        weights) or which holds NaN or inf, or the mask if it holds a value
+        other than 0 and 1. Run once per run: the engine checks no chunk again."""
         n, h, w = config.n_total, config.latent_h, config.latent_w
         run = np.dtype(dtype)
         for name, expected, expected_dtype in (
@@ -436,6 +436,8 @@ class Conditions:
                 ("garment", (config.garment_tokens, config.toy.shallow_width),
                  np.dtype(np.float32))):
             array = getattr(self, name)
+            if not isinstance(array, np.ndarray):
+                raise ValueError(f"conditions.{name} is a {type(array).__name__}, not an ndarray")
             if array.shape != expected:
                 raise ValueError(f"conditions.{name} has shape {array.shape}, "
                                  f"expected {expected} for this config")
@@ -477,10 +479,8 @@ def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
         for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
             frames = slice(first, first + _SMOOTH_BLOCK_FRAMES)
             # H, then W: the axis order of gaussian_filter, which the bits follow
-            block = correlate_symmetric(x[frames].transpose(2, 3, 0, 1),
-                                        _CONDITION_KERNEL, 0, "wrap")
-            block = correlate_symmetric(block.transpose(1, 0, 2, 3),
-                                        _CONDITION_KERNEL, 0, "wrap")
+            block = correlate_symmetric(x[frames].transpose(2, 3, 0, 1), _CONDITION_KERNEL, 0)
+            block = correlate_symmetric(block.transpose(1, 0, 2, 3), _CONDITION_KERNEL, 0)
             x[frames] = block.transpose(2, 3, 1, 0)
         x /= max(x.std(), 1e-12)
         return x.astype(dtype)
@@ -609,10 +609,10 @@ def _receive(conn):
 
 
 def _in_order(conns, requests, ready, inputs):
-    """Yield the answers to ``requests``, (step, chunk) pairs, in their
-    order, from the helpers at the other ends of ``conns``. Each request is
-    sent in order as ``inputs(*request)``, once ``ready(*request)``, to the
-    helper with the fewest of its ``_DEPTH`` requests in flight."""
+    """Yield the answers to ``requests`` (toy (step, chunk) pairs or oracle
+    (first, stop) bands) in their order, from the helpers at the other ends
+    of ``conns``. Each is sent in order as ``inputs(*request)``, once
+    ``ready(*request)``, to the helper with the fewest of its ``_DEPTH`` in flight."""
     from multiprocessing import connection  # only a parallel run pays for the import
 
     queued = {conn: collections.deque() for conn in conns}  # indices in flight, oldest first
@@ -633,20 +633,11 @@ def _in_order(conns, requests, ready, inputs):
         yield answers.pop(i)
 
 
-def _helper_count(config: EngineConfig, plans: list[ChunkPlan], flops: int) -> int:
-    """Helper processes for a run of ``flops`` FLOPs (0 for the oracle,
-    whose work is counted here in ``_ORACLE_OPS`` units): one per usable
-    core, at most one per chunk of the largest step of a toy run and one
-    per frame of an oracle run, or 0 (module docstring)."""
-    if config.denoiser == "oracle":
-        # the oracle evaluates full chunks only: hard_skip drops the others
-        full = ChunkMode.FULL  # looked up once, not per chunk: an enum lookup is ~0.1 us
-        frames = sum(c.length for plan in plans for c in plan.chunks if c.mode is full)
-        flops = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * frames
-        most = config.n_total
-    else:
-        most = max(len(plan.chunks) for plan in plans)
-    if (flops < _MIN_PARALLEL_FLOPS
+def _helper_count(work: int, most: int) -> int:
+    """Helper processes for a run of ``work`` units (``_MIN_PARALLEL_FLOPS``):
+    one per usable core, at most ``most``, or 0 for a serial run (module
+    docstring)."""
+    if (work < _MIN_PARALLEL_FLOPS
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return 0
@@ -670,9 +661,10 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
-    ``run_band`` is the one loop: of a serial run, of each helper's band of
-    a large oracle run, and of a large toy run, whose chunks it evaluates
-    on the helpers through ``_in_order`` (module docstring).
+    One walk over the evaluated chunks gives the counts, the toy's FLOPs and
+    the work ``_helper_count`` weighs. ``run_band`` is the one loop of a
+    serial run, of each band of a large oracle run and of a large toy run;
+    both parallel paths send their bands or chunks through ``_in_order``.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
@@ -704,16 +696,22 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     # the chunks each step evaluates: hard_skip drops the partial ones
     steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
              else plan.chunks for plan in plans]
-    modes = [c.mode for plan in plans for c in plan.chunks]  # one walk, for the counts
-    full, partials = modes.count(ChunkMode.FULL), modes.count(ChunkMode.PARTIAL)
-    deep_flops = shallow_flops = 0
-    if toy is not None:  # a partial chunk skips the deep stage
-        shape = (config.latent_h, config.latent_w, config.garment_tokens)
-        for c in itertools.chain.from_iterable(steps):
-            deep, shallow = toy.chunk_cost(c.length, *shape)
-            if c.mode is ChunkMode.FULL:
-                deep_flops += deep
+    # one walk prices the run: its evaluated partials and chunk-frames, and the toy's FLOPs
+    partial = ChunkMode.PARTIAL  # looked up once, not per chunk: an enum lookup is ~0.1 us
+    partials = chunk_frames = deep_flops = shallow_flops = 0
+    for c in itertools.chain.from_iterable(steps):
+        partials += c.mode is partial
+        chunk_frames += c.length
+        if toy is not None:  # a partial chunk skips the deep stage
+            deep, shallow = toy.chunk_cost(c.length, config.latent_h, config.latent_w,
+                                           config.garment_tokens)
+            deep_flops += 0 if c.mode is partial else deep
             shallow_flops += shallow
+    evaluated = sum(map(len, steps))
+    if toy is not None:  # at most one helper per chunk of the largest step
+        work, most = deep_flops + shallow_flops, max(map(len, steps))
+    else:  # the oracle counts no FLOPs: _ORACLE_OPS units per latent element; a band per frame
+        work, most = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * chunk_frames, n
 
     def evaluate(step_index, chunk, z_chunk, feats, good):
         """(eps, deep features to cache or None) of a chunk, from its
@@ -781,25 +779,23 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         return z[first:stop]
 
     t_start = time.perf_counter()
-    helpers = _helper_count(config, plans, deep_flops + shallow_flops)
+    helpers = _helper_count(work, most)
     if not helpers:
         run_band(0, n)
     elif oracle is not None:  # one band of nearly equal length per helper, none empty
         bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
         with _forked_helpers(helpers, run_band) as conns:
-            for conn, band in zip(conns, bands):
-                _send(conn, band)
-            for conn, (first, stop) in zip(conns, bands):
-                z[first:stop] = _receive(conn)
+            for (first, stop), latents in zip(bands, _in_order(
+                    conns, bands, lambda *band: True, lambda *band: band)):
+                z[first:stop] = latents
     else:
         with _forked_helpers(helpers, evaluate) as conns:
             run_band(0, n, conns)
     wall_seconds = time.perf_counter() - t_start
 
     stats = RunStats(
-        n_total=n, full_chunk_evals=full,
-        partial_chunk_evals=0 if config.hard_skip else partials,
-        skipped_chunk_evals=partials if config.hard_skip else 0,
+        n_total=n, full_chunk_evals=evaluated - partials, partial_chunk_evals=partials,
+        skipped_chunk_evals=sum(len(plan.chunks) for plan in plans) - evaluated,
         deep_flops=deep_flops, shallow_flops=shallow_flops,
         wall_seconds=wall_seconds,
         freshness_trace=freshness.trace, forced_full=freshness.forced_full,

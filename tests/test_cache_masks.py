@@ -41,6 +41,12 @@ class TestFeatureCache:
         with pytest.raises(ValueError, match=f"frame {frame} outside the cache's {N_FRAMES} frames"):
             cache.fetch([0, frame])
 
+    @pytest.mark.parametrize("frames", [np.array([True, False]), [1.7, 2.2]])
+    def test_non_integer_frames_rejected(self, frames):
+        # numpy would read the bools as a mask and truncate the floats
+        with pytest.raises(ValueError, match="integer dtype"):
+            _cache().fetch(frames)
+
     def test_empty_fetch_rejected(self):
         with pytest.raises(ValueError, match="at least one frame"):
             _cache().fetch([])

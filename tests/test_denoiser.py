@@ -92,6 +92,14 @@ class TestAssembleInput:
                 d.denoise_partial(bad_x, bad_offsets, deep, good, MaskVariant.FULL, garment)
 
 
+@pytest.mark.parametrize("offsets", [np.arange(L) + 0.5, np.arange(L) % 2 == 0])
+def test_non_integer_offsets_rejected(offsets):
+    # cast to int64, [0.5, 1.5, ...] would encode frames 0, 1, ...
+    cfg = tiny_config()
+    with pytest.raises(ValueError, match="integer dtype"):
+        ToyDenoiser(cfg).denoise_full(make_input()[0], offsets, make_garment(cfg))
+
+
 def _tokens(feat):
     """[L, C, H, W] -> the [L, H*W, C] tokens spatial_attention takes."""
     length, channels = feat.shape[:2]

@@ -140,15 +140,27 @@ def test_fewer_frames_than_cores_gives_one_frame_per_band(monkeypatch):
 def test_benchmark_oracle_run_goes_parallel_and_its_warmup_stays_serial(monkeypatch):
     # oracle-s15 evaluates 25 steps of 2033 16-frame chunks of 4x16x12
     # latents, 4 units of work per element: 2.5e9 in all; its warm-up, 3
-    # steps of 17 chunks on 32 frames, counts 2.5e6
+    # steps of 17 chunks on 32 frames, counts 2.5e6. The spy records the
+    # engine's own (work, most) and stops the run before its loop.
     fake_cores(monkeypatch, 2)
     config = PERFBENCH.make_config(shiftcache, "oracle-s15", 0)
     warmup = PERFBENCH.warmup_config(config)
+    helper_count = scheduler._helper_count
+
+    class Priced(Exception):
+        pass
+
+    def spy(work, most):
+        raise Priced(work, most)
+
+    monkeypatch.setattr(scheduler, "_helper_count", spy)
     for run_config, helpers, work in ((config, 2, 2_498_150_400), (warmup, 0, 2_506_752)):
-        plans, _ = build_plans(run_config)
+        with pytest.raises(Priced) as priced:
+            run_inference(run_config)
+        assert priced.value.args == (work, run_config.n_total)
         for threshold, expected in ((work, 2), (work + 1, 0), (THRESHOLD, helpers)):
             monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", threshold)
-            assert scheduler._helper_count(run_config, plans, 0) == expected
+            assert helper_count(*priced.value.args) == expected
 
 
 @needs_fork

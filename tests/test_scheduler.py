@@ -601,6 +601,25 @@ class TestCallerConditions:
             run_inference(cfg, conditions)
 
     @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    def test_fields_left_none_rejected_naming_the_first(self, denoiser):
+        # the shape a run's own conditions have on the oracle: a caller's
+        # conditions need all five arrays, whichever denoiser reads them
+        cfg = small_config(denoiser=denoiser)
+        target = synthesize_conditions(cfg).target_x0
+        with pytest.raises(ValueError, match="conditions.masked_video is a NoneType, not an"):
+            run_inference(cfg, scheduler.Conditions(None, None, None, None, target))
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    @pytest.mark.parametrize("name", ["masked_video", "binary_mask", "pose", "garment",
+                                      "target_x0"])
+    def test_field_as_a_list_rejected_naming_it(self, denoiser, name):
+        cfg = small_config(denoiser=denoiser, garment_tokens=4)
+        conditions = synthesize_conditions(cfg)
+        conditions = dataclasses.replace(conditions, **{name: getattr(conditions, name).tolist()})
+        with pytest.raises(ValueError, match=f"conditions.{name} is a list, not an ndarray"):
+            run_inference(cfg, conditions)
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
     @pytest.mark.parametrize("name,dtype", [
         ("masked_video", np.int64),
         ("masked_video", np.float64),
