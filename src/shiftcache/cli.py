@@ -22,8 +22,8 @@ from .numerics import MaskVariant
 from .pose_select import (
     DEFAULT_CONF_THRESHOLD,
     DEFAULT_JOINT_TRIPLES,
+    pose_select,
     score_table,
-    select_best_frame,
 )
 from .scheduler import EngineConfig, build_plans, run_inference
 
@@ -138,8 +138,7 @@ def cmd_select_frame(args) -> int:
     print("frame_index,score,visible_parts")
     for idx, score, visible in table:
         print(f"{idx},{score:.6g},{visible}")
-    best = select_best_frame(frames, specs, args.conf_threshold)
-    print(f"selected frame: {best}")
+    print(f"selected frame: {pose_select(table)}")
     return 0
 
 

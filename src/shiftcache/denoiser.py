@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics
 from .cache import build_mask
-from .diffusion import NoiseSchedule, oracle_residual, oracle_scales
+from .diffusion import NoiseSchedule, step_scales
 from .numerics import MaskVariant
 
 MLP_RATIO = 2
@@ -335,26 +335,31 @@ class ToyDenoiser:
 class OracleDenoiser:
     """Frame-local analytic denoiser steering toward a fixed target video.
 
-    The two schedule scalars of every step are computed once, here, in the
-    target's dtype, and a step whose ``alpha_bar`` is 1 is rejected before
-    any chunk runs. ``run_inference`` passes ``eps_for`` the first frames of
-    one scratch buffer, allocated once per run, and adds each residual into
-    its per-step sum, whose cover count it computes once per plan.
+    The ``step_scales`` of every step, the ones ``ddim_step`` uses, are
+    computed once, here, in the target's dtype, and a step whose
+    ``alpha_bar`` is 1 in that dtype is rejected before any chunk runs.
     """
 
     def __init__(self, target_x0: np.ndarray, sched: NoiseSchedule):
         self.target_x0 = target_x0
-        self.scales = tuple(oracle_scales(sched.alpha_bar_at(k), target_x0.dtype)
+        self.scales = tuple(step_scales(sched.alpha_bar_at(k), target_x0.dtype)
                             for k in range(sched.num_steps))
+        if any(root == 0 for _, root in self.scales):  # eps_for divides by it
+            raise ValueError("alpha_bar == 1 at this step; oracle residual undefined")
 
     def eps_for(self, noise_latent: np.ndarray, step_index: int, frames,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """The oracle residual for the target frames ``frames`` selects: a
-        slice (a view, no copy) or an index array. Written into ``out``
-        when given, else into a new array."""
+        """``(z_t - sqrt(abar) * target) / sqrt(1 - abar)``: the residual that
+        steers ``ddim_step`` toward the target frames ``frames`` selects (a
+        slice, read as a view, or an index array), into ``out`` when given."""
         if not 0 <= step_index < len(self.scales):
             raise IndexError(f"step index {step_index} outside 0..{len(self.scales) - 1}")
         if noise_latent.dtype != self.target_x0.dtype:
             raise ValueError(f"latent dtype {noise_latent.dtype} differs from the "
                              f"target's {self.target_x0.dtype}")
-        return oracle_residual(noise_latent, self.target_x0[frames], self.scales[step_index], out)
+        target = self.target_x0[frames]
+        if noise_latent.shape != target.shape:
+            raise ValueError(f"latent/target shape mismatch: {noise_latent.shape} vs {target.shape}")
+        sqrt_abar, sqrt_one_minus_abar = self.scales[step_index]
+        out = np.multiply(target, sqrt_abar, out=out)
+        return np.divide(np.subtract(noise_latent, out, out=out), sqrt_one_minus_abar, out=out)

@@ -1,10 +1,9 @@
 """DDIM machinery: linear-beta noise schedule, the deterministic (eta=0)
-sampling update, and an analytic noise oracle used to verify scheduling
-end to end.
-
-The oracle returns the exact noise residual that makes the DDIM update
-reconstruct a chosen target, frame by frame, so any correct chunk schedule
-must reproduce the target bit-for-bit up to float rounding.
+sampling update, and ``step_scales``, the one home of a step's scalars
+sqrt(abar) and sqrt(1 - abar), which the update shares with the analytic
+oracle (``denoiser.OracleDenoiser``). The oracle's residual makes the
+update reconstruct a chosen target, frame by frame, so any correct chunk
+schedule must reproduce the target bit-for-bit up to float rounding.
 """
 
 from __future__ import annotations
@@ -91,47 +90,31 @@ def make_schedule(t_train: int, beta_start: float, beta_end: float, k: int) -> N
     return NoiseSchedule(t_train=t_train, betas=betas, alpha_bars=alpha_bars, sampling_steps=steps)
 
 
+def step_scales(alpha_bar: float, dtype: np.dtype) -> tuple[np.generic, np.generic]:
+    """``(sqrt(alpha_bar), sqrt(1 - alpha_bar))``, with ``alpha_bar`` first
+    cast to ``dtype`` and both roots taken in it: the two scalars of one
+    sampling step, for the DDIM update and the oracle alike."""
+    alpha_bar = dtype.type(alpha_bar)
+    return np.sqrt(alpha_bar, dtype=dtype), np.sqrt(1.0 - alpha_bar, dtype=dtype)
+
+
 def ddim_step(z_t: np.ndarray, eps_pred: np.ndarray, step_index: int, sched: NoiseSchedule) -> np.ndarray:
-    """One deterministic DDIM update. At the final step returns the clean estimate.
+    """One deterministic DDIM update, on the ``step_scales`` of steps t and
+    prev in the latents' dtype. At the final step returns the clean estimate.
 
     x0_hat = (z_t - sqrt(1 - abar_t) * eps) / sqrt(abar_t)
     z_prev = sqrt(abar_prev) * x0_hat + sqrt(1 - abar_prev) * eps
     """
     if z_t.shape != eps_pred.shape:
         raise ValueError(f"latent/eps shape mismatch: {z_t.shape} vs {eps_pred.shape}")
-    dtype = z_t.dtype
-    abar_t = dtype.type(sched.alpha_bar_at(step_index))
+    sqrt_abar, sqrt_one_minus_abar = step_scales(sched.alpha_bar_at(step_index), z_t.dtype)
     # one output buffer, the formula's operations in its order (same bits)
-    out = np.multiply(eps_pred, np.sqrt(1.0 - abar_t, dtype=dtype))
+    out = np.multiply(eps_pred, sqrt_one_minus_abar)
     np.subtract(z_t, out, out=out)
-    out /= np.sqrt(abar_t, dtype=dtype)
+    out /= sqrt_abar
     if step_index == sched.num_steps - 1:
         return out
-    abar_prev = dtype.type(sched.alpha_bar_at(step_index + 1))
-    out *= np.sqrt(abar_prev, dtype=dtype)
-    out += np.sqrt(1.0 - abar_prev, dtype=dtype) * eps_pred
-    return out
-
-
-def oracle_scales(abar_t: float, dtype: np.dtype) -> tuple[np.generic, np.generic]:
-    """``(sqrt(abar_t), sqrt(1 - abar_t))`` in ``dtype``: the two scalars of
-    one step's oracle residual."""
-    if abar_t >= 1.0:
-        raise ValueError("alpha_bar == 1 at this step; oracle residual undefined")
-    abar_t = dtype.type(abar_t)
-    return np.sqrt(abar_t, dtype=dtype), np.sqrt(1.0 - abar_t, dtype=dtype)
-
-
-def oracle_residual(z_t: np.ndarray, target_x0: np.ndarray, scales: tuple,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``(z_t - sqrt_abar * target_x0) / sqrt_one_minus_abar`` for the
-    ``scales`` of ``oracle_scales``, written into ``out`` when given: the
-    noise residual that makes ``ddim_step`` steer z_t toward target_x0.
-    Purely elementwise, hence frame-local."""
-    if z_t.shape != target_x0.shape:
-        raise ValueError(f"latent/target shape mismatch: {z_t.shape} vs {target_x0.shape}")
-    sqrt_abar, sqrt_one_minus_abar = scales
-    out = np.multiply(target_x0, sqrt_abar, out=out)
-    np.subtract(z_t, out, out=out)
-    out /= sqrt_one_minus_abar
+    sqrt_abar, sqrt_one_minus_abar = step_scales(sched.alpha_bar_at(step_index + 1), z_t.dtype)
+    out *= sqrt_abar
+    out += sqrt_one_minus_abar * eps_pred
     return out

@@ -243,10 +243,12 @@ def config_to_dict(config: EngineConfig) -> dict:
 # -- diagnostics -------------------------------------------------------------
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """8-bit binary PGM (P5) of a 2D array, min-max normalized."""
+    """8-bit binary PGM (P5) of a finite 2D array, min-max normalized."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"PGM dump needs a 2D image, got {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("PGM dump needs finite values, got NaN or inf")
     lo, hi = img.min(), img.max()
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = np.rint(np.clip((img - lo) * scale, 0, 255)).astype(np.uint8)

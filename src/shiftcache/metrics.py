@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import correlate_symmetric
+from .numerics import correlate_symmetric, gaussian_kernel
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return g / g.sum()
+_SSIM_KERNEL = gaussian_kernel(SSIM_SIGMA, SSIM_WINDOW // 2)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,9 +47,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
     # window-weighted local means; the kernel wraps at the borders, but only
     # the windows a radius from every border are kept, and they read no padding
-    window = _gaussian_window()
     mu_a, mu_b, mean_aa, mean_bb, mean_ab = correlate_symmetric(correlate_symmetric(
-        np.stack([a, b, a * a, b * b, a * b]), window, -2), window, -1)
+        np.stack([a, b, a * a, b * b, a * b]), _SSIM_KERNEL, -2), _SSIM_KERNEL, -1)
     var_a = mean_aa - mu_a * mu_a
     var_b = mean_bb - mu_b * mu_b
     cov = mean_ab - mu_a * mu_b
@@ -68,9 +62,9 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def video_ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean per-frame SSIM between two [N, C, H, W] videos."""
-    if a.shape != b.shape or a.ndim != 4:
-        raise ValueError("videos must share an [N, C, H, W] shape")
+    """Mean per-frame SSIM between two [N, C, H, W] videos, N >= 1."""
+    if a.shape != b.shape or a.ndim != 4 or not len(a):
+        raise ValueError("videos must share an [N, C, H, W] shape with N >= 1")
     return float(np.mean([ssim(a[i], b[i]) for i in range(a.shape[0])]))
 
 

@@ -1,6 +1,7 @@
 """Dense-array primitives: the attention mask variants, the sinusoidal
-frame encoding, with the integer frame-index check, and the separable
-smoothing filter, whose one padding mode wraps.
+frame encoding, with the integer frame-index check, the separable
+smoothing filter, whose one padding mode wraps, and the one Gaussian
+kernel builder, behind the conditions' smoothing and SSIM's window.
 
 Everything here is pure numpy (float32 by default). A mask is the bool
 [L, L] array ``cache.build_mask`` returns, True where a key is blocked;
@@ -51,6 +52,13 @@ def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles)
     return enc.astype(np.float32)
+
+
+def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
+    """Gaussian of ``sigma`` over offsets -radius..radius, normalized to sum 1
+    as ``scipy.ndimage`` builds ``gaussian_filter``'s kernel (same bits)."""
+    kernel = np.exp(-0.5 / sigma ** 2 * np.arange(-radius, radius + 1) ** 2)
+    return kernel / kernel.sum()
 
 
 def correlate_symmetric(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:

@@ -75,11 +75,13 @@ def perfect_pose_score(frame: KeypointFrame, specs=DEFAULT_JOINT_TRIPLES,
     """(score, visible_parts) for one frame.
 
     A triple contributes only when all three joints are present with
-    confidence >= conf_threshold and the angle is well defined; missing
-    joints count as confidence 0.
+    confidence >= conf_threshold, which must lie in [0, 1], and the angle
+    is well defined; missing joints count as confidence 0.
     """
     if not specs:
         raise ValueError("need at least one joint triple spec")
+    if not 0.0 <= conf_threshold <= 1.0:
+        raise ValueError(f"confidence threshold {conf_threshold} outside [0, 1]")
     score = 0.0
     visible = 0
     for spec in specs:
@@ -100,14 +102,18 @@ def perfect_pose_score(frame: KeypointFrame, specs=DEFAULT_JOINT_TRIPLES,
     return score, visible
 
 
-def select_best_frame(frames, specs=DEFAULT_JOINT_TRIPLES,
-                      conf_threshold: float = DEFAULT_CONF_THRESHOLD) -> int:
-    """Frame index maximizing visible parts; ties broken by lower score,
-    then by smaller frame index."""
-    rows = score_table(frames, specs, conf_threshold)
+def pose_select(rows) -> int:
+    """The frame index of the ``score_table`` row with the most visible
+    parts; ties broken by lower score, then by smaller frame index."""
     if not rows:
         raise ValueError("no frames to select from")
     return min(rows, key=lambda row: (-row[2], row[1], row[0]))[0]
+
+
+def select_best_frame(frames, specs=DEFAULT_JOINT_TRIPLES,
+                      conf_threshold: float = DEFAULT_CONF_THRESHOLD) -> int:
+    """``pose_select`` over the ``score_table`` of ``frames``."""
+    return pose_select(score_table(frames, specs, conf_threshold))
 
 
 def score_table(frames, specs=DEFAULT_JOINT_TRIPLES,

@@ -74,7 +74,7 @@ import numpy as np
 from .cache import GOOD_MAX_STALENESS, FeatureCache
 from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
 from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
-from .numerics import MaskVariant, correlate_symmetric
+from .numerics import MaskVariant, correlate_symmetric, gaussian_kernel
 
 # Seed-stream tags: keep distinct so config fields never alias each other.
 _STREAM_NOISE = 1
@@ -83,10 +83,9 @@ _STREAM_MARK = 3
 _STREAM_CONDITIONS = 4
 
 # Spatial smoothing of the synthetic conditions: a Gaussian of sigma 1.5
-# truncated at 4 sigma (radius 6), normalized the way scipy.ndimage builds
-# its gaussian_filter kernel so the smoothed noise is bit-identical to it.
-_CONDITION_KERNEL = np.exp(-0.5 / 1.5 ** 2 * np.arange(-6, 7) ** 2)
-_CONDITION_KERNEL /= _CONDITION_KERNEL.sum()
+# truncated at 4 sigma (radius 6), so the smoothed noise is bit-identical
+# to scipy.ndimage's gaussian_filter in its "wrap" mode.
+_CONDITION_KERNEL = gaussian_kernel(1.5, 6)
 # Frames smoothed per pass. A pass filters axis 0 of a block laid out
 # [H, W, frames, C] (then [W, H, frames, C]), so every shifted slice is one
 # contiguous run. At the default 16x12 latent a block of 32 frames is
@@ -497,25 +496,23 @@ def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
 
 def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]:
     """Per-step chunk plans for a config, with partial marks applied, and
-    the freshness record of the marking pass."""
+    the freshness record of the marking pass. A run with no partial
+    fraction skips the pass: its record is the one marking gives at p = 0,
+    every frame fully computed at every step."""
     config.validate()
-    steps = config.ddim_steps
+    steps, n = config.ddim_steps, config.n_total
     if config.policy == "overlap":
-        # every frame is fully computed at every step: nothing to simulate
-        base = plan_overlap(config.n_total, config.chunk_len, config.overlap_s)
-        plans = [ChunkPlan(chunks=tuple(base)) for _ in range(steps)]
-        record = FreshnessRecord(trace=np.zeros((steps, config.n_total), dtype=np.int64),
-                                 last_full=np.full(config.n_total, steps - 1, dtype=np.int64))
-        return plans, record
-    raw = [
-        plan_shift(config.n_total, config.chunk_len, config.delta, k,
-                   mode=config.shift_mode, seed=config.seed)
-        for k in range(steps)
-    ]
-    marked, record = mark_partial(raw, config.partial_fraction, config.staleness_cap,
-                                  config.seed, config.chunk_len)
-    plans = [ChunkPlan(chunks=tuple(step)) for step in marked]
-    return plans, record
+        raw = [plan_overlap(n, config.chunk_len, config.overlap_s)] * steps
+    else:
+        raw = [plan_shift(n, config.chunk_len, config.delta, k, mode=config.shift_mode,
+                          seed=config.seed) for k in range(steps)]
+    if config.partial_fraction > 0:
+        raw, record = mark_partial(raw, config.partial_fraction, config.staleness_cap,
+                                   config.seed, config.chunk_len)
+    else:
+        record = FreshnessRecord(trace=np.zeros((steps, n), dtype=np.int64),
+                                 last_full=np.full(n, steps - 1, dtype=np.int64))
+    return [ChunkPlan(chunks=tuple(chunks)) for chunks in raw], record
 
 
 # Below this much work a run stays serial. A toy run's work is its FLOPs
@@ -724,7 +721,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
-        if chunk.mode is ChunkMode.PARTIAL:
+        if chunk.mode is partial:
             return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
                                        conditions.garment), None
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
@@ -734,7 +731,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         """``evaluate``'s arguments for a chunk: its latents, and a partial
         chunk's cached features, fetched here, and freshness from the record."""
         feats = good = None
-        if chunk.mode is ChunkMode.PARTIAL:
+        if chunk.mode is partial:
             feats = cache.fetch(np.arange(chunk.start, chunk.stop))
             good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
         return step_index, chunk, z[chunk.start:chunk.stop], feats, good

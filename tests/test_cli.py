@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from shiftcache import fileio
+from shiftcache import fileio, pose_select
 from shiftcache.cli import _sweep_configs, main
 from shiftcache.scheduler import EngineConfig
 
@@ -323,6 +323,29 @@ class TestSelectFrame:
                                "--specs", str(specs))
         assert code == 0
         assert "selected frame: 1" in out
+
+    def test_scores_each_frame_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        score = pose_select.perfect_pose_score
+        monkeypatch.setattr(pose_select, "perfect_pose_score",
+                            lambda frame, *a: calls.append(frame.frame_index) or score(frame, *a))
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"frames": [
+            {"frame_index": i, "joints": {"neck": [0, 0, 1.0], "left_shoulder": [1, 0, 1.0],
+                                          "left_elbow": [2, i, 1.0]}} for i in (0, 1)]}))
+        code, out, _ = run_cli(capsys, "select-frame", "--keypoints", str(path))
+        assert code == 0 and "selected frame: 0" in out
+        assert calls == [0, 1]
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_threshold_outside_unit_interval_fails(self, tmp_path, capsys, threshold):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"frames": [{"frame_index": 0, "joints": {
+            "neck": [0, 0, 0.0], "left_shoulder": [1, 0, 0.0], "left_elbow": [2, 0, 0.0]}}]}))
+        code, out, err = run_cli(capsys, "select-frame", "--keypoints", str(path),
+                                 "--conf-threshold", threshold)
+        assert code == 1 and "outside [0, 1]" in err
+        assert "selected frame" not in out
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "select-frame", "--keypoints", "missing.json")

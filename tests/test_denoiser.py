@@ -485,6 +485,15 @@ class TestOracleDenoiser:
         with pytest.raises(ValueError, match="alpha_bar == 1 at this step; oracle residual undefined"):
             OracleDenoiser(np.zeros((2, 4, 2, 2), dtype=np.float32), sched)
 
+    def test_alpha_bar_one_in_the_target_dtype_rejected(self):
+        # 1 - 1e-9 is below 1 in float64 but rounds to 1.0 in float32, where
+        # the residual would divide by sqrt(1 - abar) = 0
+        sched = make_schedule(1000, 1e-9, 0.02, 25)
+        assert sched.alpha_bar_at(sched.num_steps - 1) < 1.0
+        OracleDenoiser(np.zeros((2, 4, 2, 2)), sched)
+        with pytest.raises(ValueError, match="alpha_bar == 1 at this step; oracle residual undefined"):
+            OracleDenoiser(np.zeros((2, 4, 2, 2), dtype=np.float32), sched)
+
     def test_bad_step_index_and_dtype_rejected(self):
         sched = make_schedule(1000, 1e-4, 0.02, 25)
         oracle = OracleDenoiser(np.zeros((4, 4, 2, 2), dtype=np.float32), sched)

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcache import diffusion
 from shiftcache.denoiser import OracleDenoiser
 from shiftcache.diffusion import (
     LatentVideo,
     NoiseSchedule,
     ddim_step,
     make_schedule,
+    step_scales,
 )
 
 
@@ -51,6 +53,29 @@ class TestMakeSchedule:
             make_schedule(100, 1e-4, 1.0, 10)
         with pytest.raises(ValueError):
             make_schedule(100, 1e-4, 0.02, 101)
+
+
+class TestStepScales:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roots_of_the_cast_alpha_bar_in_its_dtype(self, dtype):
+        sched = default_schedule()
+        for k in range(sched.num_steps):
+            a = dtype(sched.alpha_bar_at(k))
+            root, root_rest = step_scales(sched.alpha_bar_at(k), np.dtype(dtype))
+            assert type(root) is dtype and type(root_rest) is dtype
+            assert root == np.sqrt(a, dtype=dtype) and root_rest == np.sqrt(1.0 - a, dtype=dtype)
+
+    def test_ddim_step_reads_its_steps_scalars_there(self, monkeypatch):
+        sched = default_schedule()
+        seen = []
+        monkeypatch.setattr(diffusion, "step_scales",
+                            lambda abar, dtype: seen.append(abar) or step_scales(abar, dtype))
+        z = np.ones((1, 4, 2, 2), dtype=np.float32)
+        ddim_step(z, z, 3, sched)
+        assert seen == [sched.alpha_bar_at(3), sched.alpha_bar_at(4)]
+        seen.clear()
+        ddim_step(z, z, sched.num_steps - 1, sched)
+        assert seen == [sched.alpha_bar_at(sched.num_steps - 1)]
 
 
 class TestDdimStep:

@@ -297,11 +297,13 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=match):
             fileio.config_from_dict(doc)
 
+    DEFAULT_DOC = fileio.config_to_dict(EngineConfig())
+
     @given(
         key=st.sampled_from(
-            sorted(fileio._TOP_KEYS - {"mask_variant", "toy", "latent"})
-            + [f"toy.{k}" for k in sorted(fileio._TOY_KEYS)]
-            + [f"latent.{k}" for k in sorted(fileio._LATENT_KEYS)]),
+            sorted(set(DEFAULT_DOC) - {"mask_variant", "toy", "latent"})
+            + [f"toy.{k}" for k in sorted(DEFAULT_DOC["toy"])]
+            + [f"latent.{k}" for k in sorted(DEFAULT_DOC["latent"])]),
         value=st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
                         st.floats(allow_nan=False, allow_infinity=False),
                         st.text(max_size=6), st.lists(st.integers(), max_size=2)),
@@ -332,6 +334,13 @@ class TestPgm:
         assert blob.startswith(b"P5\n2 2\n255\n")
         pixels = np.frombuffer(blob[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
         assert pixels.tolist() == [0, 64, 128, 255]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, tmp_path, bad):
+        path = tmp_path / "f.pgm"
+        with pytest.raises(ValueError, match="finite"):
+            fileio.write_pgm(path, np.array([[0.0, bad], [2.0, 4.0]]))
+        assert not path.exists()
 
     def test_constant_image_all_zero(self, tmp_path):
         path = tmp_path / "f.pgm"

@@ -103,6 +103,11 @@ class TestSsim:
         v = np.random.default_rng(4).standard_normal((3, 2, 16, 16))
         assert video_ssim(v, v) == 1.0
 
+    def test_video_ssim_of_no_frames_rejected(self):
+        empty = np.zeros((0, 2, 16, 16))
+        with pytest.raises(ValueError, match="N >= 1"):
+            video_ssim(empty, empty)
+
 
 class TestFlickerIndex:
     def test_constant_video_is_zero(self):

@@ -8,9 +8,12 @@ from scipy import ndimage
 
 from shiftcache.cache import build_mask
 from shiftcache.denoiser import _rms_norm, attention
-from shiftcache.numerics import MaskVariant, correlate_symmetric, sinusoidal_encoding_batch
-from shiftcache.metrics import _gaussian_window
-from shiftcache.scheduler import _CONDITION_KERNEL
+from shiftcache.numerics import (
+    MaskVariant,
+    correlate_symmetric,
+    gaussian_kernel,
+    sinusoidal_encoding_batch,
+)
 
 
 def _mask(blocked_rows_cols, size):
@@ -187,6 +190,14 @@ class TestSinusoidalEncoding:
             np.testing.assert_array_equal(row, closed.astype(np.float32))
 
 
+@pytest.mark.parametrize("sigma,radius", [(1.5, 6), (1.5, 5), (1.0, 1)])
+def test_gaussian_kernel_is_scipys_impulse_response(sigma, radius):
+    impulse = np.zeros(2 * radius + 1)
+    impulse[radius] = 1.0
+    expected = ndimage.gaussian_filter1d(impulse, sigma, truncate=radius / sigma, mode="constant")
+    np.testing.assert_array_equal(gaussian_kernel(sigma, radius), expected, strict=True)
+
+
 class TestCorrelateSymmetric:
     """Bit-for-bit agreement with scipy.ndimage, which stays installed as a
     test-only reference; the library itself runs on numpy alone."""
@@ -195,8 +206,8 @@ class TestCorrelateSymmetric:
     def test_matches_scipy_gaussian_filter_wrap(self, h, w):
         x = np.random.default_rng(h * 100 + w).standard_normal((5, 4, h, w))
         expected = ndimage.gaussian_filter(x, sigma=(0, 0, 1.5, 1.5), mode="wrap")
-        got = correlate_symmetric(correlate_symmetric(x, _CONDITION_KERNEL, 2),
-                                  _CONDITION_KERNEL, 3)
+        kernel = gaussian_kernel(1.5, 6)  # the conditions' smoothing
+        got = correlate_symmetric(correlate_symmetric(x, kernel, 2), kernel, 3)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("h,w", [(11, 11), (16, 12), (24, 20), (3, 5)])
@@ -205,7 +216,7 @@ class TestCorrelateSymmetric:
         # SSIM keeps only the outputs a radius from each border, which read
         # no padding, so there the wrapping kernel equals scipy's "nearest"
         img = np.random.default_rng(h * 100 + w).standard_normal((h, w))
-        window = _gaussian_window()
+        window = gaussian_kernel(1.5, 5)
         r = len(window) // 2
         interior = [slice(None)] * 2
         interior[axis] = slice(r, img.shape[axis] - r)
@@ -229,7 +240,7 @@ class TestCorrelateSymmetric:
     def test_result_is_float64_and_input_untouched(self):
         x = np.arange(12, dtype=np.float32).reshape(3, 4)
         before = x.copy()
-        out = correlate_symmetric(x, _gaussian_window(3, 1.0), -1)
+        out = correlate_symmetric(x, gaussian_kernel(1.0, 1), -1)
         assert out.dtype == np.float64 and out.shape == x.shape
         np.testing.assert_array_equal(x, before)
 

@@ -10,6 +10,8 @@ from shiftcache.pose_select import (
     KeypointFrame,
     calculate_angle,
     perfect_pose_score,
+    pose_select,
+    score_table,
     select_best_frame,
 )
 
@@ -104,6 +106,20 @@ class TestPerfectPoseScore:
         with pytest.raises(ValueError):
             perfect_pose_score(frame(0), ())
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, -1e-9, 1.5, float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at a threshold of nan or -1, joints of confidence 0 read as visible
+        unseen = frame(0, p=(0, 0, 0.0), q=(1, 0, 0.0), r=(2, 0, 0.0))
+        for score in (lambda: perfect_pose_score(unseen, SPEC2, threshold),
+                      lambda: score_table([unseen], SPEC2, threshold)):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                score()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        seen = frame(0, p=(0, 0, 1.0), q=(1, 0, 1.0), r=(2, 0, 1.0))
+        assert perfect_pose_score(seen, SPEC2[:1], threshold) == (0.0, 1)
+
 
 class TestSelectBestFrame:
     def test_visibility_dominates_score(self):
@@ -132,6 +148,14 @@ class TestSelectBestFrame:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_best_frame([], SPEC2)
+        with pytest.raises(ValueError, match="no frames"):
+            pose_select([])
+
+    def test_pose_select_orders_score_table_rows(self):
+        # most visible parts, then lower score, then smaller frame index
+        rows = [(3, 0.0, 1), (8, 5.0, 2), (6, 1.0, 2), (2, 1.0, 2)]
+        assert pose_select(rows) == 2
+        assert pose_select(rows[:2]) == 8
 
     def test_confidence_bounds_validated(self):
         with pytest.raises(ValueError):
