@@ -161,18 +161,18 @@ class ToyDenoiserConfig:
             raise ValueError("need at least one shallow block before and after the deep stage")
         if self.deep_blocks < 1:
             raise ValueError("need at least one deep block")
-        if self.shallow_width % 2 or self.deep_width % 2:
-            raise ValueError("widths must be even (sinusoidal encodings pair sin/cos)")
+        if any(width < 2 or width % 2 for width in (self.shallow_width, self.deep_width)):
+            raise ValueError("widths must be even and >= 2 (sinusoidal encodings pair sin/cos)")
         if self.seed < 0:
             raise ValueError("toy.seed must be >= 0")
 
 
 class ToyDenoiser:
-    """Seeded, frozen toy network with a cacheable deep stage."""
+    """Seeded, frozen toy network with a cacheable deep stage; it holds its
+    config and weights only, so an output depends on its call alone."""
 
     def __init__(self, config: ToyDenoiserConfig):
         self.config = config
-        self._pe_cache: dict = {}
         rng = np.random.default_rng(config.seed)
         cf, cd = config.shallow_width, config.deep_width
 
@@ -225,27 +225,13 @@ class ToyDenoiser:
 
     # -- stages -------------------------------------------------------------
 
-    def _pos_enc(self, offsets, width: int) -> np.ndarray:
-        # chunk offset patterns repeat every sampling step; memoize them
-        offsets = np.ascontiguousarray(numerics.as_frame_indices(offsets), dtype=np.int64)
-        key = (offsets.tobytes(), width)
-        cache = self._pe_cache
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) > 8192:
-                cache.clear()
-            hit = numerics.sinusoidal_encoding_batch(offsets, width)
-            cache[key] = hit
-        return hit
-
-    def _shallow_in(self, x, offsets, garment):
-        if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or len(offsets) != x.shape[0]:
+    def _shallow_in(self, x, pe, garment):
+        if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or len(pe) != x.shape[0]:
             raise ValueError(f"expected x [L, {INPUT_CHANNELS}, H, W] and L offsets, "
-                             f"got {x.shape} and {len(offsets)}")
+                             f"got {x.shape} and {len(pe)}")
         length, _, h, w = x.shape
         tokens = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(length, h * w, INPUT_CHANNELS))
         tokens = np.matmul(tokens, self.w_in)
-        pe = self._pos_enc(offsets, self.config.shallow_width)
         for blk in self.shallow_in:
             tokens = self._block(tokens, blk, garment, pe, None)
         return tokens, (h, w)
@@ -257,12 +243,12 @@ class ToyDenoiser:
         grid = tokens.reshape(length, h // 2, 2, w // 2, 2, cf)
         pooled = grid.mean(axis=(2, 4)).reshape(length, (h // 2) * (w // 2), cf)
         d = np.matmul(pooled, self.w_down)
-        pe = self._pos_enc(offsets, self.config.deep_width)
+        pe = numerics.sinusoidal_encoding_batch(offsets, self.config.deep_width)
         for blk in self.deep:
             d = self._block(d, blk, garment, pe, None)
         return d  # [L, (H/2)(W/2), C_d]
 
-    def _shallow_out(self, tokens, deep_tokens, garment, hw, offsets, mask) -> np.ndarray:
+    def _shallow_out(self, tokens, deep_tokens, garment, hw, pe, mask) -> np.ndarray:
         h, w = hw
         length = tokens.shape[0]
         cf = self.config.shallow_width
@@ -270,7 +256,6 @@ class ToyDenoiser:
         up = up.reshape(length, h // 2, w // 2, cf)
         up = np.repeat(np.repeat(up, 2, axis=1), 2, axis=2).reshape(length, h * w, cf)
         tokens = tokens + up
-        pe = self._pos_enc(offsets, self.config.shallow_width)
         for blk in self.shallow_out:
             tokens = self._block(tokens, blk, garment, pe, mask)
         out = np.matmul(_rms_norm(tokens), self.w_out)
@@ -286,10 +271,11 @@ class ToyDenoiser:
         """Full forward pass over the [L, 13, H, W] ``x`` of ``assemble_input``,
         at the [L] absolute frame indices ``offsets`` (an integer dtype, else
         ValueError), with [M, C_f] garment tokens. Returns (eps [L,4,H,W],
-        deep features [L,(H/2)(W/2),C_d])."""
-        tokens, hw = self._shallow_in(x, offsets, garment)
+        deep features [L,(H/2)(W/2),C_d]), encoding ``offsets`` per call."""
+        pe = numerics.sinusoidal_encoding_batch(offsets, self.config.shallow_width)
+        tokens, hw = self._shallow_in(x, pe, garment)
         deep_tokens = self._deep_stage(tokens, garment, hw, offsets)
-        return self._shallow_out(tokens, deep_tokens, garment, hw, offsets, None), deep_tokens
+        return self._shallow_out(tokens, deep_tokens, garment, hw, pe, None), deep_tokens
 
     def denoise_partial(self, x: np.ndarray, offsets: np.ndarray, cached: np.ndarray,
                         good: np.ndarray, mask_variant: MaskVariant,
@@ -301,7 +287,8 @@ class ToyDenoiser:
         The deep stage never runs; the freshness mask applies to temporal
         attention after the injection.
         """
-        tokens, hw = self._shallow_in(x, offsets, garment)
+        pe = numerics.sinusoidal_encoding_batch(offsets, self.config.shallow_width)
+        tokens, hw = self._shallow_in(x, pe, garment)
         length = len(tokens)
         if len(good) != length:
             raise ValueError(f"freshness length {len(good)} != chunk length {length}")
@@ -311,7 +298,7 @@ class ToyDenoiser:
                 f"cached deep features shape {cached.shape} != expected {expected}"
             )
         mask = build_mask(mask_variant, good)
-        return self._shallow_out(tokens, cached, garment, hw, offsets, mask)
+        return self._shallow_out(tokens, cached, garment, hw, pe, mask)
 
     # -- cost model -----------------------------------------------------------
 

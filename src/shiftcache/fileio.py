@@ -119,19 +119,27 @@ def _required(doc: dict, key: str, kind: type, where: str = ""):
     return _exact(doc[key], kind, where + key)
 
 
+def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise FormatError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
 # -- keypoints ---------------------------------------------------------------
 
 def load_keypoints(path) -> list[KeypointFrame]:
     """Parse {"frames": [{"frame_index": i, "joints": {name: [x, y, conf]}}]}
-    with the config parser's exact types."""
+    with the config parser's exact types; unknown keys are rejected."""
     doc = _read_json(path, "keypoints file")
     if not isinstance(doc, dict) or "frames" not in doc:
         raise FormatError('keypoints file must be an object with a "frames" list')
+    _reject_unknown(doc, {"frames"}, "keypoints file")
     frames = []
     seen = set()
     for i, entry in enumerate(_exact(doc["frames"], list, "frames")):
         where = f"frames[{i}]"
         entry = _exact(entry, dict, where)
+        _reject_unknown(entry, {"frame_index", "joints"}, where)
         idx = _required(entry, "frame_index", int, where + ".")
         if idx in seen:
             raise FormatError(f"duplicate frame_index {idx}")
@@ -152,7 +160,8 @@ def load_keypoints(path) -> list[KeypointFrame]:
 
 def load_joint_specs(path) -> tuple[JointTripleSpec, ...]:
     """Parse [{"name": ..., "triple": [a, b, c], "target_angle": deg}, ...]
-    with the config parser's exact types; "name" defaults to "a-b-c"."""
+    with the config parser's exact types; "name" defaults to "a-b-c", and
+    unknown keys are rejected."""
     doc = _read_json(path, "joint spec file")
     if type(doc) is not list or not doc:
         raise FormatError("joint spec file must be a non-empty list")
@@ -160,6 +169,7 @@ def load_joint_specs(path) -> tuple[JointTripleSpec, ...]:
     for i, entry in enumerate(doc):
         where = f"[{i}]"
         entry = _exact(entry, dict, where)
+        _reject_unknown(entry, {"name", "triple", "target_angle"}, "joint spec " + where)
         triple = _required(entry, "triple", list, where + ".")
         if len(triple) != 3:
             raise FormatError(f'"{where}.triple" must name 3 joints, got {triple!r}')
@@ -182,12 +192,6 @@ _TOY_KEYS = {f.name for f in dataclasses.fields(ToyDenoiserConfig)}
 _LATENT_KEYS = {"h", "w"}
 _TOP_KEYS = ({f.name for f in dataclasses.fields(EngineConfig)}
              - {"latent_h", "latent_w"} | {"latent"})
-
-
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise FormatError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
 def config_from_dict(doc: dict) -> EngineConfig:

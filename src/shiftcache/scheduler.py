@@ -62,12 +62,13 @@ import contextlib
 import enum
 import itertools
 import multiprocessing
+import numbers
 import os
 import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -93,6 +94,9 @@ _CONDITION_KERNEL = gaussian_kernel(1.5, 6)
 # a pass stay in L2; smoothing all 2048 frames of a long video in one pass
 # spills to memory and runs about twice as slow.
 _SMOOTH_BLOCK_FRAMES = 32
+# The values a config field with a default of each type accepts, as the
+# JSON config does: a bool is no number, and an int passes for a float.
+_KINDS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real}
 
 
 class ChunkMode(enum.Enum):
@@ -333,6 +337,11 @@ class EngineConfig:
     beta_end: float = 0.02
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind in _KINDS and (not isinstance(value, _KINDS[kind])
+                                   or kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
         if not 1 <= self.chunk_len <= self.n_total:
@@ -647,9 +656,10 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     """Run the full sampling loop under the configured policy.
 
     Per step, each chunk is evaluated and committed in plan order: a full
-    chunk writes the deep-feature cache on shift runs, a partial chunk
-    reads it under the configured mask variant, and each prediction goes
-    into one per-frame sum, so peak memory does not grow with the overlap.
+    chunk writes the deep-feature cache, which a run has only when it
+    evaluates a partial chunk, a partial chunk reads it under the configured
+    mask variant, and each prediction goes into one per-frame sum, so peak
+    memory does not grow with the overlap.
     The DDIM update divides the sum by each frame's cover count, counted
     once per plan (a single cover passes through unchanged). The oracle
     writes each chunk's residual into the first frames of one scratch
@@ -685,11 +695,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     rng = np.random.default_rng([config.seed, _STREAM_NOISE])
     z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
 
-    cache = None
-    if config.policy == "shift" and toy is not None and not config.hard_skip:
-        cache = FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
-                             dtype=dtype)
-
     # the chunks each step evaluates: hard_skip drops the partial ones
     steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
              else plan.chunks for plan in plans]
@@ -705,6 +710,9 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             deep_flops += 0 if c.mode is partial else deep
             shallow_flops += shallow
     evaluated = sum(map(len, steps))
+    # a cache only for a partial chunk to read; validate leaves those to toy runs
+    cache = (FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
+                          dtype=dtype) if partials else None)
     if toy is not None:  # at most one helper per chunk of the largest step
         work, most = deep_flops + shallow_flops, max(map(len, steps))
     else:  # the oracle counts no FLOPs: _ORACLE_OPS units per latent element; a band per frame

@@ -366,6 +366,9 @@ class TestToyDenoiserConfig:
         (dict(deep_blocks=0), "deep block"),
         (dict(shallow_width=5), "even"),
         (dict(deep_width=7), "even"),
+        (dict(shallow_width=-2), ">= 2"),
+        (dict(shallow_width=0), ">= 2"),
+        (dict(deep_width=0), ">= 2"),
         (dict(seed=-1), "^toy.seed must be >= 0"),
     ])
     def test_invalid_sizes_rejected(self, kw, match):

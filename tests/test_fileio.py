@@ -183,6 +183,22 @@ class TestKeypointsFiles:
         with pytest.raises(FormatError, match=f'^"{re.escape(entry)}": '):
             getattr(fileio, loader)(path)
 
+    @pytest.mark.parametrize("loader,doc,where,key", [
+        ("load_keypoints", {"frames": [], "frame": []}, "keypoints file", "frame"),
+        # a misspelt "joints" would load as a frame with no visible joints
+        ("load_keypoints", {"frames": [{"frame_index": 0},
+                                       {"frame_index": 1, "joint": {}}]}, "frames[1]", "joint"),
+        # a misspelt "name" would take the default name
+        ("load_joint_specs", [{"nme": "x", "triple": ["a", "b", "c"], "target_angle": 90}],
+         "joint spec [0]", "nme"),
+    ])
+    def test_unknown_keys_rejected_naming_the_entry(self, tmp_path, loader, doc, where, key):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError,
+                           match=re.escape(f"unknown key(s) in {where}: {[key]}")):
+            getattr(fileio, loader)(path)
+
     @pytest.mark.parametrize("loader,what", [("load_keypoints", "keypoints file"),
                                              ("load_joint_specs", "joint spec file")])
     def test_invalid_json_reported(self, tmp_path, loader, what):

@@ -385,6 +385,23 @@ class TestRunInference:
         with pytest.raises(ValueError, match="^mask_variant must be a MaskVariant"):
             small_config(**kw).validate()
 
+    @pytest.mark.parametrize("kw,field", [
+        # a truthy string would run the hard_skip ablation
+        (dict(hard_skip="no", partial_fraction=0.5), "hard_skip"),
+        (dict(delta=True), "delta"),
+        (dict(partial_fraction=True), "partial_fraction"),
+        (dict(n_total=32.0), "n_total"),
+        (dict(staleness_cap=np.bool_(True)), "staleness_cap"),
+    ])
+    def test_wrong_types_rejected_naming_the_field(self, kw, field):
+        # the JSON path's rule: a bool is never a number
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            small_config(**kw).validate()
+
+    def test_int_and_numpy_scalars_accepted(self):
+        small_config(partial_fraction=1, beta_end=np.float32(0.02), n_total=np.int64(24),
+                     hard_skip=np.False_).validate()
+
     def test_latent_video_freshness_tracks_last_full(self):
         cfg = small_config(partial_fraction=0.0, ddim_steps=4)
         video, _ = run_inference(cfg)
@@ -401,18 +418,30 @@ class TestRunInference:
         np.testing.assert_array_equal(video.freshness, record.last_full)
         assert stats.forced_full == record.forced_full
 
-    def test_overlap_runs_skip_marking_and_cache(self, monkeypatch):
+    @pytest.mark.parametrize("kw,marks", [
+        (dict(policy="overlap", overlap_s=4), False),
+        (dict(policy="overlap", overlap_s=4, denoiser="oracle"), False),
+        (dict(shift_mode="fixed"), False),
+        (dict(shift_mode="random"), False),
+        # hard_skip marks chunks, then drops the partial ones unevaluated
+        (dict(shift_mode="random", partial_fraction=0.6, hard_skip=True), True),
+    ])
+    def test_runs_without_a_partial_chunk_build_no_cache(self, monkeypatch, kw, marks):
         def forbidden(*args, **kwargs):
-            raise AssertionError("overlap runs must not mark or cache")
+            raise AssertionError("a run without a partial chunk must not mark or cache")
 
-        monkeypatch.setattr(scheduler, "mark_partial", forbidden)
+        if not marks:
+            monkeypatch.setattr(scheduler, "mark_partial", forbidden)
         monkeypatch.setattr(scheduler, "FeatureCache", forbidden)
-        cfg = small_config(policy="overlap", overlap_s=4, ddim_steps=3)
-        run_inference(cfg)
-        run_inference(small_config(policy="overlap", overlap_s=4, denoiser="oracle"))
-        _, record = build_plans(cfg)
-        np.testing.assert_array_equal(record.trace, np.zeros((3, 24), dtype=np.int64))
-        np.testing.assert_array_equal(record.last_full, np.full(24, 2))
+        cfg = small_config(ddim_steps=3, **kw)
+        _, stats = run_inference(cfg)
+        assert stats.partial_chunk_evals == 0
+        if marks:
+            assert stats.skipped_chunk_evals > 0
+        else:
+            _, record = build_plans(cfg)
+            np.testing.assert_array_equal(record.trace, np.zeros((3, 24), dtype=np.int64))
+            np.testing.assert_array_equal(record.last_full, np.full(24, 2))
 
 
 class TestStreamedAggregation:
