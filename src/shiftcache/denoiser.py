@@ -25,7 +25,8 @@ forward pass keeps no counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,6 +140,22 @@ def block_flops(length: int, tokens: int, width: int, garment_count: int,
     }
 
 
+# The values a config field with a default of each type accepts, as the
+# JSON config does: a bool is no number, and an int passes for a float.
+_KINDS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real}
+
+
+def check_field_types(config, prefix: str = "") -> None:
+    """Raise ValueError naming the first field of the dataclass ``config``
+    whose default is a bool, int or float and whose value is not of that
+    kind (numpy scalars pass); ``prefix`` goes before the field's name."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        if kind in _KINDS and (not isinstance(value, _KINDS[kind])
+                               or kind is not bool and isinstance(value, bool)):
+            raise ValueError(f"{prefix}{f.name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToyDenoiserConfig:
     """Sizing and seeding for the toy denoiser.
@@ -157,6 +174,7 @@ class ToyDenoiserConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "toy.")
         if self.shallow_blocks < 2:
             raise ValueError("need at least one shallow block before and after the deep stage")
         if self.deep_blocks < 1:

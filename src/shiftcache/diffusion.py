@@ -1,5 +1,6 @@
 """DDIM machinery: linear-beta noise schedule, the deterministic (eta=0)
-sampling update, and ``step_scales``, the one home of a step's scalars
+sampling update, which can write into the latents in L2-sized frame
+blocks, and ``step_scales``, the one home of a step's scalars
 sqrt(abar) and sqrt(1 - abar), which the update shares with the analytic
 oracle (``denoiser.OracleDenoiser``). The oracle's residual makes the
 update reconstruct a chosen target, frame by frame, so any correct chunk
@@ -11,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Bytes per array in a block of ``ddim_step``'s frames: 85 float32 frames at
+# 16x12, so a block's arrays stay in L2 (unblocked, 1024 frames run ~1.4x slower).
+_UPDATE_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -98,23 +103,40 @@ def step_scales(alpha_bar: float, dtype: np.dtype) -> tuple[np.generic, np.gener
     return np.sqrt(alpha_bar, dtype=dtype), np.sqrt(1.0 - alpha_bar, dtype=dtype)
 
 
-def ddim_step(z_t: np.ndarray, eps_pred: np.ndarray, step_index: int, sched: NoiseSchedule) -> np.ndarray:
+def ddim_step(z_t: np.ndarray, eps_pred: np.ndarray, step_index: int, sched: NoiseSchedule,
+              out: np.ndarray | None = None) -> np.ndarray:
     """One deterministic DDIM update, on the ``step_scales`` of steps t and
     prev in the latents' dtype. At the final step returns the clean estimate.
 
     x0_hat = (z_t - sqrt(1 - abar_t) * eps) / sqrt(abar_t)
     z_prev = sqrt(abar_prev) * x0_hat + sqrt(1 - abar_prev) * eps
+
+    Writes into and returns ``out``: new if None, else ``z_t`` itself or an
+    array of the result's shape and dtype sharing no memory with ``z_t`` or
+    ``eps_pred`` (else ValueError). Blocks of ``_UPDATE_BLOCK_BYTES`` frames
+    pass through one scratch, and each element through the formula's
+    operations in order, so neither changes a bit.
     """
     if z_t.shape != eps_pred.shape:
         raise ValueError(f"latent/eps shape mismatch: {z_t.shape} vs {eps_pred.shape}")
+    dtype = np.result_type(z_t, eps_pred)
+    if out is None:
+        out = np.empty(z_t.shape, dtype=dtype)
+    elif (out.shape != z_t.shape or out.dtype != dtype or np.shares_memory(out, eps_pred)
+          or out is not z_t and np.shares_memory(out, z_t)):
+        raise ValueError(f"out must be z_t or a {dtype} {z_t.shape} array apart from z_t and eps")
     sqrt_abar, sqrt_one_minus_abar = step_scales(sched.alpha_bar_at(step_index), z_t.dtype)
-    # one output buffer, the formula's operations in its order (same bits)
-    out = np.multiply(eps_pred, sqrt_one_minus_abar)
-    np.subtract(z_t, out, out=out)
-    out /= sqrt_abar
-    if step_index == sched.num_steps - 1:
-        return out
-    sqrt_abar, sqrt_one_minus_abar = step_scales(sched.alpha_bar_at(step_index + 1), z_t.dtype)
-    out *= sqrt_abar
-    out += sqrt_one_minus_abar * eps_pred
+    last = step_index == sched.num_steps - 1
+    prev = None if last else step_scales(sched.alpha_bar_at(step_index + 1), z_t.dtype)
+    frames = max(1, _UPDATE_BLOCK_BYTES // (out[:1].nbytes or 1))
+    scratch = np.empty_like(out[:frames])
+    for first in range(0, len(out), frames):
+        eps, dest = eps_pred[first:first + frames], out[first:first + frames]
+        tmp = scratch[:len(dest)]
+        np.multiply(eps, sqrt_one_minus_abar, out=tmp)
+        np.subtract(z_t[first:first + frames], tmp, out=tmp)
+        np.divide(tmp, sqrt_abar, out=dest if last else tmp)
+        if not last:
+            np.multiply(tmp, prev[0], out=dest)
+            dest += np.multiply(eps, prev[1], out=tmp)
     return out

@@ -19,8 +19,8 @@ Each run has one loop, ``run_band``: per step, each chunk in plan order is
 evaluated (``evaluate``, from cached deep features for a partial chunk)
 and committed, its deep features cached and its prediction added to the
 step's per-frame overlap sum (or, under ``hard_skip``, its frames
-updated), and then the frames get one DDIM update by their overlap mean.
-The loop gives the same bits on any number of cores:
+updated), and then the frames get one DDIM update, in place, by their
+overlap mean. The loop gives the same bits on any number of cores:
 
 * Serial: ``run_band`` over all frames, one update a step.
 * Oracle bands: the oracle is frame-local, so each helper runs the loop
@@ -60,20 +60,19 @@ import bisect
 import collections
 import contextlib
 import enum
-import itertools
 import multiprocessing
-import numbers
 import os
 import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cache import GOOD_MAX_STALENESS, FeatureCache
-from .denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input
+from .denoiser import (OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input,
+                       check_field_types)
 from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
 from .numerics import MaskVariant, correlate_symmetric, gaussian_kernel
 
@@ -94,9 +93,6 @@ _CONDITION_KERNEL = gaussian_kernel(1.5, 6)
 # a pass stay in L2; smoothing all 2048 frames of a long video in one pass
 # spills to memory and runs about twice as slow.
 _SMOOTH_BLOCK_FRAMES = 32
-# The values a config field with a default of each type accepts, as the
-# JSON config does: a bool is no number, and an int passes for a float.
-_KINDS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real}
 
 
 class ChunkMode(enum.Enum):
@@ -182,22 +178,27 @@ class OverlapSum:
     """Per-frame sum and cover count of one step's chunk predictions over
     frames [first, stop) of the video.
 
-    ``reset`` zeroes the sum and counts, once per plan, how many chunks
-    cover each frame; each prediction is then added as its chunk is
-    committed, so no list of a step's predictions is built, and ``mean``
-    divides once, in place. The sum takes the first prediction's shape and
-    dtype and is allocated once.
+    ``reset`` zeroes the sum and counts, once per plan (an overlap run
+    has one), how many chunks cover each frame; each prediction is then
+    added as its chunk is committed, so no list of a step's predictions is
+    built, and ``mean`` divides once, in place. The sum takes the first
+    prediction's shape and dtype and is allocated once.
     """
 
     def __init__(self, stop: int, first: int = 0):
         self.first, self.stop = first, stop
         self.total: np.ndarray | None = None   # [stop - first, ...]
         self.count: np.ndarray | None = None   # [stop - first] int64
+        self.counted = None                    # the chunks ``count`` counts
 
     def reset(self, chunks) -> None:
-        """Zero the sum and count the covers of ``chunks`` (difference of
-        chunk starts and stops, then a running sum). Raise ValueError
-        naming the first frame no chunk covers."""
+        """Zero the sum and, unless ``chunks`` is the object counted last,
+        count its covers (difference of chunk starts and stops, then a
+        running sum). Raise ValueError naming the first frame no chunk covers."""
+        if self.total is not None:
+            self.total.fill(0)
+        if chunks is self.counted:
+            return
         n = self.stop - self.first
         bounds = np.array([(c.start, c.start + c.length) for c in chunks],
                           dtype=np.int64).reshape(-1, 2) - self.first
@@ -205,12 +206,11 @@ class OverlapSum:
             raise ValueError(f"a chunk ends past the video's {self.stop} frames")
         edges = (np.bincount(bounds[:, 0], minlength=n + 1)
                  - np.bincount(bounds[:, 1], minlength=n + 1))
-        self.count = np.cumsum(edges[:n])
-        if np.any(self.count == 0):
-            frame = self.first + int(np.argmin(self.count))
+        count = np.cumsum(edges[:n])
+        if np.any(count == 0):
+            frame = self.first + int(np.argmin(count))
             raise ValueError(f"frame {frame} not covered by any chunk")
-        if self.total is not None:
-            self.total.fill(0)
+        self.count, self.counted = count, chunks
 
     def add(self, chunk: Chunk, eps: np.ndarray) -> None:
         if self.total is None:
@@ -238,6 +238,15 @@ def _clip(chunks: tuple[Chunk, ...], first: int, stop: int) -> tuple[Chunk, ...]
                        Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
                        for c in inside)
     return inside
+
+
+def _per_step(fn, steps: list) -> list:
+    """``fn`` of each step's chunks, called again only for chunks that are
+    not the step before's (``is``): an overlap run repeats one plan."""
+    out = []
+    for k, step in enumerate(steps):
+        out.append(out[-1] if k and step is steps[k - 1] else fn(step))
+    return out
 
 
 def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
@@ -337,11 +346,9 @@ class EngineConfig:
     beta_end: float = 0.02
 
     def validate(self) -> None:
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if kind in _KINDS and (not isinstance(value, _KINDS[kind])
-                                   or kind is not bool and isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        check_field_types(self)
+        if not isinstance(self.toy, ToyDenoiserConfig):
+            raise ValueError(f"toy must be a ToyDenoiserConfig, got {self.toy!r}")
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
         if not 1 <= self.chunk_len <= self.n_total:
@@ -505,7 +512,8 @@ def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
 
 def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]:
     """Per-step chunk plans for a config, with partial marks applied, and
-    the freshness record of the marking pass. A run with no partial
+    the freshness record of the marking pass; an overlap run, unmarked,
+    has one ``ChunkPlan`` object for every step. A run with no partial
     fraction skips the pass: its record is the one marking gives at p = 0,
     every frame fully computed at every step."""
     config.validate()
@@ -521,7 +529,7 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
     else:
         record = FreshnessRecord(trace=np.zeros((steps, n), dtype=np.int64),
                                  last_full=np.full(n, steps - 1, dtype=np.int64))
-    return [ChunkPlan(chunks=tuple(chunks)) for chunks in raw], record
+    return _per_step(lambda chunks: ChunkPlan(chunks=tuple(chunks)), raw), record
 
 
 # Below this much work a run stays serial. A toy run's work is its FLOPs
@@ -661,17 +669,18 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     mask variant, and each prediction goes into one per-frame sum, so peak
     memory does not grow with the overlap.
     The DDIM update divides the sum by each frame's cover count, counted
-    once per plan (a single cover passes through unchanged). The oracle
-    writes each chunk's residual into the first frames of one scratch
-    buffer, allocated once per run. Under ``hard_skip`` each kept chunk's
+    once per plan, which an overlap run shares across steps (a single cover
+    passes through unchanged), and writes into the latents. The oracle writes
+    each chunk's residual into the first frames of one scratch buffer,
+    allocated once per run. Under ``hard_skip`` each kept chunk's
     frames are updated as soon as it is committed instead. ``dtype`` must
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
-    One walk over the evaluated chunks gives the counts, the toy's FLOPs and
-    the work ``_helper_count`` weighs. ``run_band`` is the one loop of a
-    serial run, of each band of a large oracle run and of a large toy run;
-    both parallel paths send their bands or chunks through ``_in_order``.
+    One walk over the evaluated chunks, a repeated plan once, gives the
+    counts, the toy's FLOPs and the work ``_helper_count`` weighs. ``run_band``
+    is the one loop of a serial run, of each band of a large oracle run and
+    of a large toy run; both parallel paths go through ``_in_order``.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
@@ -698,17 +707,20 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     # the chunks each step evaluates: hard_skip drops the partial ones
     steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
              else plan.chunks for plan in plans]
-    # one walk prices the run: its evaluated partials and chunk-frames, and the toy's FLOPs
     partial = ChunkMode.PARTIAL  # looked up once, not per chunk: an enum lookup is ~0.1 us
-    partials = chunk_frames = deep_flops = shallow_flops = 0
-    for c in itertools.chain.from_iterable(steps):
-        partials += c.mode is partial
-        chunk_frames += c.length
-        if toy is not None:  # a partial chunk skips the deep stage
-            deep, shallow = toy.chunk_cost(c.length, config.latent_h, config.latent_w,
-                                           config.garment_tokens)
-            deep_flops += 0 if c.mode is partial else deep
-            shallow_flops += shallow
+
+    def price(chunks):  # a step's evaluated partials, chunk-frames and toy FLOPs
+        partials = chunk_frames = deep_flops = shallow_flops = 0
+        for c in chunks:
+            partials += c.mode is partial
+            chunk_frames += c.length
+            if toy is not None:  # a partial chunk skips the deep stage
+                deep, shallow = toy.chunk_cost(c.length, config.latent_h, config.latent_w,
+                                               config.garment_tokens)
+                deep_flops += 0 if c.mode is partial else deep
+                shallow_flops += shallow
+        return partials, chunk_frames, deep_flops, shallow_flops
+    partials, chunk_frames, deep_flops, shallow_flops = map(sum, zip(*_per_step(price, steps)))
     evaluated = sum(map(len, steps))
     # a cache only for a partial chunk to read; validate leaves those to toy runs
     cache = (FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
@@ -748,7 +760,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
         them, in plan order: evaluated here, or on the helpers at the other
         ends of ``conns``, and committed here. Returns their latents."""
-        band = [_clip(chunks, first, stop) for chunks in steps]
+        band = _per_step(lambda chunks: _clip(chunks, first, stop), steps)
         sums = OverlapSum(stop, first)
         # frames below at[1] are updated through step at[0], the rest through one step less
         at = [0, first]
@@ -761,9 +773,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             """Step k's DDIM update of frames [at[1], upto) by their overlap
             mean; under hard_skip they had theirs at their commit, if any."""
             if not config.hard_skip:
-                frames = slice(at[1], upto)
-                z[frames] = ddim_step(z[frames], sums.mean(slice(at[1] - first, upto - first)),
-                                      k, sched)
+                zf = z[at[1]:upto]
+                ddim_step(zf, sums.mean(slice(at[1] - first, upto - first)), k, sched, out=zf)
             at[1] = upto
 
         for k, chunks in enumerate(band):
@@ -775,7 +786,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                 if feats is not None:
                     cache.store_block(c.start, feats)
                 if config.hard_skip:
-                    z[c.start:c.stop] = ddim_step(z[c.start:c.stop], eps, k, sched)
+                    zf = z[c.start:c.stop]
+                    ddim_step(zf, eps, k, sched, out=zf)
                 else:
                     sums.add(c, eps)
                 if conns and i + 1 < len(chunks):  # so the next step's chunks go out sooner

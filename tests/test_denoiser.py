@@ -375,6 +375,20 @@ class TestToyDenoiserConfig:
         with pytest.raises(ValueError, match=match):
             ToyDenoiserConfig(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(deep_blocks=2.0), dict(shallow_width=8.0), dict(deep_width=np.float64(12)),
+        dict(shallow_blocks="2"), dict(seed=True), dict(seed=1.5), dict(seed=np.bool_(False)),
+    ])
+    def test_wrong_types_rejected_naming_the_field(self, kw):
+        # the engine config's rule: a bool is never a number, a float no int
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"^toy.{name} must be int, got "):
+            ToyDenoiserConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = ToyDenoiserConfig(deep_blocks=np.int64(3), seed=np.uint8(2))
+        assert cfg.deep_blocks == 3 and cfg.seed == 2
+
     def test_frozen_value_object(self):
         cfg = tiny_config(seed=3)
         with pytest.raises(FrozenInstanceError):

@@ -175,6 +175,97 @@ class TestDdimStep:
             ddim_step(z, z, sched.num_steps, sched)
 
 
+def formula(z, eps, k, sched):
+    """The DDIM update as one unblocked numpy expression per line: the
+    reference the blocked, in-place update must match bit for bit."""
+    dtype = z.dtype.type
+    a_t = dtype(sched.alpha_bar_at(k))
+    x0 = (z - np.sqrt(1.0 - a_t, dtype=dtype) * eps) / np.sqrt(a_t, dtype=dtype)
+    if k == sched.num_steps - 1:
+        return x0
+    a_prev = dtype(sched.alpha_bar_at(k + 1))
+    return np.sqrt(a_prev, dtype=dtype) * x0 + np.sqrt(1.0 - a_prev, dtype=dtype) * eps
+
+
+def block_frames(dtype):
+    """Frames in one block of the update at 4x16x12 latents."""
+    return diffusion._UPDATE_BLOCK_BYTES // (4 * 16 * 12 * np.dtype(dtype).itemsize)
+
+
+class TestDdimStepOut:
+    """``ddim_step(..., out=)``: in place or into a separate array, in
+    blocks of frames, with the bits of the out-of-place update."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [12, 24])  # a middle step and the last
+    @pytest.mark.parametrize("in_place", [True, False])
+    @pytest.mark.parametrize("frames", ["1", "block-1", "block", "block+1", "2048"])
+    def test_bit_equal_to_out_of_place(self, dtype, k, in_place, frames):
+        sched = default_schedule(25)
+        block = block_frames(dtype)
+        n = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "2048": 2048}[frames]
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, 4, 16, 12)).astype(dtype)
+        eps = rng.standard_normal((n, 4, 16, 12)).astype(dtype)
+        expected = ddim_step(z, eps, k, sched)
+        np.testing.assert_array_equal(expected, formula(z, eps, k, sched), strict=True)
+        out = z if in_place else np.full_like(z, np.nan)
+        assert ddim_step(z, eps, k, sched, out=out) is out
+        np.testing.assert_array_equal(out, expected, strict=True)
+
+    def test_in_place_on_a_view_leaves_the_rest(self):
+        sched = default_schedule()
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((300, 4, 16, 12)).astype(np.float32)
+        eps = rng.standard_normal((200, 4, 16, 12)).astype(np.float32)
+        before = z.copy()
+        view = z[50:250]
+        ddim_step(view, eps, 3, sched, out=view)
+        np.testing.assert_array_equal(z[50:250], formula(before[50:250], eps, 3, sched),
+                                      strict=True)
+        np.testing.assert_array_equal(z[:50], before[:50])
+        np.testing.assert_array_equal(z[250:], before[250:])
+
+    def test_refused_outs(self):
+        sched = default_schedule()
+        rng = np.random.default_rng(9)
+        big = rng.standard_normal((201, 4, 16, 12)).astype(np.float32)
+        z, eps = big[:100], rng.standard_normal((100, 4, 16, 12)).astype(np.float32)
+        for out in (eps,                      # eps itself
+                    big[1:101],               # overlaps z_t, is not z_t
+                    big[:100].view(),         # all of z_t, another object
+                    np.empty((99, 4, 16, 12), dtype=np.float32),
+                    np.empty((100, 4, 16, 12), dtype=np.float64)):
+            before = big.copy(), eps.copy()
+            with pytest.raises(ValueError, match="^out must be"):
+                ddim_step(z, eps, 3, sched, out=out)
+            np.testing.assert_array_equal(big, before[0])
+            np.testing.assert_array_equal(eps, before[1])
+        with pytest.raises(ValueError, match="^out must be"):
+            ddim_step(z, z, 3, sched, out=z)  # eps shares z_t's memory, which is out
+
+    def test_in_place_allocates_about_one_block(self):
+        import tracemalloc
+
+        sched = default_schedule()
+        rng = np.random.default_rng(10)
+        z = rng.standard_normal((2048, 4, 16, 12)).astype(np.float32)
+        eps = rng.standard_normal((2048, 4, 16, 12)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ddim_step(z, eps, 12, sched, out=z)
+            in_place = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ddim_step(z, eps, 12, sched)
+            new = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert new >= z.nbytes  # tracemalloc sees numpy's buffers
+        assert in_place <= diffusion._UPDATE_BLOCK_BYTES + 64 * 1024
+
+
 class TestOracleEps:
     def test_recovers_mixing_noise_exactly(self):
         sched = default_schedule()

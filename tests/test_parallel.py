@@ -175,9 +175,9 @@ def test_helpers_send_the_next_step_before_this_one_ends(name, monkeypatch):
         events.append(("send", request[0]))
         send(conn, request)
 
-    def spied_step(z, eps, k, sched):
+    def spied_step(z, eps, k, sched, **kwargs):
         events.append(("update", k))
-        return step(z, eps, k, sched)
+        return step(z, eps, k, sched, **kwargs)
 
     monkeypatch.setattr(scheduler, "_send", spied_send)
     monkeypatch.setattr(scheduler, "ddim_step", spied_step)

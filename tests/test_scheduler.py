@@ -195,6 +195,54 @@ class TestOverlapSumCoverCount:
         with pytest.raises(ValueError, match="ends past"):
             scheduler.OverlapSum(6).reset([Chunk(0, 4), Chunk(3, 4)])
 
+    def test_same_chunks_counted_once_and_sum_zeroed_every_reset(self):
+        chunks, sums = tuple(plan_overlap(40, 8, 3)), scheduler.OverlapSum(40)
+        sums.reset(chunks)
+        count = sums.count
+        for c in chunks:
+            sums.add(c, np.ones((c.length, 4, 2, 2), dtype=np.float32))
+        sums.reset(chunks)
+        assert sums.count is count
+        assert not sums.total.any()
+        sums.reset(tuple(chunks))  # the same tuple object: no recount
+        assert sums.count is count
+        sums.reset(tuple(plan_overlap(40, 8, 3)))  # equal, but another object
+        assert sums.count is not count
+        np.testing.assert_array_equal(sums.count, count)
+        sums.reset(tuple(plan_shift(40, 8, 3, 1)))
+        np.testing.assert_array_equal(sums.count, np.ones(40))
+
+
+class TestOnePlanPerOverlapRun:
+    """An overlap run's chunks are the same at every step: ``build_plans``
+    gives one plan object, which a band clips (and counts) once."""
+
+    def test_overlap_plans_are_one_object_shift_plans_one_per_step(self):
+        overlap, _ = build_plans(small_config(policy="overlap", overlap_s=3, ddim_steps=5))
+        assert len(overlap) == 5 and all(plan is overlap[0] for plan in overlap)
+        shift, _ = build_plans(small_config(ddim_steps=5, partial_fraction=0.5))
+        assert len({id(plan) for plan in shift}) == 5
+
+    @pytest.mark.parametrize("kw,clips", [
+        (dict(policy="overlap", overlap_s=3), 1),
+        (dict(policy="overlap", overlap_s=3, denoiser="oracle"), 1),
+        (dict(), 6),
+        (dict(delta=0), 6),  # shift plans equal at every step are still one per step
+        (dict(shift_mode="random", partial_fraction=0.5, hard_skip=True), 6),
+    ])
+    @pytest.mark.usefixtures("one_core")  # the spy counts in this process only
+    def test_clip_calls_per_band(self, monkeypatch, kw, clips):
+        calls, clip = [], scheduler._clip
+
+        def counted(*args):
+            calls.append(args[1:])
+            return clip(*args)
+
+        monkeypatch.setattr(scheduler, "_clip", counted)
+        _, stats = run_inference(small_config(ddim_steps=6, **kw))
+        assert stats.processes == 1
+        assert calls == [(0, 24)] * clips
+
 
 def all_full_plans(n, l, delta, steps, mode="fixed", seed=0):
     return [plan_shift(n, l, delta, k, mode=mode, seed=seed) for k in range(steps)]
@@ -398,6 +446,11 @@ class TestRunInference:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             small_config(**kw).validate()
 
+    @pytest.mark.parametrize("toy", [{"seed": 0}, None, "default"])
+    def test_toy_that_is_no_toy_config_rejected(self, toy):
+        with pytest.raises(ValueError, match="^toy must be a ToyDenoiserConfig, got "):
+            small_config(toy=toy).validate()
+
     def test_int_and_numpy_scalars_accepted(self):
         small_config(partial_fraction=1, beta_end=np.float32(0.02), n_total=np.int64(24),
                      hard_skip=np.False_).validate()
@@ -466,10 +519,10 @@ class TestStreamedAggregation:
             eps, feats = full(self, *args, **kwargs)
             return keep(eps), feats
 
-        def ddim_step(z, eps, k, sched):
+        def ddim_step(z, eps, k, sched, **kwargs):
             means.append(eps.copy())
             preds.append([])
-            return step(z, eps, k, sched)
+            return step(z, eps, k, sched, **kwargs)
 
         monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
         monkeypatch.setattr(ToyDenoiser, "denoise_partial",
@@ -542,9 +595,9 @@ class TestOneUpdatePerStep:
         config = golden_config(**self.RUNS[name])
         calls, step = [], scheduler.ddim_step
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return step(*args)
+            return step(*args, **kwargs)
 
         monkeypatch.setattr(scheduler, "ddim_step", counted)
         _, stats = run_inference(config)
