@@ -24,9 +24,10 @@ overlap mean. The loop gives the same bits on any number of cores:
 
 * Serial: ``run_band`` over all frames, one update a step.
 * Oracle bands: the oracle is frame-local, so each helper runs the loop
-  on one contiguous band of frames, each chunk clipped to it, and sends
-  back the band's latents. Every (chunk, frame) residual and add runs
-  once, in plan order for each frame; at most one helper runs per frame.
+  on one contiguous band of frames, each chunk clipped to it, and writes
+  the band straight into the run's shared latents, replying None. Every
+  (chunk, frame) residual and add runs once, in plan order for each
+  frame; at most one helper runs per frame.
 * Toy helpers: the loop takes each chunk's result from ``_in_order``,
   which sends chunks ahead. A step's chunks do not depend on each other
   (shift chunks are disjoint, a partial chunk reads only deep features
@@ -60,6 +61,7 @@ import bisect
 import collections
 import contextlib
 import enum
+import mmap
 import multiprocessing
 import os
 import queue
@@ -91,7 +93,8 @@ _CONDITION_KERNEL = gaussian_kernel(1.5, 6)
 # contiguous run. At the default 16x12 latent a block of 32 frames is
 # ~200 KB per array, so the padded input, the output and the temporary of
 # a pass stay in L2; smoothing all 2048 frames of a long video in one pass
-# spills to memory and runs about twice as slow.
+# spills to memory and runs about twice as slow. The initial noise is drawn
+# in blocks of as many frames, so its float64 scratch stays this small too.
 _SMOOTH_BLOCK_FRAMES = 32
 
 
@@ -150,8 +153,9 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
     per-step uniform draw from {0..chunk_len-1} for random mode. A nonzero
     offset produces short leading/trailing edge chunks.
     """
-    if not 0 <= delta < chunk_len:
-        raise ValueError(f"need 0 <= delta < chunk_len, got {delta} vs {chunk_len}")
+    if delta < 0 or mode == "fixed" and delta >= chunk_len:  # only fixed shift reads delta
+        raise ValueError(f"need 0 <= delta, and delta < chunk_len under fixed shift, "
+                         f"got {delta} vs {chunk_len}")
     if chunk_len > n_total:
         raise ValueError(f"chunk_len {chunk_len} exceeds video length {n_total}")
     if mode == "fixed":
@@ -357,8 +361,9 @@ class EngineConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not 0 <= self.overlap_s < self.chunk_len:
             raise ValueError("need 0 <= overlap_s < chunk_len")
-        if not 0 <= self.delta < self.chunk_len:
-            raise ValueError("need 0 <= delta < chunk_len")
+        fixed = self.policy == "shift" and self.shift_mode == "fixed"
+        if self.delta < 0 or fixed and self.delta >= self.chunk_len:  # only fixed shift reads
+            raise ValueError("need 0 <= delta, and delta < chunk_len under fixed shift")
         if self.shift_mode not in ("fixed", "random"):
             raise ValueError(f"unknown shift mode {self.shift_mode!r}")
         if not 0.0 <= self.partial_fraction <= 1.0:
@@ -677,19 +682,49 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
+    The latents ``z`` are allocated once per run, before any fork, in an
+    anonymous shared mapping (``mmap.mmap(-1, n)``); ``LatentVideo.z`` is
+    that array, and the mapping lives as long as it does. Meanwhile one
+    thread draws the initial noise into ``z``, in blocks through one
+    float64 scratch, so ``z`` has the bits of one whole ``standard_normal``
+    draw cast to ``dtype``. It is joined once the conditions are made or
+    checked, however that ends, and its error is raised here.
+
     One walk over the evaluated chunks, a repeated plan once, gives the
     counts, the toy's FLOPs and the work ``_helper_count`` weighs. ``run_band``
     is the one loop of a serial run, of each band of a large oracle run and
-    of a large toy run; both parallel paths go through ``_in_order``.
+    of a large toy run; both parallel paths go through ``_in_order``. A
+    band helper writes into the shared ``z`` and sends back no latents.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
-    if conditions is None:
-        conditions = _synthesize(config, dtype, (config.denoiser,))
-    else:
-        conditions.check(config, dtype)
+    n, shape = config.n_total, (config.n_total, 4, config.latent_h, config.latent_w)
+    z = np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * int(np.prod(shape))),
+                      dtype=dtype).reshape(shape)
+    failed = []
+
+    def draw():  # the noise stream in order, so z has standard_normal(shape)'s bits
+        try:
+            rng = np.random.default_rng([config.seed, _STREAM_NOISE])
+            block = np.empty((_SMOOTH_BLOCK_FRAMES,) + shape[1:])
+            for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
+                frames = z[first:first + _SMOOTH_BLOCK_FRAMES]
+                frames[...] = rng.standard_normal(out=block[:len(frames)])
+        except Exception as exc:
+            failed.append(exc)
+
+    drawing = threading.Thread(target=draw)
+    drawing.start()
+    try:
+        if conditions is None:
+            conditions = _synthesize(config, dtype, (config.denoiser,))
+        else:
+            conditions.check(config, dtype)
+    finally:
+        drawing.join()
+    if failed:
+        raise failed[0]
     sched = config.schedule()
-    n = config.n_total
 
     if config.denoiser == "toy":
         toy = ToyDenoiser(config.toy)
@@ -700,9 +735,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         # a chunk of any length, one a band edge cuts too, gets a view of it
         buffer = np.empty((config.chunk_len, 4, config.latent_h, config.latent_w), dtype=dtype)
         scratch = {length: buffer[:length] for length in range(1, config.chunk_len + 1)}
-
-    rng = np.random.default_rng([config.seed, _STREAM_NOISE])
-    z = rng.standard_normal((n, 4, config.latent_h, config.latent_w)).astype(dtype)
 
     # the chunks each step evaluates: hard_skip drops the partial ones
     steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
@@ -759,7 +791,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     def run_band(first, stop, conns=None):
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
         them, in plan order: evaluated here, or on the helpers at the other
-        ends of ``conns``, and committed here. Returns their latents."""
+        ends of ``conns``, and committed here, into ``z``."""
         band = _per_step(lambda chunks: _clip(chunks, first, stop), steps)
         sums = OverlapSum(stop, first)
         # frames below at[1] are updated through step at[0], the rest through one step less
@@ -793,7 +825,6 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                 if conns and i + 1 < len(chunks):  # so the next step's chunks go out sooner
                     update(k, chunks[i + 1].start)
             update(k, stop)
-        return z[first:stop]
 
     t_start = time.perf_counter()
     helpers = _helper_count(work, most)
@@ -801,10 +832,8 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         run_band(0, n)
     elif oracle is not None:  # one band of nearly equal length per helper, none empty
         bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
-        with _forked_helpers(helpers, run_band) as conns:
-            for (first, stop), latents in zip(bands, _in_order(
-                    conns, bands, lambda *band: True, lambda *band: band)):
-                z[first:stop] = latents
+        with _forked_helpers(helpers, run_band) as conns:  # each writes its band of the shared z
+            list(_in_order(conns, bands, lambda *band: True, lambda *band: band))
     else:
         with _forked_helpers(helpers, evaluate) as conns:
             run_band(0, n, conns)

@@ -8,7 +8,9 @@ every test here lowers it to 0. These tests hold the result to the serial
 path's bits on every golden config, on oracle runs whose band edges cut
 chunks or that have fewer frames than cores, and on chunks larger than a
 pipe holds. They check that a toy run sends chunks of the next step
-before the step's last update, and that no helper outlives a run, whether
+before the step's last update, that an oracle band's reply carries no
+latents (the helper writes them into the run's shared latents), and
+that no helper outlives a run, whether
 it ends normally, by an error or the death of a helper, by an error in
 this process, by Ctrl-C (with one traceback, the caller's) or by the
 death of the process that made the helpers; and they check which
@@ -127,6 +129,20 @@ def test_band_edges_that_cut_kept_hard_skip_chunks_keep_the_bits(monkeypatch):
             if c.mode is ChunkMode.FULL]
     assert any(c.start < edge < c.stop for c in kept for edge in (13, 27))
     assert_bands_equal_serial(config, monkeypatch, cores=3, bands=3)
+
+
+@needs_fork
+@pytest.mark.parametrize("bands", [2, 3, 5])
+def test_band_replies_carry_no_latents(monkeypatch, bands):
+    # each helper writes its band into the run's shared latents; 5 bands
+    # are more writers than a 2-core host has cores
+    config = golden_config(denoiser="oracle", policy="overlap", overlap_s=6, n_total=41)
+    replies, receive = [], scheduler._receive
+    monkeypatch.setattr(scheduler, "_receive",
+                        lambda conn: replies.append(receive(conn)) or replies[-1])
+    assert_bands_equal_serial(config, monkeypatch, cores=bands, bands=bands)
+    assert len(replies) == bands
+    assert all(reply is None for reply in replies)
 
 
 @needs_fork

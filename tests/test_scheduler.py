@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -127,6 +129,15 @@ class TestPlanShift:
             plan_shift(32, 8, 8, 0)
         with pytest.raises(ValueError):
             plan_shift(4, 8, 0, 0)
+
+    @pytest.mark.parametrize("chunk_len", [2, 3, 4])
+    def test_random_shift_takes_any_delta_but_a_negative_one(self, chunk_len):
+        # only fixed shift reads delta
+        plans = [plan_shift(8, chunk_len, delta, k, mode="random", seed=5)
+                 for k in range(6) for delta in (0, 4)]
+        assert plans[0::2] == plans[1::2]
+        with pytest.raises(ValueError, match="need 0 <= delta"):
+            plan_shift(8, chunk_len, -1, 0, mode="random")
 
     @given(n=st.integers(4, 200), l=st.integers(1, 32), delta=st.integers(0, 31),
            k=st.integers(0, 60))
@@ -405,6 +416,23 @@ class TestRunInference:
             highs.append(run_inference(cfg_hi)[1].deep_flops)
         assert np.mean(highs) < np.mean(lows)
 
+    @pytest.mark.parametrize("chunk_len", [2, 3, 4])
+    @pytest.mark.parametrize("kw", [dict(policy="overlap"), dict(shift_mode="random")])
+    def test_delta_the_plan_does_not_read_is_not_held_under_chunk_len(self, kw, chunk_len):
+        # the default delta, 4, is not under these chunk lengths
+        cfg = EngineConfig(n_total=8, chunk_len=chunk_len, ddim_steps=3, toy=TINY_TOY,
+                           latent_h=8, latent_w=8, **kw)
+        assert cfg.delta == 4
+        assert_same_run(run_inference(cfg), run_inference(dataclasses.replace(cfg, delta=0)))
+        with pytest.raises(ValueError, match="need 0 <= delta"):
+            dataclasses.replace(cfg, delta=-1).validate()
+
+    @pytest.mark.parametrize("chunk_len", [2, 3, 4])
+    def test_fixed_shift_delta_held_under_chunk_len(self, chunk_len):
+        with pytest.raises(ValueError, match="delta < chunk_len under fixed shift"):
+            EngineConfig(n_total=8, chunk_len=chunk_len).validate()
+        EngineConfig(n_total=8, chunk_len=chunk_len, delta=chunk_len - 1).validate()
+
     def test_overlap_with_partial_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             small_config(policy="overlap", partial_fraction=0.5).validate()
@@ -608,6 +636,109 @@ class TestOneUpdatePerStep:
             assert len(calls) == kept == stats.full_chunk_evals
         else:
             assert len(calls) == config.ddim_steps
+
+
+class TestInitialNoise:
+    """The noise stream is drawn into the latents on a thread, in blocks of
+    ``_SMOOTH_BLOCK_FRAMES`` frames, while the conditions are made or
+    checked; the thread is joined before the run goes on, on every path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, _SMOOTH_BLOCK_FRAMES - 1, _SMOOTH_BLOCK_FRAMES,
+                                   _SMOOTH_BLOCK_FRAMES + 1, 2 * _SMOOTH_BLOCK_FRAMES + 1])
+    @pytest.mark.usefixtures("one_core")  # the spy records in this process only
+    def test_equals_one_whole_draw(self, monkeypatch, n, dtype):
+        cfg = small_config(n_total=n, chunk_len=min(n, 8), policy="overlap", denoiser="oracle",
+                           ddim_steps=2, seed=3)
+        first, step = [], scheduler.ddim_step
+
+        def spied_step(z, eps, k, sched, **kwargs):
+            if not first:
+                first.append(z.copy())
+            return step(z, eps, k, sched, **kwargs)
+
+        monkeypatch.setattr(scheduler, "ddim_step", spied_step)
+        run_inference(cfg, dtype=dtype)
+        whole = np.random.default_rng([cfg.seed, scheduler._STREAM_NOISE]).standard_normal(
+            (n, 4, cfg.latent_h, cfg.latent_w))
+        np.testing.assert_array_equal(first[0], whole.astype(dtype), strict=True)
+
+    @staticmethod
+    def noise_stream(monkeypatch, seed, draw):
+        """Make the run's noise stream a generator whose ``standard_normal`` is ``draw``."""
+        real = np.random.default_rng
+
+        class Stream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                return draw(self.rng, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed_=None: Stream(real(seed_))
+                            if seed_ == [seed, scheduler._STREAM_NOISE] else real(seed_))
+
+    def slow_noise(self, monkeypatch, seed):
+        # a draw still running when the caller is done with the conditions
+        def slow(rng, *args, **kwargs):
+            time.sleep(0.05)
+            return rng.standard_normal(*args, **kwargs)
+
+        self.noise_stream(monkeypatch, seed, slow)
+
+    @staticmethod
+    def no_thread_left(call):
+        """``call()``, checking that as many threads are alive after it,
+        however it ends, as before."""
+        threads = threading.active_count()
+        try:
+            return call()
+        finally:
+            assert threading.active_count() == threads
+
+    @pytest.mark.usefixtures("one_core")
+    def test_serial_run_leaves_no_thread(self, monkeypatch):
+        self.slow_noise(monkeypatch, 0)
+        assert self.no_thread_left(lambda: run_inference(small_config()))[1].processes == 1
+
+    @needs_fork
+    def test_oracle_band_run_leaves_no_thread(self, monkeypatch):
+        fake_cores(monkeypatch, 2)
+        monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", 0)
+        self.slow_noise(monkeypatch, 0)
+        _, stats = self.no_thread_left(lambda: run_inference(small_config(denoiser="oracle")))
+        assert stats.processes == 2
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    def test_refused_conditions_leave_no_thread(self, monkeypatch, denoiser):
+        cfg = small_config(denoiser=denoiser)
+        conditions = synthesize_conditions(cfg, dtype=np.float64)
+        self.slow_noise(monkeypatch, cfg.seed)
+        with pytest.raises(ValueError, match="conditions.masked_video has dtype float64"):
+            self.no_thread_left(lambda: run_inference(cfg, conditions))
+
+    def test_interrupted_synthesis_leaves_no_thread(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(scheduler, "_synthesize", interrupted)
+        self.slow_noise(monkeypatch, 0)
+        with pytest.raises(KeyboardInterrupt):
+            self.no_thread_left(lambda: run_inference(small_config()))
+
+    def test_failed_draw_raised_with_its_type_before_any_chunk(self, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        def failed(rng, *args, **kwargs):
+            raise DrawFailed("no noise")
+
+        calls = []
+        self.noise_stream(monkeypatch, 0, failed)
+        monkeypatch.setattr(scheduler, "assemble_input", lambda *a: calls.append(a))
+        with pytest.raises(DrawFailed, match="^no noise$"):
+            self.no_thread_left(lambda: run_inference(small_config()))
+        assert calls == []
 
 
 class TestRunFlops:
