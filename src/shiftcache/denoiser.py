@@ -25,6 +25,7 @@ forward pass keeps no counters.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import numerics
 from .cache import build_mask
 from .diffusion import NoiseSchedule, step_scales
-from .numerics import MaskVariant
+from .numerics import MaskVariant, frame_windows
 
 MLP_RATIO = 2
 NORM_EPS = 1e-6
@@ -351,18 +352,22 @@ class OracleDenoiser:
                             for k in range(sched.num_steps))
         if any(root == 0 for _, root in self.scales):  # eps_for divides by it
             raise ValueError("alpha_bar == 1 at this step; oracle residual undefined")
+        self._windows = functools.cache(functools.partial(frame_windows, target_x0))
 
     def eps_for(self, noise_latent: np.ndarray, step_index: int, frames,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, length: int | None = None) -> np.ndarray:
         """``(z_t - sqrt(abar) * target) / sqrt(1 - abar)``: the residual that
         steers ``ddim_step`` toward the target frames ``frames`` selects (a
-        slice, read as a view, or an index array), into ``out`` when given."""
+        slice, read as a view, or an index array), into ``out`` when given.
+        With ``length``, ``frames`` selects the starts of a run of chunks of
+        that length, read as one [g, length, ...] view of the target's
+        windows: g chunks take one call, and each keeps its bits."""
         if not 0 <= step_index < len(self.scales):
             raise IndexError(f"step index {step_index} outside 0..{len(self.scales) - 1}")
         if noise_latent.dtype != self.target_x0.dtype:
             raise ValueError(f"latent dtype {noise_latent.dtype} differs from the "
                              f"target's {self.target_x0.dtype}")
-        target = self.target_x0[frames]
+        target = (self.target_x0 if length is None else self._windows(length))[frames]
         if noise_latent.shape != target.shape:
             raise ValueError(f"latent/target shape mismatch: {noise_latent.shape} vs {target.shape}")
         sqrt_abar, sqrt_one_minus_abar = self.scales[step_index]

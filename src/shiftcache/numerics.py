@@ -1,7 +1,8 @@
 """Dense-array primitives: the attention mask variants, the sinusoidal
 frame encoding, with the integer frame-index check, the separable
-smoothing filter, whose one padding mode wraps, and the one Gaussian
-kernel builder, behind the conditions' smoothing and SSIM's window.
+smoothing filter, whose one padding mode wraps, the one Gaussian
+kernel builder, behind the conditions' smoothing and SSIM's window, and
+the strided window view behind the oracle's runs of chunks.
 
 Everything here is pure numpy (float32 by default). A mask is the bool
 [L, L] array ``cache.build_mask`` returns, True where a key is blocked;
@@ -52,6 +53,12 @@ def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles)
     return enc.astype(np.float32)
+
+
+def frame_windows(frames: np.ndarray, length: int) -> np.ndarray:
+    """A read-only [N - length + 1, length, ...] view of ``frames`` ([N, ...])
+    whose window i holds frames i to i + length - 1, copying none."""
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(frames, length, axis=0), -1, 1)
 
 
 def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:

@@ -25,9 +25,13 @@ overlap mean. The loop gives the same bits on any number of cores:
 * Serial: ``run_band`` over all frames, one update a step.
 * Oracle bands: the oracle is frame-local, so each helper runs the loop
   on one contiguous band of frames, each chunk clipped to it, and writes
-  the band straight into the run's shared latents, replying None. Every
-  (chunk, frame) residual and add runs once, in plan order for each
-  frame; at most one helper runs per frame.
+  the band straight into the run's shared latents, replying None. The
+  loop evaluates each run of a step's chunks (``_runs``: consecutive, of
+  one length, evenly spaced, at most ``_RUN_BYTES`` of residuals) in one
+  ``eps_for`` call on strided windows of the latents and the target,
+  then commits its chunks one by one. Every (chunk, frame) residual and
+  add runs once, in plan order for each frame; at most one helper runs
+  per frame.
 * Toy helpers: the loop takes each chunk's result from ``_in_order``,
   which sends chunks ahead. A step's chunks do not depend on each other
   (shift chunks are disjoint, a partial chunk reads only deep features
@@ -61,6 +65,7 @@ import bisect
 import collections
 import contextlib
 import enum
+import functools
 import mmap
 import multiprocessing
 import os
@@ -76,7 +81,7 @@ from .cache import GOOD_MAX_STALENESS, FeatureCache
 from .denoiser import (OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input,
                        check_field_types)
 from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
-from .numerics import MaskVariant, correlate_symmetric, gaussian_kernel
+from .numerics import MaskVariant, correlate_symmetric, frame_windows, gaussian_kernel
 
 # Seed-stream tags: keep distinct so config fields never alias each other.
 _STREAM_NOISE = 1
@@ -93,9 +98,14 @@ _CONDITION_KERNEL = gaussian_kernel(1.5, 6)
 # contiguous run. At the default 16x12 latent a block of 32 frames is
 # ~200 KB per array, so the padded input, the output and the temporary of
 # a pass stay in L2; smoothing all 2048 frames of a long video in one pass
-# spills to memory and runs about twice as slow. The initial noise is drawn
-# in blocks of as many frames, so its float64 scratch stays this small too.
+# spills to memory and runs about twice as slow. The noise of the latents and
+# of the conditions is drawn in blocks of as many frames (``_drawing``), so
+# its float64 scratch stays this small too.
 _SMOOTH_BLOCK_FRAMES = 32
+# Most bytes of residuals one oracle call makes for a run of chunks. A serial
+# oracle-s15 (48 KB chunks) took 0.71-0.79 s at 1 chunk a call, 0.57-0.60 at
+# 5, 0.54-0.58 at 16 to 21 (1 MB), 0.56-0.63 at 32 and 0.67-0.79 at 64.
+_RUN_BYTES = 2 ** 20
 
 
 class ChunkMode(enum.Enum):
@@ -242,6 +252,22 @@ def _clip(chunks: tuple[Chunk, ...], first: int, stop: int) -> tuple[Chunk, ...]
                        Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
                        for c in inside)
     return inside
+
+
+def _runs(chunks: tuple[Chunk, ...], cap: int) -> list[tuple[int, slice, int]]:
+    """(count, starts, length) of each run of ``chunks`` in plan order: at
+    most ``cap`` consecutive chunks of one length whose starts are evenly
+    spaced (not 0 apart, as chunks a narrow band clips to its frames are)."""
+    runs, i = [], 0
+    while i < len(chunks):
+        j, spacing = i + 1, chunks[i + 1].start - chunks[i].start if i + 1 < len(chunks) else 0
+        while (j < min(len(chunks), i + cap) and spacing and chunks[j].length == chunks[i].length
+               and chunks[j].start - chunks[j - 1].start == spacing):
+            j += 1
+        runs.append((j - i, slice(chunks[i].start, chunks[j - 1].start + 1, spacing or 1),
+                     chunks[i].length))
+        i = j
+    return runs
 
 
 def _per_step(fn, steps: list) -> list:
@@ -484,28 +510,66 @@ def synthesize_conditions(config: EngineConfig, dtype=np.float32) -> Conditions:
     return _synthesize(config, dtype, ("toy", "oracle"))
 
 
+@contextlib.contextmanager
+def _drawing(rng, fields, shape):
+    """A thread drawing ``standard_normal(shape)``'s bits from ``rng`` into each
+    of ``fields`` in turn, cast to its dtype (a None field's draw only moves
+    the stream on), ``_SMOOTH_BLOCK_FRAMES`` frames at a time through one
+    float64 scratch. Yields an iterator of each block's (field index,
+    frames) as it lands in a field, cut short if the draw fails. The thread
+    is joined however the with-block ends; then the draw's error is raised."""
+    landed, failed = queue.SimpleQueue(), []
+
+    def draw():
+        try:
+            scratch = np.empty((_SMOOTH_BLOCK_FRAMES,) + shape[1:])
+            for i, field in enumerate(fields):
+                for first in range(0, shape[0], _SMOOTH_BLOCK_FRAMES):
+                    frames = slice(first, min(first + _SMOOTH_BLOCK_FRAMES, shape[0]))
+                    block = rng.standard_normal(out=scratch[:frames.stop - first])
+                    if field is not None:
+                        field[frames] = block
+                        landed.put((i, frames))
+        except BaseException as exc:
+            failed.append(exc)
+        landed.put(None)
+
+    thread = threading.Thread(target=draw)
+    thread.start()
+    try:
+        yield iter(landed.get, None)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
     """The fields the ``readers`` denoisers read, with the bits of
     ``synthesize_conditions``, and None for the rest. Each field's noise is
-    drawn from one stream in one order (video, pose, target, garment), so
-    an unread field costs its draw alone: no smoothing, scaling or cast."""
+    drawn from one stream in one order (video, pose, target, garment), the
+    first three on a ``_drawing`` thread while this one smooths each block
+    of a read field as it lands and, once the field is whole, scales and
+    casts it. An unread field costs its draw alone, on the thread."""
     rng = np.random.default_rng([config.seed, _STREAM_CONDITIONS])
     n, h, w = config.n_total, config.latent_h, config.latent_w
+    fields = [np.empty((n, 4, h, w)) if reader in readers else None
+              for reader in ("toy", "toy", "oracle")]  # video, pose, target
 
-    def smooth(reader):
-        x = rng.standard_normal((n, 4, h, w))
-        if reader not in readers:
-            return None
-        for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
-            frames = slice(first, first + _SMOOTH_BLOCK_FRAMES)
-            # H, then W: the axis order of gaussian_filter, which the bits follow
-            block = correlate_symmetric(x[frames].transpose(2, 3, 0, 1), _CONDITION_KERNEL, 0)
-            block = correlate_symmetric(block.transpose(1, 0, 2, 3), _CONDITION_KERNEL, 0)
-            x[frames] = block.transpose(2, 3, 1, 0)
-        x /= max(x.std(), 1e-12)
-        return x.astype(dtype)
+    def smooth(i, frames):  # the thread is past field i by its last block, so its slot is free
+        x = fields[i]
+        # H, then W: the axis order of gaussian_filter, which the bits follow
+        block = correlate_symmetric(x[frames].transpose(2, 3, 0, 1), _CONDITION_KERNEL, 0)
+        block = correlate_symmetric(block.transpose(1, 0, 2, 3), _CONDITION_KERNEL, 0)
+        x[frames] = block.transpose(2, 3, 1, 0)
+        if frames.stop == n:  # the field is whole: it is scaled, and its float64 let go
+            x /= max(x.std(), 1e-12)
+            fields[i] = x.astype(dtype)
 
-    video, pose, target = smooth("toy"), smooth("toy"), smooth("oracle")
+    with _drawing(rng, fields, (n, 4, h, w)) as landed:
+        for i, frames in landed:
+            smooth(i, frames)
+    video, pose, target = fields
     garment = rng.standard_normal((config.garment_tokens, config.toy.shallow_width))
     if "toy" not in readers:
         return Conditions(None, None, None, None, target_x0=target)
@@ -541,11 +605,12 @@ def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]
 # (``chunk_cost`` summed over the plan). The oracle counts no FLOPs, so
 # its work is counted, for this decision only, as _ORACLE_OPS elementwise
 # operations per latent element per chunk-frame it evaluates; its serial
-# loop (residual, add, mean, DDIM update) runs about 3 G of those a second
-# on one core of a 2-core host, near the toy's matmul rate. A helper costs
-# 10-30 ms to start (the fork, then the first write to each page it shares
-# with its parent), several percent of 10**9 units of work (about 0.3 s on
-# one core) and more than it saves on the tests' 0.1 G runs.
+# loop (residual, add, mean, DDIM update) runs about 4 G of those a second
+# on one core of a 2-core host (oracle-s15's 2.5 G in 0.63 s), near the
+# toy's matmul rate. A helper costs 10-30 ms to start (the fork, then the
+# first write to each page it shares with its parent), several percent of
+# 10**9 units of work (about 0.25 s on one core) and more than it saves on
+# the tests' 0.1 G runs.
 _MIN_PARALLEL_FLOPS = 10 ** 9
 _ORACLE_OPS = 4
 
@@ -675,20 +740,23 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     memory does not grow with the overlap.
     The DDIM update divides the sum by each frame's cover count, counted
     once per plan, which an overlap run shares across steps (a single cover
-    passes through unchanged), and writes into the latents. The oracle writes
-    each chunk's residual into the first frames of one scratch buffer,
-    allocated once per run. Under ``hard_skip`` each kept chunk's
+    passes through unchanged), and writes into the latents. The oracle
+    evaluates each run of chunks in one call into one scratch buffer of at
+    most ``_RUN_BYTES``, allocated once per run, and adds each chunk's
+    residual from it (module docstring). Under ``hard_skip`` each kept chunk's
     frames are updated as soon as it is committed instead. ``dtype`` must
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
     The latents ``z`` are allocated once per run, before any fork, in an
     anonymous shared mapping (``mmap.mmap(-1, n)``); ``LatentVideo.z`` is
-    that array, and the mapping lives as long as it does. Meanwhile one
-    thread draws the initial noise into ``z``, in blocks through one
-    float64 scratch, so ``z`` has the bits of one whole ``standard_normal``
-    draw cast to ``dtype``. It is joined once the conditions are made or
-    checked, however that ends, and its error is raised here.
+    that array, and the mapping lives as long as it does. Meanwhile a
+    ``_drawing`` thread draws the initial noise into ``z``, in blocks
+    through one float64 scratch, so ``z`` has the bits of one whole
+    ``standard_normal`` draw cast to ``dtype``, and ``_synthesize`` draws
+    the conditions on a second one. Each is joined once its caller is done,
+    however that ends, so none is alive at the fork, and an error in a
+    draw is raised here with its type.
 
     One walk over the evaluated chunks, a repeated plan once, gives the
     counts, the toy's FLOPs and the work ``_helper_count`` weighs. ``run_band``
@@ -701,44 +769,24 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     n, shape = config.n_total, (config.n_total, 4, config.latent_h, config.latent_w)
     z = np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * int(np.prod(shape))),
                       dtype=dtype).reshape(shape)
-    failed = []
-
-    def draw():  # the noise stream in order, so z has standard_normal(shape)'s bits
-        try:
-            rng = np.random.default_rng([config.seed, _STREAM_NOISE])
-            block = np.empty((_SMOOTH_BLOCK_FRAMES,) + shape[1:])
-            for first in range(0, n, _SMOOTH_BLOCK_FRAMES):
-                frames = z[first:first + _SMOOTH_BLOCK_FRAMES]
-                frames[...] = rng.standard_normal(out=block[:len(frames)])
-        except Exception as exc:
-            failed.append(exc)
-
-    drawing = threading.Thread(target=draw)
-    drawing.start()
-    try:
+    with _drawing(np.random.default_rng([config.seed, _STREAM_NOISE]), (z,), shape):
         if conditions is None:
             conditions = _synthesize(config, dtype, (config.denoiser,))
         else:
             conditions.check(config, dtype)
-    finally:
-        drawing.join()
-    if failed:
-        raise failed[0]
     sched = config.schedule()
-
-    if config.denoiser == "toy":
-        toy = ToyDenoiser(config.toy)
-        oracle = None
-    else:
-        toy = None
-        oracle = OracleDenoiser(conditions.target_x0, sched)
-        # a chunk of any length, one a band edge cuts too, gets a view of it
-        buffer = np.empty((config.chunk_len, 4, config.latent_h, config.latent_w), dtype=dtype)
-        scratch = {length: buffer[:length] for length in range(1, config.chunk_len + 1)}
 
     # the chunks each step evaluates: hard_skip drops the partial ones
     steps = [tuple(c for c in plan.chunks if c.mode is ChunkMode.FULL) if config.hard_skip
              else plan.chunks for plan in plans]
+    largest = max(map(len, steps))
+    if config.denoiser == "toy":
+        toy, oracle = ToyDenoiser(config.toy), None
+    else:  # a run's residuals, each chunk's in the first frames of a slot of scratch
+        toy, oracle = None, OracleDenoiser(conditions.target_x0, sched)
+        run_cap = max(1, min(_RUN_BYTES // (config.chunk_len * z[:1].nbytes), largest))
+        scratch = np.empty((run_cap, config.chunk_len) + shape[1:], dtype=dtype)
+        z_windows = functools.cache(functools.partial(frame_windows, z))  # per chunk length
     partial = ChunkMode.PARTIAL  # looked up once, not per chunk: an enum lookup is ~0.1 us
 
     def price(chunks):  # a step's evaluated partials, chunk-frames and toy FLOPs
@@ -758,18 +806,15 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     cache = (FeatureCache(n, toy.deep_feature_shape(config.latent_h, config.latent_w),
                           dtype=dtype) if partials else None)
     if toy is not None:  # at most one helper per chunk of the largest step
-        work, most = deep_flops + shallow_flops, max(map(len, steps))
+        work, most = deep_flops + shallow_flops, largest
     else:  # the oracle counts no FLOPs: _ORACLE_OPS units per latent element; a band per frame
         work, most = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * chunk_frames, n
 
     def evaluate(step_index, chunk, z_chunk, feats, good):
-        """(eps, deep features to cache or None) of a chunk, from its
+        """(eps, deep features to cache or None) of a toy chunk, from its
         latents, a partial chunk's cached features and freshness (None for
         a full chunk) and what the run fixed before its first step."""
         sl = slice(chunk.start, chunk.stop)
-        if oracle is not None:
-            # scratch eps: valid until the next evaluate, so the loop adds it first
-            return oracle.eps_for(z_chunk, step_index, sl, out=scratch[chunk.length]), None
         x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
@@ -790,9 +835,12 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
 
     def run_band(first, stop, conns=None):
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
-        them, in plan order: evaluated here, or on the helpers at the other
-        ends of ``conns``, and committed here, into ``z``."""
+        them, in plan order: evaluated here (an oracle's, a run of chunks a
+        call), or on the helpers at the other ends of ``conns``, and
+        committed here, into ``z``."""
         band = _per_step(lambda chunks: _clip(chunks, first, stop), steps)
+        if oracle is not None:
+            runs = _per_step(lambda chunks: _runs(chunks, run_cap), band)
         sums = OverlapSum(stop, first)
         # frames below at[1] are updated through step at[0], the rest through one step less
         at = [0, first]
@@ -813,8 +861,13 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             at[:] = k, first
             if not config.hard_skip:
                 sums.reset(chunks)
-            for i, c in enumerate(chunks):
-                eps, feats = next(answers) if conns else evaluate(*inputs(k, c))
+            if oracle is not None:  # one call a run, into scratch, committed before the next
+                results = ((eps, None) for count, starts, length in runs[k]
+                           for eps in oracle.eps_for(z_windows(length)[starts], k, starts,
+                                                     out=scratch[:count, :length], length=length))
+            else:
+                results = (next(answers) if conns else evaluate(*inputs(k, c)) for c in chunks)
+            for i, (c, (eps, feats)) in enumerate(zip(chunks, results)):
                 if feats is not None:
                     cache.store_block(c.start, feats)
                 if config.hard_skip:

@@ -522,3 +522,33 @@ class TestOracleDenoiser:
             oracle.eps_for(z.astype(np.float64), 0, slice(0, 2))
         with pytest.raises(ValueError, match="shape mismatch"):
             oracle.eps_for(z[:1], 0, slice(0, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_run_of_windows_equals_one_call_per_chunk(self, dtype):
+        # starts 3, 8, 13 of 6-frame chunks: one call, each chunk's own bits
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        rng = np.random.default_rng(3)
+        target = rng.standard_normal((24, 4, 6, 6)).astype(dtype)
+        z = rng.standard_normal((24, 4, 6, 6)).astype(dtype)
+        oracle = OracleDenoiser(target, sched)
+        windows = np.stack([z[s:s + 6] for s in (3, 8, 13)])
+        buf = np.empty((3, 8, 4, 6, 6), dtype=dtype)
+        for k in (0, 12, 24):
+            run = oracle.eps_for(windows, k, slice(3, 14, 5), out=buf[:, :6], length=6)
+            assert run.base is buf
+            for eps, s in zip(run, (3, 8, 13)):
+                np.testing.assert_array_equal(
+                    eps, oracle.eps_for(z[s:s + 6], k, slice(s, s + 6)), strict=True)
+
+    def test_run_of_windows_refuses_what_one_chunk_refuses(self):
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        oracle = OracleDenoiser(np.zeros((8, 4, 2, 2), dtype=np.float32), sched)
+        windows = np.zeros((3, 2, 4, 2, 2), dtype=np.float32)  # starts 0, 2, 4
+        for k in (-1, sched.num_steps):
+            with pytest.raises(IndexError):
+                oracle.eps_for(windows, k, slice(0, 5, 2), length=2)
+        with pytest.raises(ValueError, match="dtype"):
+            oracle.eps_for(windows.astype(np.float64), 0, slice(0, 5, 2), length=2)
+        for wrong in (windows[:2], windows[:, :1]):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                oracle.eps_for(wrong, 0, slice(0, 5, 2), length=2)

@@ -96,14 +96,15 @@ def fake_cores(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def assert_bands_equal_serial(config, monkeypatch, cores: int, bands: int) -> None:
+def assert_bands_equal_serial(config, monkeypatch, cores: int, bands: int,
+                              dtype=np.float32) -> None:
     """An oracle run on ``cores`` usable cores splits into ``bands`` bands
     and has the serial run's bits."""
     fake_cores(monkeypatch, cores)
-    parallel = run_inference(config)
+    parallel = run_inference(config, dtype=dtype)
     assert parallel[1].processes == bands
     monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", THRESHOLD)
-    serial = run_inference(config)
+    serial = run_inference(config, dtype=dtype)
     assert serial[1].processes == 1
     assert_same_run(parallel, serial)
     assert_no_child_left()

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from shiftcache.denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig
-from shiftcache.numerics import MaskVariant
+from shiftcache.numerics import MaskVariant, correlate_symmetric
 from shiftcache import scheduler
+from shiftcache.diffusion import ddim_step
 from shiftcache.scheduler import (
     Chunk,
     ChunkMode,
@@ -29,7 +30,7 @@ from shiftcache.scheduler import (
 )
 
 from test_golden import CONFIGS as GOLDEN_RUNS, FLOAT64, golden_config
-from test_parallel import assert_same_run, fake_cores, needs_fork
+from test_parallel import assert_bands_equal_serial, assert_same_run, fake_cores, needs_fork
 
 TINY_TOY = ToyDenoiserConfig(shallow_width=4, deep_width=8, shallow_blocks=2,
                              deep_blocks=2, seed=0)
@@ -533,7 +534,8 @@ class TestStreamedAggregation:
     @staticmethod
     def record(monkeypatch):
         """Patch the denoisers and ddim_step to record, per step, each
-        chunk's prediction and the mean the engine passed on."""
+        chunk's prediction and the mean the engine passed on; an oracle
+        call for a run of chunks is split into its chunks' predictions."""
         preds, means = [[]], []
 
         def keep(eps):
@@ -555,8 +557,14 @@ class TestStreamedAggregation:
         monkeypatch.setattr(ToyDenoiser, "denoise_full", denoise_full)
         monkeypatch.setattr(ToyDenoiser, "denoise_partial",
                             lambda self, *a, **kw: keep(partial(self, *a, **kw)))
-        monkeypatch.setattr(OracleDenoiser, "eps_for",
-                            lambda self, *a, **kw: keep(eps_for(self, *a, **kw)))
+
+        def eps_for_each(self, *args, length=None, **kwargs):
+            eps = eps_for(self, *args, length=length, **kwargs)
+            for chunk_eps in [eps] if length is None else eps:  # a run: one per chunk
+                keep(chunk_eps)
+            return eps
+
+        monkeypatch.setattr(OracleDenoiser, "eps_for", eps_for_each)
         monkeypatch.setattr(scheduler, "ddim_step", ddim_step)
         return preds, means
 
@@ -604,10 +612,118 @@ class TestStreamedAggregation:
         tracemalloc.start()
         try:
             run_inference(cfg, conditions)
-            peak = tracemalloc.get_traced_memory()[1]
+            # the latents live in an anonymous mapping of latent_bytes, which
+            # tracemalloc does not see
+            peak = tracemalloc.get_traced_memory()[1] + latent_bytes
         finally:
             tracemalloc.stop()
         assert peak <= 8 * latent_bytes, f"peak {peak / latent_bytes:.1f}x the latents"
+
+
+def per_chunk_oracle_run(config, dtype):
+    """An oracle run's final latents, written out with one ``eps_for`` call
+    per chunk: adds in plan order and one divide and update a step, or,
+    under hard_skip, one update per kept chunk as it is evaluated."""
+    plans, _ = build_plans(config)
+    sched = config.schedule()
+    oracle = OracleDenoiser(synthesize_conditions(config, dtype).target_x0, sched)
+    z = np.random.default_rng([config.seed, scheduler._STREAM_NOISE]).standard_normal(
+        oracle.target_x0.shape).astype(dtype)
+    for k, plan in enumerate(plans):
+        total, count = np.zeros_like(z), np.zeros(len(z), dtype=dtype)
+        for c in plan.chunks:
+            frames = slice(c.start, c.stop)
+            if config.hard_skip and c.mode is ChunkMode.PARTIAL:
+                continue
+            eps = oracle.eps_for(z[frames], k, frames)
+            if config.hard_skip:
+                z[frames] = ddim_step(z[frames], eps, k, sched)
+            else:
+                total[frames] += eps
+                count[frames] += 1
+        if not config.hard_skip:
+            z = ddim_step(z, total / count[:, None, None, None], k, sched)
+    return z
+
+
+class TestOracleRuns:
+    """An oracle run evaluates each run of a step's chunks (consecutive,
+    of one length, evenly spaced, at most a byte cap's worth) in one
+    ``eps_for`` call, and commits its chunks one by one, with the bits of
+    one call per chunk wherever a run breaks."""
+
+    RUNS = {
+        # stride 4, and the last chunk pulled back to start at 33, not 36
+        "overlap_pulled_back": dict(policy="overlap", overlap_s=4, n_total=41),
+        "overlap_s6": dict(policy="overlap", overlap_s=6, n_total=41),
+        "shift_random": dict(shift_mode="random", seed=1),  # short edge chunks
+        "hard_skip": GOLDEN_RUNS["hard_skip"],  # gaps where chunks are dropped
+    }
+
+    def test_runs_break_where_length_or_spacing_changes(self):
+        assert scheduler._runs(tuple(plan_overlap(41, 8, 4)), 100) == [
+            (9, slice(0, 33, 4), 8), (1, slice(33, 34, 1), 8)]
+        # a hard_skip gap, then a short edge chunk
+        gap = (Chunk(0, 8), Chunk(8, 8), Chunk(24, 8), Chunk(32, 8), Chunk(40, 3))
+        assert scheduler._runs(gap, 100) == [
+            (2, slice(0, 9, 8), 8), (2, slice(24, 33, 8), 8), (1, slice(40, 41, 1), 3)]
+        # a band of one frame clips every chunk over it to that frame
+        clipped = scheduler._clip(tuple(plan_overlap(20, 8, 6)), 5, 6)
+        assert clipped == (Chunk(5, 1),) * 3
+        assert scheduler._runs(clipped, 100) == [(1, slice(5, 6, 1), 1)] * 3
+
+    @pytest.mark.parametrize("cap,counts", [(4, [4, 1]), (5, [5]), (6, [5])])
+    def test_runs_break_at_the_cap(self, cap, counts):
+        # five chunks spaced 8 apart: a run of the cap's length, one more, one less
+        chunks = tuple(plan_shift(40, 8, 0, 0))
+        assert [count for count, _, _ in scheduler._runs(chunks, cap)] == counts
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.usefixtures("one_core")
+    def test_run_equals_one_call_per_chunk(self, name, dtype):
+        config = golden_config(**self.RUNS[name], denoiser="oracle")
+        video, stats = run_inference(config, synthesize_conditions(config, dtype), dtype)
+        assert stats.processes == 1
+        np.testing.assert_array_equal(video.z, per_chunk_oracle_run(config, dtype), strict=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cap,sizes", [(4, [4, 1]), (5, [5]), (6, [5])])
+    @pytest.mark.usefixtures("one_core")  # the spy counts in this process only
+    def test_run_at_the_cap_equals_one_call_per_chunk(self, monkeypatch, cap, sizes, dtype):
+        # five 8-frame chunks a step; the byte cap holds ``cap`` of them
+        config = golden_config(denoiser="oracle", delta=0)
+        frame_bytes = 4 * config.latent_h * config.latent_w * np.dtype(dtype).itemsize
+        monkeypatch.setattr(scheduler, "_RUN_BYTES", cap * config.chunk_len * frame_bytes)
+        calls, eps_for = [], OracleDenoiser.eps_for
+
+        def spied(self, noise_latent, *args, **kwargs):
+            calls.append(len(noise_latent))
+            return eps_for(self, noise_latent, *args, **kwargs)
+
+        expected = per_chunk_oracle_run(config, dtype)
+        monkeypatch.setattr(OracleDenoiser, "eps_for", spied)
+        video, _ = run_inference(config, synthesize_conditions(config, dtype), dtype)
+        assert calls == sizes * config.ddim_steps  # chunks per call
+        np.testing.assert_array_equal(video.z, expected, strict=True)
+
+    @needs_fork
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    def test_band_edges_break_runs_and_keep_the_bits(self, monkeypatch, cores, dtype):
+        # overlap 6 of 8 on 81 frames: each band edge clips chunks to
+        # lengths 1 to 7, each its own run, beside runs of whole chunks
+        monkeypatch.setattr(scheduler, "_MIN_PARALLEL_FLOPS", 0)
+        config = golden_config(denoiser="oracle", policy="overlap", overlap_s=6, n_total=81)
+        chunks = build_plans(config)[0][0].chunks
+        for i in range(cores):
+            first, stop = 81 * i // cores, 81 * (i + 1) // cores
+            runs = scheduler._runs(scheduler._clip(chunks, first, stop), 100)
+            assert any(count > 1 for count, _, _ in runs)
+            assert any(length < config.chunk_len for _, _, length in runs)
+        assert_bands_equal_serial(config, monkeypatch, cores=cores, bands=cores, dtype=dtype)
+        np.testing.assert_array_equal(run_inference(config, dtype=dtype)[0].z,
+                                      per_chunk_oracle_run(config, dtype), strict=True)
 
 
 class TestOneUpdatePerStep:
@@ -917,6 +1033,81 @@ class TestSynthesizeConditions:
             synthesize_conditions(cfg)
         with pytest.raises(ValueError, match="dtype must be float32 or float64"):
             synthesize_conditions(cfg, dtype=np.float16)
+
+
+class TestConditionDraws:
+    """``synthesize_conditions`` draws the fields on a thread, in blocks of
+    ``_SMOOTH_BLOCK_FRAMES`` frames, while the caller smooths each block as
+    it lands; the thread is joined before the call returns or raises."""
+
+    @staticmethod
+    def whole_draws(config, dtype):
+        """The five fields from whole draws, smoothed whole (H, then W)."""
+        rng = np.random.default_rng([config.seed, _STREAM_CONDITIONS])
+        shape = (config.n_total, 4, config.latent_h, config.latent_w)
+        fields = []
+        for _ in range(3):  # video, pose, target
+            x = rng.standard_normal(shape).transpose(2, 3, 0, 1)
+            x = correlate_symmetric(x, scheduler._CONDITION_KERNEL, 0).transpose(1, 0, 2, 3)
+            x = correlate_symmetric(x, scheduler._CONDITION_KERNEL, 0).transpose(2, 3, 1, 0)
+            x = np.ascontiguousarray(x)  # the std of a [N, 4, H, W] array, summed in its order
+            fields.append((x / max(x.std(), 1e-12)).astype(dtype))
+        garment = rng.standard_normal((config.garment_tokens, config.toy.shallow_width))
+        return fields, garment.astype(np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, _SMOOTH_BLOCK_FRAMES - 1, _SMOOTH_BLOCK_FRAMES,
+                                   _SMOOTH_BLOCK_FRAMES + 1, 2 * _SMOOTH_BLOCK_FRAMES + 1])
+    def test_equals_whole_draws(self, n, dtype):
+        config = small_config(n_total=n, chunk_len=min(n, 8), policy="overlap", seed=5)
+        got = TestInitialNoise.no_thread_left(lambda: synthesize_conditions(config, dtype))
+        (video, pose, target), garment = self.whole_draws(config, dtype)
+        np.testing.assert_array_equal(got.masked_video, video * (1 - got.binary_mask),
+                                      strict=True)
+        np.testing.assert_array_equal(got.pose, pose, strict=True)
+        np.testing.assert_array_equal(got.target_x0, target, strict=True)
+        np.testing.assert_array_equal(got.garment, garment, strict=True)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_smoothing_leaves_no_thread(self, monkeypatch, error):
+        # the third block's smoothing fails while later blocks are drawn
+        config = small_config(n_total=3 * _SMOOTH_BLOCK_FRAMES)
+        calls, correlate = [], scheduler.correlate_symmetric
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:  # two calls a block
+                raise error("smoothing failed")
+            return correlate(*args)
+
+        monkeypatch.setattr(scheduler, "correlate_symmetric", failing)
+        with pytest.raises(error, match="^smoothing failed$"):
+            TestInitialNoise.no_thread_left(lambda: synthesize_conditions(config))
+
+    @pytest.mark.parametrize("denoiser", ["toy", "oracle"])
+    def test_failed_draw_raised_with_its_type(self, monkeypatch, denoiser):
+        class DrawFailed(Exception):
+            pass
+
+        real, draws = np.random.default_rng, []
+
+        class Stream:  # the conditions stream, failing at its fourth block
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(1)
+                if len(draws) == 4:
+                    raise DrawFailed("no conditions")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        config = small_config(n_total=2 * _SMOOTH_BLOCK_FRAMES, denoiser=denoiser)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Stream(real(seed))
+                            if seed == [config.seed, _STREAM_CONDITIONS] else real(seed))
+        for call in (lambda: synthesize_conditions(config), lambda: run_inference(config)):
+            draws.clear()
+            with pytest.raises(DrawFailed, match="^no conditions$"):
+                TestInitialNoise.no_thread_left(call)
 
 
 class TestOwnConditions:
