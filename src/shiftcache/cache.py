@@ -6,23 +6,24 @@ Staleness 1 is "good", staleness 2 is "bad". The cache holds features
 only: the run's ``FreshnessRecord``, filled by ``mark_partial``, says how
 stale each reused frame is, and ``mark_partial`` guarantees the cap is
 never exceeded (``tests/test_cache_reads.py`` checks this on the
-engine's runs).
+engine's runs). The features live in a shared mapping, so processes
+forked after the cache is made store and fetch them as its maker does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import MaskVariant, as_frame_indices
+from .numerics import MaskVariant, as_frame_indices, shared_zeros
 
 GOOD_MAX_STALENESS = 1
 
 
 class FeatureCache:
-    """Deep features of every frame in one preallocated [N, ...slice] array."""
+    """Deep features of every frame in one preallocated, shared [N, ...slice] array."""
 
     def __init__(self, n_frames: int, slice_shape: tuple[int, ...], dtype=np.float32):
-        self._feats = np.zeros((n_frames,) + tuple(slice_shape), dtype=dtype)
+        self._feats = shared_zeros((n_frames,) + tuple(slice_shape), dtype)
 
     def store_block(self, first_frame: int, feats: np.ndarray) -> None:
         """Copy consecutive frames [first_frame, first_frame + len(feats))

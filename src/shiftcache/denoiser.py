@@ -358,7 +358,7 @@ class OracleDenoiser:
                 out: np.ndarray | None = None, length: int | None = None) -> np.ndarray:
         """``(z_t - sqrt(abar) * target) / sqrt(1 - abar)``: the residual that
         steers ``ddim_step`` toward the target frames ``frames`` selects (a
-        slice, read as a view, or an index array), into ``out`` when given.
+        slice, read as a view, or an integer index array), into ``out`` when given.
         With ``length``, ``frames`` selects the starts of a run of chunks of
         that length, read as one [g, length, ...] view of the target's
         windows: g chunks take one call, and each keeps its bits."""
@@ -367,6 +367,8 @@ class OracleDenoiser:
         if noise_latent.dtype != self.target_x0.dtype:
             raise ValueError(f"latent dtype {noise_latent.dtype} differs from the "
                              f"target's {self.target_x0.dtype}")
+        if not isinstance(frames, slice):  # no bool array read as a mask, no float cast
+            frames = numerics.as_frame_indices(frames)
         target = (self.target_x0 if length is None else self._windows(length))[frames]
         if noise_latent.shape != target.shape:
             raise ValueError(f"latent/target shape mismatch: {noise_latent.shape} vs {target.shape}")

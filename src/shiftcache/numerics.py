@@ -1,8 +1,9 @@
 """Dense-array primitives: the attention mask variants, the sinusoidal
 frame encoding, with the integer frame-index check, the separable
 smoothing filter, whose one padding mode wraps, the one Gaussian
-kernel builder, behind the conditions' smoothing and SSIM's window, and
-the strided window view behind the oracle's runs of chunks.
+kernel builder, behind the conditions' smoothing and SSIM's window, the
+strided window view behind the oracle's runs of chunks, and the shared
+mapping behind a run's latents and feature cache.
 
 Everything here is pure numpy (float32 by default). A mask is the bool
 [L, L] array ``cache.build_mask`` returns, True where a key is blocked;
@@ -13,6 +14,7 @@ zero weight after the exp, lives in the denoiser, next to the projections.
 from __future__ import annotations
 
 import enum
+import mmap
 
 import numpy as np
 
@@ -31,6 +33,14 @@ def as_frame_indices(frames) -> np.ndarray:
     if frames.size and frames.dtype.kind not in "iu":
         raise ValueError(f"frame indices must have an integer dtype, got {frames.dtype}")
     return frames
+
+
+def shared_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, which lives as long as
+    it does and which processes forked after it share (mmap maps no 0 bytes)."""
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(np.dtype(dtype).itemsize * count, 1))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def sinusoidal_encoding_batch(frame_indices, dim: int) -> np.ndarray:

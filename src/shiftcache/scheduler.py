@@ -16,8 +16,8 @@ build at one BLAS thread count (a matmul may round differently on another
 count).
 
 Each run has one loop, ``run_band``: per step, each chunk in plan order is
-evaluated (``evaluate``, from cached deep features for a partial chunk)
-and committed, its deep features cached and its prediction added to the
+evaluated (``evaluate``, which caches a full chunk's deep features and
+reads a partial chunk's) and committed, its prediction added to the
 step's per-frame overlap sum (or, under ``hard_skip``, its frames
 updated), and then the frames get one DDIM update, in place, by their
 overlap mean. The loop gives the same bits on any number of cores:
@@ -32,19 +32,20 @@ overlap mean. The loop gives the same bits on any number of cores:
   then commits its chunks one by one. Every (chunk, frame) residual and
   add runs once, in plan order for each frame; at most one helper runs
   per frame.
-* Toy helpers: the loop takes each chunk's result from ``_in_order``,
+* Toy helpers: the loop takes each chunk's eps from ``_in_order``,
   which sends chunks ahead. A step's chunks do not depend on each other
   (shift chunks are disjoint, a partial chunk reads only deep features
   stored at earlier steps, and a frame's overlap mean is taken once no
   later chunk of the step covers it), and a chunk of the next step needs
   only its own frames' updates. So after each commit the loop updates the
-  frames no later chunk of the step covers, and a chunk, with its latents
-  and a partial chunk's cached features and freshness, is sent in plan
-  order once its frames are updated through the step before, ``_DEPTH``
-  in flight per helper: the next step's first chunks run while this
-  step's last ones do. At most one helper runs per chunk of the largest
-  step. Each helper keeps the caller's BLAS thread setting, so its
-  matmuls round as the caller's do and a helper run has the serial bits.
+  frames no later chunk of the step covers, and a (step, chunk) request
+  is sent in plan order once its frames are updated through the step
+  before, ``_DEPTH`` in flight per helper: the next step's first chunks
+  run while this step's last ones do. The helper works on the run's
+  shared latents and cache, and a full chunk stores its features before
+  it replies. At most one helper runs per chunk of the largest step. Each
+  helper keeps the caller's BLAS thread setting, so its matmuls round as
+  the caller's do and a helper run has the serial bits.
 
 Helpers are forked for the call, one per usable core (there is no
 setting), each with a ``multiprocessing`` pipe. A helper's error is
@@ -66,7 +67,6 @@ import collections
 import contextlib
 import enum
 import functools
-import mmap
 import multiprocessing
 import os
 import queue
@@ -80,8 +80,9 @@ import numpy as np
 from .cache import GOOD_MAX_STALENESS, FeatureCache
 from .denoiser import (OracleDenoiser, ToyDenoiser, ToyDenoiserConfig, assemble_input,
                        check_field_types)
-from .diffusion import LatentVideo, NoiseSchedule, check_betas, ddim_step, make_schedule
-from .numerics import MaskVariant, correlate_symmetric, frame_windows, gaussian_kernel
+from .diffusion import LatentVideo, NoiseSchedule, ddim_step, make_schedule
+from .numerics import (MaskVariant, correlate_symmetric, frame_windows, gaussian_kernel,
+                       shared_zeros)
 
 # Seed-stream tags: keep distinct so config fields never alias each other.
 _STREAM_NOISE = 1
@@ -414,7 +415,9 @@ class EngineConfig:
             raise ValueError("latent dims must be even and >= 2")
         if self.garment_tokens < 0:
             raise ValueError("garment_tokens must be >= 0")
-        check_betas(self.beta_start, self.beta_end)
+        sched = self.schedule()  # refuses bad betas; ddim_step divides by sqrt(abar)
+        if np.any(sched.alpha_bars[sched.sampling_steps].astype(np.float32) == 0):
+            raise ValueError("a sampled alpha_bar rounds to 0 in float32, the narrowest run dtype")
 
     def schedule(self) -> NoiseSchedule:
         return make_schedule(self.t_train, self.beta_start, self.beta_end, self.ddim_steps)
@@ -621,32 +624,22 @@ _DEPTH = 2
 
 def _helper(conn, evaluate, inherited) -> None:
     """A helper's loop: answer each request, ``evaluate``'s arguments, with
-    its result or exception, until the pipe ends. Closing the
-    ``inherited`` ends lets it end when the caller dies. A thread reads the
-    requests as they come, so the two ends never both block writing. Ctrl-C
-    interrupts the caller alone, whose pipes then close."""
+    its result or exception, until the pipe ends; closing the ``inherited``
+    ends lets it end when the caller dies. A request is a few hundred bytes
+    and at most ``_DEPTH`` are in flight, so the caller never blocks writing
+    one while this helper blocks writing its reply. Ctrl-C interrupts the
+    caller alone, whose pipes then close."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    requests = queue.SimpleQueue()
-
-    def read():
-        try:
-            while True:
-                requests.put(conn.recv())
-        except (EOFError, OSError):
-            requests.put(None)
-
-    threading.Thread(target=read, daemon=True).start()
-    for args in iter(requests.get, None):
-        try:
-            reply = evaluate(*args)
-        except Exception as exc:
-            reply = exc
-        try:
+    with contextlib.suppress(EOFError, OSError):  # the caller has closed its end
+        while True:
+            args = conn.recv()
+            try:
+                reply = evaluate(*args)
+            except Exception as exc:
+                reply = exc
             conn.send(reply)
-        except OSError:  # the caller has closed its end
-            return
 
 
 @contextlib.contextmanager
@@ -692,11 +685,11 @@ def _receive(conn):
     return reply
 
 
-def _in_order(conns, requests, ready, inputs):
+def _in_order(conns, requests, ready):
     """Yield the answers to ``requests`` (toy (step, chunk) pairs or oracle
     (first, stop) bands) in their order, from the helpers at the other ends
-    of ``conns``. Each is sent in order as ``inputs(*request)``, once
-    ``ready(*request)``, to the helper with the fewest of its ``_DEPTH`` in flight."""
+    of ``conns``. Each is sent as it is, in order, once ``ready(*request)``,
+    to the helper with the fewest of its ``_DEPTH`` in flight."""
     from multiprocessing import connection  # only a parallel run pays for the import
 
     queued = {conn: collections.deque() for conn in conns}  # indices in flight, oldest first
@@ -707,7 +700,7 @@ def _in_order(conns, requests, ready, inputs):
                 conn = min(queued, key=lambda c: len(queued[c]))
                 if len(queued[conn]) == _DEPTH:
                     break
-                _send(conn, inputs(*requests[sent]))
+                _send(conn, requests[sent])
                 queued[conn].append(sent)
                 sent += 1
             if i in answers:
@@ -748,9 +741,9 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
-    The latents ``z`` are allocated once per run, before any fork, in an
-    anonymous shared mapping (``mmap.mmap(-1, n)``); ``LatentVideo.z`` is
-    that array, and the mapping lives as long as it does. Meanwhile a
+    The latents ``z`` and the cache are allocated once per run, before any
+    fork, in anonymous shared mappings (``shared_zeros``); ``LatentVideo.z``
+    is that array, and the mapping lives as long as it does. Meanwhile a
     ``_drawing`` thread draws the initial noise into ``z``, in blocks
     through one float64 scratch, so ``z`` has the bits of one whole
     ``standard_normal`` draw cast to ``dtype``, and ``_synthesize`` draws
@@ -763,12 +756,13 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     is the one loop of a serial run, of each band of a large oracle run and
     of a large toy run; both parallel paths go through ``_in_order``. A
     band helper writes into the shared ``z`` and sends back no latents.
+    ``evaluate``, here or on a helper, reads and writes a toy chunk's state
+    in the shared ``z`` and cache, and returns its eps alone.
     """
     _check_dtype(dtype)
     plans, freshness = build_plans(config)
     n, shape = config.n_total, (config.n_total, 4, config.latent_h, config.latent_w)
-    z = np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * int(np.prod(shape))),
-                      dtype=dtype).reshape(shape)
+    z = shared_zeros(shape, dtype)
     with _drawing(np.random.default_rng([config.seed, _STREAM_NOISE]), (z,), shape):
         if conditions is None:
             conditions = _synthesize(config, dtype, (config.denoiser,))
@@ -810,28 +804,23 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     else:  # the oracle counts no FLOPs: _ORACLE_OPS units per latent element; a band per frame
         work, most = _ORACLE_OPS * 4 * config.latent_h * config.latent_w * chunk_frames, n
 
-    def evaluate(step_index, chunk, z_chunk, feats, good):
-        """(eps, deep features to cache or None) of a toy chunk, from its
-        latents, a partial chunk's cached features and freshness (None for
-        a full chunk) and what the run fixed before its first step."""
+    def evaluate(step_index, chunk):
+        """The eps of a toy chunk at a step, from its latents in ``z``, a
+        partial chunk's cached features and freshness and what the run fixed
+        before its first step. A full chunk first stores its deep features,
+        when the run has a cache."""
         sl = slice(chunk.start, chunk.stop)
-        x = assemble_input(z_chunk, conditions.masked_video[sl], conditions.binary_mask[sl],
+        x = assemble_input(z[sl], conditions.masked_video[sl], conditions.binary_mask[sl],
                            conditions.pose[sl])
         offsets = np.arange(chunk.start, chunk.stop)
         if chunk.mode is partial:
-            return toy.denoise_partial(x, offsets, feats, good, config.mask_variant,
-                                       conditions.garment), None
+            good = freshness.trace[step_index, sl] <= GOOD_MAX_STALENESS
+            return toy.denoise_partial(x, offsets, cache.fetch(offsets), good,
+                                       config.mask_variant, conditions.garment)
         eps, feats = toy.denoise_full(x, offsets, conditions.garment)
-        return eps, feats if cache is not None else None
-
-    def inputs(step_index, chunk):
-        """``evaluate``'s arguments for a chunk: its latents, and a partial
-        chunk's cached features, fetched here, and freshness from the record."""
-        feats = good = None
-        if chunk.mode is partial:
-            feats = cache.fetch(np.arange(chunk.start, chunk.stop))
-            good = freshness.trace[step_index, chunk.start:chunk.stop] <= GOOD_MAX_STALENESS
-        return step_index, chunk, z[chunk.start:chunk.stop], feats, good
+        if cache is not None:
+            cache.store_block(chunk.start, feats)
+        return eps
 
     def run_band(first, stop, conns=None):
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
@@ -846,8 +835,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         at = [0, first]
         if conns:
             answers = _in_order(conns, [(k, c) for k, chunks in enumerate(band) for c in chunks],
-                                lambda k, c: k <= at[0] or (k == at[0] + 1 and c.stop <= at[1]),
-                                inputs)
+                                lambda k, c: k <= at[0] or (k == at[0] + 1 and c.stop <= at[1]))
 
         def update(k, upto):
             """Step k's DDIM update of frames [at[1], upto) by their overlap
@@ -862,14 +850,12 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             if not config.hard_skip:
                 sums.reset(chunks)
             if oracle is not None:  # one call a run, into scratch, committed before the next
-                results = ((eps, None) for count, starts, length in runs[k]
+                results = (eps for count, starts, length in runs[k]
                            for eps in oracle.eps_for(z_windows(length)[starts], k, starts,
                                                      out=scratch[:count, :length], length=length))
             else:
-                results = (next(answers) if conns else evaluate(*inputs(k, c)) for c in chunks)
-            for i, (c, (eps, feats)) in enumerate(zip(chunks, results)):
-                if feats is not None:
-                    cache.store_block(c.start, feats)
+                results = (next(answers) if conns else evaluate(k, c) for c in chunks)
+            for i, (c, eps) in enumerate(zip(chunks, results)):
                 if config.hard_skip:
                     zf = z[c.start:c.stop]
                     ddim_step(zf, eps, k, sched, out=zf)
@@ -886,7 +872,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     elif oracle is not None:  # one band of nearly equal length per helper, none empty
         bands = [(n * i // helpers, n * (i + 1) // helpers) for i in range(helpers)]
         with _forked_helpers(helpers, run_band) as conns:  # each writes its band of the shared z
-            list(_in_order(conns, bands, lambda *band: True, lambda *band: band))
+            list(_in_order(conns, bands, lambda *band: True))
     else:
         with _forked_helpers(helpers, evaluate) as conns:
             run_band(0, n, conns)

@@ -7,6 +7,9 @@ p50 configs, on the serial path and on the parallel one. No step argument
 is needed: per frame, the j-th store is the frame's j-th FULL step in the
 plan, and the j-th fetch its j-th PARTIAL step. On the serial path the
 freshness each partial chunk's mask is built from is checked as well.
+On the parallel path helpers store and fetch, so the counts live in
+shared mappings; a frame's stores and fetches never run at once, since
+a chunk goes out only once its frames' last commit is done.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 from shiftcache import denoiser, scheduler
 from shiftcache.cache import FeatureCache
+from shiftcache.numerics import shared_zeros
 from shiftcache.scheduler import ChunkMode, build_plans, run_inference, synthesize_conditions
 from test_golden import CONFIGS, golden_config
 from test_parallel import needs_cores
@@ -30,8 +34,8 @@ def partial_chunks(plans):
 def recording_cache(plans, record, staleness_cap):
     """A FeatureCache subclass whose ``fetch`` asserts, per frame, that the
     frame was stored before, last at step ``k - trace[k, f]``, and that
-    ``1 <= trace[k, f] <= staleness_cap``; and the set of (step, frame)
-    pairs it checked."""
+    ``1 <= trace[k, f] <= staleness_cap``; and a function giving the set
+    of (step, frame) pairs it checked, in any process."""
     trace = record.trace
     n = trace.shape[1]
     full_steps = [[] for _ in range(n)]
@@ -40,7 +44,9 @@ def recording_cache(plans, record, staleness_cap):
         for c in plan.chunks:
             for f in range(c.start, c.stop):
                 (full_steps if c.mode is ChunkMode.FULL else partial_steps)[f].append(k)
-    stored, fetched, checked = [0] * n, [0] * n, set()
+    # shared with the helpers forked after the cache is made
+    stored, fetched = shared_zeros((n,), np.int64), shared_zeros((n,), np.int64)
+    checked = shared_zeros(trace.shape, bool)
 
     class RecordingCache(FeatureCache):
         def store_block(self, first_frame, feats):
@@ -57,10 +63,13 @@ def recording_cache(plans, record, staleness_cap):
                     f"frame {f} at step {k} was last stored at step "
                     f"{full_steps[f][stored[f] - 1]}, the record says {k - trace[k, f]}")
                 assert 1 <= trace[k, f] <= staleness_cap, (k, f, trace[k, f])
-                checked.add((k, f))
+                checked[k, f] = True
             return super().fetch(frames)
 
-    return RecordingCache, checked
+    def checked_pairs():
+        return {(int(k), int(f)) for k, f in zip(*np.nonzero(checked))}
+
+    return RecordingCache, checked_pairs
 
 
 def run_recorded(name, monkeypatch):
@@ -72,7 +81,7 @@ def run_recorded(name, monkeypatch):
     monkeypatch.setattr(scheduler, "FeatureCache", cache)
     _, stats = run_inference(config, synthesize_conditions(config))
     expected = {(k, f) for k, c in partial_chunks(plans) for f in range(c.start, c.stop)}
-    assert expected and checked == expected
+    assert expected and checked() == expected
     return plans, record, stats
 
 

@@ -523,6 +523,15 @@ class TestOracleDenoiser:
         with pytest.raises(ValueError, match="shape mismatch"):
             oracle.eps_for(z[:1], 0, slice(0, 2))
 
+    @pytest.mark.parametrize("frames", [np.isin(np.arange(8), [1, 4, 6]), np.arange(3.0)])
+    def test_bool_or_float_frames_rejected(self, frames):
+        # as FeatureCache.fetch does: a bool array is not read as a mask of
+        # its three frames, and no float is cast to an index
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        oracle = OracleDenoiser(np.zeros((8, 4, 2, 2), dtype=np.float32), sched)
+        with pytest.raises(ValueError, match="integer dtype"):
+            oracle.eps_for(np.zeros((3, 4, 2, 2), dtype=np.float32), 0, frames)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_run_of_windows_equals_one_call_per_chunk(self, dtype):
         # starts 3, 8, 13 of 6-frame chunks: one call, each chunk's own bits

@@ -6,11 +6,13 @@ oracle run forks one helper per band of frames, which runs every step on
 its band. The golden configs are below the work threshold for that, so
 every test here lowers it to 0. These tests hold the result to the serial
 path's bits on every golden config, on oracle runs whose band edges cut
-chunks or that have fewer frames than cores, and on chunks larger than a
-pipe holds. They check that a toy run sends chunks of the next step
-before the step's last update, that an oracle band's reply carries no
-latents (the helper writes them into the run's shared latents), and
-that no helper outlives a run, whether
+chunks or that have fewer frames than cores, on more toy helpers than
+cores and on replies larger than a pipe holds. They check that a toy run
+sends chunks of the next step before the step's last update, that a toy
+request names its chunk alone and a toy reply is its eps alone (the
+helper reads and writes the run's shared latents and feature cache),
+that an oracle band's reply carries no latents (the helper writes them
+into the shared latents), and that no helper outlives a run, whether
 it ends normally, by an error or the death of a helper, by an error in
 this process, by Ctrl-C (with one traceback, the caller's) or by the
 death of the process that made the helpers; and they check which
@@ -18,6 +20,7 @@ benchmark runs go parallel.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -30,7 +33,6 @@ import pytest
 
 import shiftcache
 from shiftcache import scheduler
-from shiftcache.cache import FeatureCache
 from shiftcache.denoiser import OracleDenoiser, ToyDenoiser
 from shiftcache.scheduler import (ChunkMode, OverlapSum, build_plans, run_inference,
                                   synthesize_conditions)
@@ -98,8 +100,8 @@ def fake_cores(monkeypatch, count: int) -> None:
 
 def assert_bands_equal_serial(config, monkeypatch, cores: int, bands: int,
                               dtype=np.float32) -> None:
-    """An oracle run on ``cores`` usable cores splits into ``bands`` bands
-    and has the serial run's bits."""
+    """A run on ``cores`` usable cores forks ``bands`` helpers (an oracle
+    run's bands) and has the serial run's bits."""
     fake_cores(monkeypatch, cores)
     parallel = run_inference(config, dtype=dtype)
     assert parallel[1].processes == bands
@@ -206,6 +208,38 @@ def test_helpers_send_the_next_step_before_this_one_ends(name, monkeypatch):
         assert events.index(("send", k + 1)) < last_update, k
 
 
+@needs_fork
+@pytest.mark.parametrize("name", ["overlap_s4", "p50_half"])
+def test_toy_requests_name_their_chunk_and_replies_are_eps(name, monkeypatch):
+    # a helper reads the latents and cached features from the run's shared
+    # mappings, so a request stays far below a pipe's buffer and a reply
+    # is the chunk's eps alone
+    fake_cores(monkeypatch, 2)
+    requests, replies, send, receive = [], [], scheduler._send, scheduler._receive
+    monkeypatch.setattr(scheduler, "_send",
+                        lambda conn, request: requests.append(request) or send(conn, request))
+    monkeypatch.setattr(scheduler, "_receive",
+                        lambda conn: replies.append(receive(conn)) or replies[-1])
+    _, stats = run(name)
+    assert stats.processes == 2
+    assert len(requests) == len(replies) == stats.full_chunk_evals + stats.partial_chunk_evals
+    assert (stats.partial_chunk_evals > 0) == (name == "p50_half")
+    for request in requests:
+        assert type(request) is tuple and len(request) == 2
+        assert type(request[0]) is int and type(request[1]) is scheduler.Chunk
+        assert len(pickle.dumps(request)) <= 1024
+    assert all(type(reply) is np.ndarray for reply in replies)
+
+
+@needs_fork
+def test_more_toy_helpers_than_cores_keep_the_bits(monkeypatch):
+    # five helpers read and write the shared latents and feature cache,
+    # more processes than a 2-core host has cores
+    config = golden_config(**RUNS["p50_half"])
+    assert max(len(plan.chunks) for plan in build_plans(config)[0]) >= 5
+    assert_bands_equal_serial(config, monkeypatch, cores=5, bands=5)
+
+
 @needs_cores
 def test_run_under_the_flop_threshold_is_serial(monkeypatch):
     flops = run("p50_half")[1].total_flops
@@ -282,22 +316,22 @@ def test_band_helper_error_is_raised_with_its_type_and_message(monkeypatch):
 def test_error_in_this_process_mid_run_leaves_no_process(where, monkeypatch):
     # "commit": overlap_s4's fourteenth add, in its second step, with
     # helpers busy on the chunks after it; "dispatch": an interrupt in the
-    # fifth cache fetch of p50_half, read to send a partial chunk
+    # fifth request p50_half sends to its helpers
     calls = []
     if where == "commit":
         name, owner, error, after = "overlap_s4", OverlapSum, ValueError, 9 + 5
         original = OverlapSum.add
     else:
-        name, owner, error, after = "p50_half", FeatureCache, KeyboardInterrupt, 5
-        original = FeatureCache.fetch
+        name, owner, error, after = "p50_half", scheduler, KeyboardInterrupt, 5
+        original = scheduler._send
 
-    def patched(self, *args):
+    def patched(*args):
         calls.append(1)
         if len(calls) == after:
             raise error("failed here")
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(owner, "add" if where == "commit" else "fetch", patched)
+    monkeypatch.setattr(owner, "add" if where == "commit" else "_send", patched)
     with pytest.raises(error):
         run(name)
     assert len(calls) == after
@@ -324,26 +358,32 @@ def test_run_with_a_second_thread_alive_is_serial_and_equal():
 
 @needs_cores
 def test_chunks_larger_than_a_pipe_buffer_do_not_hang(request):
-    # 128 frames of 12x12 float64 latents: each request and reply is about
-    # 600 KB, more than a socket buffer holds, so a helper must not write
-    # its reply while the caller writes its next request and neither reads
-    config = golden_config(policy="overlap", n_total=3 * 128, chunk_len=128, ddim_steps=1,
-                           latent_h=12, latent_w=12)
-    conditions = synthesize_conditions(config, dtype=np.float64)
+    # 128 frames of 12x12 float64 latents: each reply, a full or a partial
+    # chunk's eps, is about 600 KB, more than a socket buffer holds, so the
+    # caller must read replies while a helper writes one; its requests are
+    # small enough that it never blocks writing one. The shift run at
+    # p = 0.5 evaluates partial chunks as well.
+    configs = [golden_config(**policy, n_total=3 * 128, chunk_len=128, latent_h=12, latent_w=12)
+               for policy in (dict(policy="overlap", ddim_steps=1),
+                              dict(policy="shift", partial_fraction=0.5, ddim_steps=4))]
+    conditions = [synthesize_conditions(config, dtype=np.float64) for config in configs]
 
     def hang(signum, frame):
-        pytest.fail("the run was still waiting on its helpers after 60 s")
+        pytest.fail("the runs were still waiting on their helpers after 60 s")
 
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(60)
     try:
-        parallel = run_inference(config, conditions, dtype=np.float64)
+        parallel = [run_inference(config, given, dtype=np.float64)
+                    for config, given in zip(configs, conditions)]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert parallel[1].processes > 1
+    assert all(stats.processes > 1 for _, stats in parallel)
+    assert parallel[1][1].partial_chunk_evals > 0
     request.getfixturevalue("one_core")
-    assert_same_run(parallel, run_inference(config, conditions, dtype=np.float64))
+    for config, given, run in zip(configs, conditions, parallel):
+        assert_same_run(run, run_inference(config, given, dtype=np.float64))
 
 
 @needs_cores

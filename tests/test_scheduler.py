@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from shiftcache.denoiser import OracleDenoiser, ToyDenoiser, ToyDenoiserConfig
 from shiftcache.numerics import MaskVariant, correlate_symmetric
-from shiftcache import scheduler
+from shiftcache import fileio, scheduler
 from shiftcache.diffusion import ddim_step
 from shiftcache.scheduler import (
     Chunk,
@@ -453,6 +453,25 @@ class TestRunInference:
         # synthesized or any chunk runs
         with pytest.raises(ValueError, match=match):
             small_config(**kw).validate()
+
+    @pytest.mark.parametrize("beta_start,beta_end,match", [
+        # alpha_bar underflows to 0 in float64 as well, so it stops decreasing
+        (0.5, 0.9, "alpha_bars must be strictly decreasing"),
+        # sampled alpha_bars down to 1.5e-71, 0 in float32: ddim_step would
+        # divide by their roots
+        (0.1, 0.2, "rounds to 0 in float32"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_schedule_a_run_cannot_use_rejected_before_any_chunk(self, beta_start, beta_end,
+                                                                 match, dtype):
+        with pytest.raises(ValueError, match=match):
+            fileio.config_from_dict({"beta_start": beta_start, "beta_end": beta_end})
+        for denoiser in ("toy", "oracle"):
+            config = small_config(denoiser=denoiser, beta_start=beta_start, beta_end=beta_end)
+            for refuse in (config.validate, lambda: build_plans(config),
+                           lambda: run_inference(config, dtype=dtype)):
+                with pytest.raises(ValueError, match=match):
+                    refuse()
 
     @pytest.mark.parametrize("kw", [dict(mask_variant="half", partial_fraction=0.5),
                                     dict(mask_variant="nonsense", partial_fraction=0.0)])
