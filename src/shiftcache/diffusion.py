@@ -74,17 +74,12 @@ class NoiseSchedule:
         return int(self.sampling_steps[step_index])
 
 
-def check_betas(beta_start: float, beta_end: float) -> None:
-    """Raise ValueError unless 0 < beta_start <= beta_end < 1."""
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-
-
 def make_schedule(t_train: int, beta_start: float, beta_end: float, k: int) -> NoiseSchedule:
     """Linear betas over t_train steps, k evenly spaced DDIM steps descending."""
     if t_train < 1:
         raise ValueError("t_train must be >= 1")
-    check_betas(beta_start, beta_end)
+    if not (0.0 < beta_start <= beta_end < 1.0):
+        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
     if not 1 <= k <= t_train:
         raise ValueError(f"k must lie in 1..t_train, got {k}")
     betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)

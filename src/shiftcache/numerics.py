@@ -27,12 +27,14 @@ class MaskVariant(enum.Enum):
 
 
 def as_frame_indices(frames) -> np.ndarray:
-    """``frames`` as an array (an integer one passes uncopied); ValueError for
-    any other dtype, bool too, unless empty: no index is cast or read as a mask."""
+    """``frames`` as an integer array: an integer one passes uncopied, an
+    empty one of another dtype becomes int64 (an empty cast changes no
+    value), and any other, bool too, is a ValueError: no index is cast or
+    read as a mask."""
     frames = np.asarray(frames)
     if frames.size and frames.dtype.kind not in "iu":
         raise ValueError(f"frame indices must have an integer dtype, got {frames.dtype}")
-    return frames
+    return frames if frames.dtype.kind in "iu" else frames.astype(np.int64)
 
 
 def shared_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:

@@ -62,7 +62,6 @@ for measurements.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import contextlib
 import enum
@@ -189,43 +188,42 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
     return chunks
 
 
-class OverlapSum:
-    """Per-frame sum and cover count of one step's chunk predictions over
-    frames [first, stop) of the video.
+def _covers(chunks, first: int, stop: int) -> np.ndarray:
+    """How many ``chunks`` cover each frame of [first, stop) (difference of
+    starts and stops, then a running sum). ValueError if a chunk ends past
+    ``stop``, or naming the first frame no chunk covers."""
+    n = stop - first
+    bounds = np.array([(c.start, c.start + c.length) for c in chunks],
+                      dtype=np.int64).reshape(-1, 2) - first
+    if len(bounds) and bounds[:, 1].max() > n:
+        raise ValueError(f"a chunk ends past the video's {stop} frames")
+    edges = (np.bincount(bounds[:, 0], minlength=n + 1)
+             - np.bincount(bounds[:, 1], minlength=n + 1))
+    count = np.cumsum(edges[:n])
+    if np.any(count == 0):
+        frame = first + int(np.argmin(count))
+        raise ValueError(f"frame {frame} not covered by any chunk")
+    return count
 
-    ``reset`` zeroes the sum and counts, once per plan (an overlap run
-    has one), how many chunks cover each frame; each prediction is then
-    added as its chunk is committed, so no list of a step's predictions is
-    built, and ``mean`` divides once, in place. The sum takes the first
-    prediction's shape and dtype and is allocated once.
-    """
+
+class OverlapSum:
+    """Per-frame sum of one step's chunk predictions over frames [first,
+    stop) of the video. ``reset`` zeroes it and takes the step's cover
+    counts (``_covers``); each prediction is added as its chunk is
+    committed, so no list of a step's predictions is built, and ``mean``
+    divides once, in place. The sum takes the first prediction's shape and
+    dtype and is allocated once."""
 
     def __init__(self, stop: int, first: int = 0):
         self.first, self.stop = first, stop
         self.total: np.ndarray | None = None   # [stop - first, ...]
         self.count: np.ndarray | None = None   # [stop - first] int64
-        self.counted = None                    # the chunks ``count`` counts
 
-    def reset(self, chunks) -> None:
-        """Zero the sum and, unless ``chunks`` is the object counted last,
-        count its covers (difference of chunk starts and stops, then a
-        running sum). Raise ValueError naming the first frame no chunk covers."""
+    def reset(self, count: np.ndarray | None) -> None:
+        """Zero the sum and take ``count``, each frame's covers."""
         if self.total is not None:
             self.total.fill(0)
-        if chunks is self.counted:
-            return
-        n = self.stop - self.first
-        bounds = np.array([(c.start, c.start + c.length) for c in chunks],
-                          dtype=np.int64).reshape(-1, 2) - self.first
-        if len(bounds) and bounds[:, 1].max() > n:
-            raise ValueError(f"a chunk ends past the video's {self.stop} frames")
-        edges = (np.bincount(bounds[:, 0], minlength=n + 1)
-                 - np.bincount(bounds[:, 1], minlength=n + 1))
-        count = np.cumsum(edges[:n])
-        if np.any(count == 0):
-            frame = self.first + int(np.argmin(count))
-            raise ValueError(f"frame {frame} not covered by any chunk")
-        self.count, self.counted = count, chunks
+        self.count = count
 
     def add(self, chunk: Chunk, eps: np.ndarray) -> None:
         if self.total is None:
@@ -243,16 +241,10 @@ class OverlapSum:
 
 def _clip(chunks: tuple[Chunk, ...], first: int, stop: int) -> tuple[Chunk, ...]:
     """The parts of a plan's ``chunks`` inside frames [first, stop), in plan
-    order. Plan chunks ascend in start and in stop, so the chunks that meet
-    the band are one run of the plan, and only those an edge cuts are
-    rebuilt."""
-    inside = chunks[bisect.bisect_right(chunks, first, key=lambda c: c.stop):
-                    bisect.bisect_left(chunks, stop, key=lambda c: c.start)]
-    if inside and (inside[0].start < first or inside[-1].stop > stop):
-        inside = tuple(c if first <= c.start and c.stop <= stop else
-                       Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
-                       for c in inside)
-    return inside
+    order; only a chunk an edge cuts is rebuilt."""
+    return tuple(c if first <= c.start and c.stop <= stop else
+                 Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
+                 for c in chunks if c.start < stop and c.stop > first)
 
 
 def _runs(chunks: tuple[Chunk, ...], cap: int) -> list[tuple[int, slice, int]]:
@@ -273,7 +265,8 @@ def _runs(chunks: tuple[Chunk, ...], cap: int) -> list[tuple[int, slice, int]]:
 
 def _per_step(fn, steps: list) -> list:
     """``fn`` of each step's chunks, called again only for chunks that are
-    not the step before's (``is``): an overlap run repeats one plan."""
+    not the step before's (``is``): an overlap run repeats one plan. The
+    engine's one per-plan memo; the run holds every plan, so none is freed."""
     out = []
     for k, step in enumerate(steps):
         out.append(out[-1] if k and step is steps[k - 1] else fn(step))
@@ -288,7 +281,7 @@ def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
     if any(eps.shape[0] != chunk.length for eps, chunk in zip(per_chunk_eps, chunks)):
         raise ValueError("eps length does not match its chunk")
     sums = OverlapSum(n_total)
-    sums.reset(chunks)
+    sums.reset(_covers(chunks, 0, n_total))
     for eps, chunk in zip(per_chunk_eps, chunks):
         sums.add(chunk, eps)
     return sums.mean()
@@ -731,9 +724,9 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     evaluates a partial chunk, a partial chunk reads it under the configured
     mask variant, and each prediction goes into one per-frame sum, so peak
     memory does not grow with the overlap.
-    The DDIM update divides the sum by each frame's cover count, counted
-    once per plan, which an overlap run shares across steps (a single cover
-    passes through unchanged), and writes into the latents. The oracle
+    The DDIM update divides the sum by each frame's cover count, which a
+    band counts once per plan, an overlap run's once (a single cover passes
+    through unchanged), and writes into the latents. The oracle
     evaluates each run of chunks in one call into one scratch buffer of at
     most ``_RUN_BYTES``, allocated once per run, and adds each chunk's
     residual from it (module docstring). Under ``hard_skip`` each kept chunk's
@@ -826,10 +819,14 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         """Every step on frames [first, stop) of ``z``, each chunk clipped to
         them, in plan order: evaluated here (an oracle's, a run of chunks a
         call), or on the helpers at the other ends of ``conns``, and
-        committed here, into ``z``."""
-        band = _per_step(lambda chunks: _clip(chunks, first, stop), steps)
-        if oracle is not None:
-            runs = _per_step(lambda chunks: _runs(chunks, run_cap), band)
+        committed here, into ``z``. Each plan is laid out for the band once
+        (``_per_step``): clipped, cut into the oracle's runs and counted."""
+        def layout(chunks):  # a plan clipped to the band, the oracle's runs of it, its covers
+            clipped = _clip(chunks, first, stop)
+            return (clipped, _runs(clipped, run_cap) if oracle is not None else None,
+                    None if config.hard_skip else _covers(clipped, first, stop))
+
+        band, runs, covers = zip(*_per_step(layout, steps))
         sums = OverlapSum(stop, first)
         # frames below at[1] are updated through step at[0], the rest through one step less
         at = [0, first]
@@ -847,8 +844,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
 
         for k, chunks in enumerate(band):
             at[:] = k, first
-            if not config.hard_skip:
-                sums.reset(chunks)
+            sums.reset(covers[k])
             if oracle is not None:  # one call a run, into scratch, committed before the next
                 results = (eps for count, starts, length in runs[k]
                            for eps in oracle.eps_for(z_windows(length)[starts], k, starts,

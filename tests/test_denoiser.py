@@ -532,6 +532,15 @@ class TestOracleDenoiser:
         with pytest.raises(ValueError, match="integer dtype"):
             oracle.eps_for(np.zeros((3, 4, 2, 2), dtype=np.float32), 0, frames)
 
+    def test_empty_frames_of_any_dtype_give_an_empty_residual(self):
+        # an empty index casts no value, so an empty float one reads as int64
+        sched = make_schedule(1000, 1e-4, 0.02, 25)
+        oracle = OracleDenoiser(np.zeros((8, 4, 2, 2), dtype=np.float32), sched)
+        z = np.zeros((0, 4, 2, 2), dtype=np.float32)
+        expected = oracle.eps_for(z, 3, np.array([], dtype=np.int64))
+        assert expected.shape == (0, 4, 2, 2)
+        np.testing.assert_array_equal(oracle.eps_for(z, 3, np.array([])), expected, strict=True)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_run_of_windows_equals_one_call_per_chunk(self, dtype):
         # starts 3, 8, 13 of 6-frame chunks: one call, each chunk's own bits

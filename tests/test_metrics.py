@@ -3,6 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from shiftcache.metrics import flicker_index, ssim, video_ssim
 
@@ -83,6 +84,27 @@ class TestSsim:
                 a, b, win_size=11, gaussian_weights=True, sigma=1.5,
                 use_sample_covariance=False, data_range=data_range)
             assert ssim(a, b) == pytest.approx(expected, abs=1e-7)
+
+    def test_matches_scipy_gaussian_filter_reference(self):
+        # skimage's recipe on the same five pairs, written out on scipy: each
+        # local moment is a Gaussian filter of sigma 1.5 truncated at 3.5
+        # sigma (radius 5), and the 5 pixels by each border, whose windows
+        # read the "reflect" padding, are cropped before the mean
+        def blur(x):
+            return ndimage.gaussian_filter(x, sigma=1.5, truncate=3.5, mode="reflect")
+
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            a = rng.standard_normal((24, 20))
+            b = a + 0.5 * rng.standard_normal((24, 20))
+            data_range = max(a.max(), b.max()) - min(a.min(), b.min())
+            c1, c2 = (0.01 * data_range) ** 2, (0.03 * data_range) ** 2
+            mu_a, mu_b = blur(a), blur(b)
+            var_a, var_b = blur(a * a) - mu_a * mu_a, blur(b * b) - mu_b * mu_b
+            cov = blur(a * b) - mu_a * mu_b
+            ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                        / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
+            assert ssim(a, b) == pytest.approx(ssim_map[5:-5, 5:-5].mean(), abs=1e-7)
 
     @pytest.mark.parametrize("h,w", [(11, 11), (24, 20), (13, 30)])
     def test_matches_direct_float64_reference(self, h, w):

@@ -10,6 +10,7 @@ from shiftcache.cache import build_mask
 from shiftcache.denoiser import _rms_norm, attention
 from shiftcache.numerics import (
     MaskVariant,
+    as_frame_indices,
     correlate_symmetric,
     gaussian_kernel,
     sinusoidal_encoding_batch,
@@ -172,6 +173,12 @@ class TestSinusoidalEncoding:
         # a float index would be truncated, a bool one read as 0 and 1
         with pytest.raises(ValueError, match="integer dtype"):
             sinusoidal_encoding_batch(indices, 4)
+
+    @pytest.mark.parametrize("indices", [[], np.array([]), np.array([], dtype=bool)])
+    def test_empty_indices_of_any_dtype_read_as_int64(self, indices):
+        # an empty cast changes no value, so it is not refused
+        assert as_frame_indices(indices).dtype == np.int64
+        assert sinusoidal_encoding_batch(indices, 4).shape == (0, 4)
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_injective_over_small_indices(self, dim):

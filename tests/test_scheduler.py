@@ -180,9 +180,25 @@ class TestAggregateOverlaps:
             aggregate_overlaps([np.zeros((2, 1, 1, 1))], [Chunk(0, 2)], 3)
 
 
+def band_calls(monkeypatch, name, **kw):
+    """The (first, stop) of each call of ``scheduler.<name>(chunks, first,
+    stop)`` in a serial 6-step run of ``small_config(**kw)``."""
+    calls, original = [], getattr(scheduler, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(scheduler, name, counted)
+    _, stats = run_inference(small_config(ddim_steps=6, **kw))
+    assert stats.processes == 1
+    return calls
+
+
 class TestOverlapSumCoverCount:
-    """``OverlapSum.reset`` counts a plan's covers once, from the chunk
-    bounds; the count must equal counting chunk by chunk."""
+    """``_covers`` counts a plan's covers from the chunk bounds, once per
+    plan in each band; the count must equal counting chunk by chunk, and
+    ``OverlapSum.reset`` takes it and zeroes the sum."""
 
     @pytest.mark.parametrize("chunks", [
         plan_overlap(100, 16, 0),
@@ -194,40 +210,46 @@ class TestOverlapSumCoverCount:
     ], ids=["overlap-s0", "overlap-s4", "overlap-s15", "shift-fixed", "shift-random",
             "shift-random-2"])
     def test_equals_per_chunk_counting(self, chunks):
-        sums = scheduler.OverlapSum(100)
-        sums.reset(chunks)
-        np.testing.assert_array_equal(sums.count, covers_exactly(chunks, 100))
+        np.testing.assert_array_equal(scheduler._covers(chunks, 0, 100),
+                                      covers_exactly(chunks, 100))
 
-    def test_uncovered_frame_named_at_reset(self):
-        sums = scheduler.OverlapSum(9)
+    def test_uncovered_frame_named(self):
         with pytest.raises(ValueError, match="^frame 4 not covered by any chunk$"):
-            sums.reset([Chunk(0, 4), Chunk(5, 4)])
+            scheduler._covers([Chunk(0, 4), Chunk(5, 4)], 0, 9)
 
     def test_chunk_past_the_end_rejected(self):
         with pytest.raises(ValueError, match="ends past"):
-            scheduler.OverlapSum(6).reset([Chunk(0, 4), Chunk(3, 4)])
+            scheduler._covers([Chunk(0, 4), Chunk(3, 4)], 0, 6)
 
-    def test_same_chunks_counted_once_and_sum_zeroed_every_reset(self):
+    def test_sum_zeroed_every_reset(self):
         chunks, sums = tuple(plan_overlap(40, 8, 3)), scheduler.OverlapSum(40)
-        sums.reset(chunks)
-        count = sums.count
-        for c in chunks:
-            sums.add(c, np.ones((c.length, 4, 2, 2), dtype=np.float32))
-        sums.reset(chunks)
-        assert sums.count is count
-        assert not sums.total.any()
-        sums.reset(tuple(chunks))  # the same tuple object: no recount
-        assert sums.count is count
-        sums.reset(tuple(plan_overlap(40, 8, 3)))  # equal, but another object
-        assert sums.count is not count
-        np.testing.assert_array_equal(sums.count, count)
-        sums.reset(tuple(plan_shift(40, 8, 3, 1)))
-        np.testing.assert_array_equal(sums.count, np.ones(40))
+        count = scheduler._covers(chunks, 0, 40)
+        for _ in range(2):
+            sums.reset(count)
+            assert sums.count is count
+            assert sums.total is None or not sums.total.any()
+            for c in chunks:
+                sums.add(c, np.ones((c.length, 4, 2, 2), dtype=np.float32))
+            assert sums.total.any()
+        np.testing.assert_array_equal(scheduler._covers(tuple(plan_shift(40, 8, 3, 1)), 0, 40),
+                                      np.ones(40))
+
+    @pytest.mark.parametrize("kw,counts", [
+        (dict(policy="overlap", overlap_s=3), 1),
+        (dict(policy="overlap", overlap_s=3, denoiser="oracle"), 1),
+        (dict(), 6),
+        (dict(delta=0), 6),  # shift plans equal at every step are still one per step
+        (dict(shift_mode="random", partial_fraction=0.5, hard_skip=True), 0),  # no overlap sum
+    ])
+    @pytest.mark.usefixtures("one_core")  # the spy counts in this process only
+    def test_covers_counted_once_per_plan(self, monkeypatch, kw, counts):
+        assert band_calls(monkeypatch, "_covers", **kw) == [(0, 24)] * counts
 
 
 class TestOnePlanPerOverlapRun:
     """An overlap run's chunks are the same at every step: ``build_plans``
-    gives one plan object, which a band clips (and counts) once."""
+    gives one plan object, which a band lays out (clips, cuts into runs and
+    counts) once."""
 
     def test_overlap_plans_are_one_object_shift_plans_one_per_step(self):
         overlap, _ = build_plans(small_config(policy="overlap", overlap_s=3, ddim_steps=5))
@@ -244,16 +266,66 @@ class TestOnePlanPerOverlapRun:
     ])
     @pytest.mark.usefixtures("one_core")  # the spy counts in this process only
     def test_clip_calls_per_band(self, monkeypatch, kw, clips):
-        calls, clip = [], scheduler._clip
+        assert band_calls(monkeypatch, "_clip", **kw) == [(0, 24)] * clips
 
-        def counted(*args):
-            calls.append(args[1:])
-            return clip(*args)
 
-        monkeypatch.setattr(scheduler, "_clip", counted)
-        _, stats = run_inference(small_config(ddim_steps=6, **kw))
-        assert stats.processes == 1
-        assert calls == [(0, 24)] * clips
+class TestBandLayout:
+    """A band's layout of a plan, over the bands ``run_inference`` splits a
+    video into: ``_clip`` keeps every (frame, chunk) pair of the band in
+    plan order, ``_covers`` of the bands joins into the whole plan's, and
+    ``_runs`` cuts each clipped plan into runs that give back its chunks."""
+
+    @given(data=st.data(), n=st.integers(1, 48), length=st.integers(1, 8),
+           policy=st.sampled_from(["overlap", "fixed", "random"]),
+           bands=st.integers(1, 5), cap=st.integers(1, 8), drop=st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_bands_lay_out_the_plan(self, data, n, length, policy, bands, cap, drop):
+        length = min(length, n)
+        if policy == "overlap":
+            plan = plan_overlap(n, length, data.draw(st.integers(0, length - 1), "overlap"))
+        else:
+            delta = data.draw(st.integers(0, length - 1 if policy == "fixed" else 20), "delta")
+            plan = plan_shift(n, length, delta, data.draw(st.integers(0, 30), "step"),
+                              mode=policy, seed=data.draw(st.integers(0, 2 ** 16), "seed"))
+        marks = data.draw(st.lists(st.booleans(), min_size=len(plan), max_size=len(plan)),
+                          "marks")
+        plan = tuple(dataclasses.replace(c, mode=ChunkMode.PARTIAL) if marked else c
+                     for c, marked in zip(plan, marks))
+        if drop:  # hard_skip drops the partial chunks, which can leave frames uncovered
+            plan = tuple(c for c in plan if c.mode is ChunkMode.FULL)
+        hits = covers_exactly(plan, n)
+
+        def checked_covers(chunks, first, stop):
+            """``_covers`` of the band: each frame's count, or, where a frame
+            is left uncovered, the ValueError naming the first one."""
+            if hits[first:stop].all():
+                count = scheduler._covers(chunks, first, stop)
+                np.testing.assert_array_equal(count, hits[first:stop])
+                return count
+            frame = first + int(np.argmin(hits[first:stop]))
+            with pytest.raises(ValueError, match=f"^frame {frame} not covered by any chunk$"):
+                scheduler._covers(chunks, first, stop)
+
+        whole, bands, joined = checked_covers(plan, 0, n), min(bands, n), []
+        for i in range(bands):
+            first, stop = n * i // bands, n * (i + 1) // bands
+            clipped = scheduler._clip(plan, first, stop)
+            assert all(first <= c.start and c.stop <= stop for c in clipped)
+            assert starts(clipped) == sorted(starts(clipped))
+            for f in range(first, stop):  # each frame's chunks, in plan order, clipped
+                assert [c for c in clipped if c.start <= f < c.stop] == [
+                    Chunk(max(c.start, first), min(c.stop, stop) - max(c.start, first), c.mode)
+                    for c in plan if c.start <= f < c.stop]
+            joined.append(checked_covers(clipped, first, stop))
+            runs = scheduler._runs(clipped, cap)
+            expanded = [(s, size) for _, run, size in runs
+                        for s in range(run.start, run.stop, run.step)]
+            assert expanded == [(c.start, c.length) for c in clipped]
+            for count, run, _ in runs:  # one length and even nonzero spacing by its slice
+                assert 1 <= count <= cap and run.step > 0
+                assert len(range(run.start, run.stop, run.step)) == count
+        if whole is not None:
+            np.testing.assert_array_equal(np.concatenate(joined), whole)
 
 
 def all_full_plans(n, l, delta, steps, mode="fixed", seed=0):

@@ -4,7 +4,9 @@ No linter is part of the toolchain, so these two checks stand in for the
 ones that matter after code is removed: a module that imports a name it
 never uses, and a private module-level name (``_x``) that its module never
 references. The package's ``__init__`` imports to re-export, so its
-imports are exempt from the first check.
+imports are exempt from the first check. A third check refuses any call
+of ``id()``: a memo keyed on an object's id once broke two golden digests,
+because CPython reuses the id of an object that has been freed.
 """
 
 import ast
@@ -74,3 +76,11 @@ def test_no_unreferenced_private_name(path):
     unused = {name: line for name, line in private_definitions(tree).items()
               if name not in used}
     assert not unused, f"{path.name} never references its private names (name: line): {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_id_call(path):
+    calls = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert not calls, (f"{path.name} calls id() on lines {calls}; key a memo on content, "
+                       "or compare with `is` on objects the caller holds")
