@@ -27,7 +27,9 @@ class FeatureCache:
 
     def store_block(self, first_frame: int, feats: np.ndarray) -> None:
         """Copy consecutive frames [first_frame, first_frame + len(feats))
-        from one [L, ...slice] array into the cache."""
+        from one [L, ...slice] array into the cache; ValueError for no frames."""
+        if len(feats) == 0:
+            raise ValueError("store_block needs at least one frame")
         stop = first_frame + len(feats)
         if feats.shape[1:] != self._feats.shape[1:]:
             raise ValueError(f"feature slice shape {feats.shape[1:]} != cache slice "

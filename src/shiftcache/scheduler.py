@@ -17,10 +17,12 @@ count).
 
 Each run has one loop, ``run_band``: per step, each chunk in plan order is
 evaluated (``evaluate``, which caches a full chunk's deep features and
-reads a partial chunk's) and committed, its prediction added to the
-step's per-frame overlap sum (or, under ``hard_skip``, its frames
-updated), and then the frames get one DDIM update, in place, by their
-overlap mean. The loop gives the same bits on any number of cores:
+reads a partial chunk's) and committed, its prediction added into the
+band's one per-frame sum, zeroed each step (under ``hard_skip``, which
+keeps no sum, its frames are updated instead), and then the frames get
+one DDIM update, in place, by their overlap mean: the sum divided in
+place by the plan's divisor, its covers laid out once per plan. The loop
+gives the same bits on any number of cores:
 
 * Serial: ``run_band`` over all frames, one update a step.
 * Oracle bands: the oracle is frame-local, so each helper runs the loop
@@ -178,7 +180,7 @@ def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
 
     chunks = []
     if offset > 0:
-        chunks.append(Chunk(start=0, length=min(offset, n_total)))
+        chunks.append(Chunk(start=0, length=offset))
     start = offset
     while start + chunk_len <= n_total:
         chunks.append(Chunk(start=start, length=chunk_len))
@@ -204,39 +206,6 @@ def _covers(chunks, first: int, stop: int) -> np.ndarray:
         frame = first + int(np.argmin(count))
         raise ValueError(f"frame {frame} not covered by any chunk")
     return count
-
-
-class OverlapSum:
-    """Per-frame sum of one step's chunk predictions over frames [first,
-    stop) of the video. ``reset`` zeroes it and takes the step's cover
-    counts (``_covers``); each prediction is added as its chunk is
-    committed, so no list of a step's predictions is built, and ``mean``
-    divides once, in place. The sum takes the first prediction's shape and
-    dtype and is allocated once."""
-
-    def __init__(self, stop: int, first: int = 0):
-        self.first, self.stop = first, stop
-        self.total: np.ndarray | None = None   # [stop - first, ...]
-        self.count: np.ndarray | None = None   # [stop - first] int64
-
-    def reset(self, count: np.ndarray | None) -> None:
-        """Zero the sum and take ``count``, each frame's covers."""
-        if self.total is not None:
-            self.total.fill(0)
-        self.count = count
-
-    def add(self, chunk: Chunk, eps: np.ndarray) -> None:
-        if self.total is None:
-            self.total = np.zeros((self.stop - self.first,) + eps.shape[1:], dtype=eps.dtype)
-        self.total[chunk.start - self.first:chunk.stop - self.first] += eps
-
-    def mean(self, frames: slice = slice(None)) -> np.ndarray:
-        """The per-frame mean of ``frames`` (default: all; counted from
-        ``first``), in the sum's own buffer (valid until the next
-        ``reset``). A frame covered once divides by 1, which is exact."""
-        total = self.total[frames]
-        return np.divide(total, self.count[frames].astype(total.dtype)[:, None, None, None],
-                         out=total)
 
 
 def _clip(chunks: tuple[Chunk, ...], first: int, stop: int) -> tuple[Chunk, ...]:
@@ -280,11 +249,11 @@ def aggregate_overlaps(per_chunk_eps: list[np.ndarray], chunks: list[Chunk],
         raise ValueError("one eps array per chunk required")
     if any(eps.shape[0] != chunk.length for eps, chunk in zip(per_chunk_eps, chunks)):
         raise ValueError("eps length does not match its chunk")
-    sums = OverlapSum(n_total)
-    sums.reset(_covers(chunks, 0, n_total))
+    count = _covers(chunks, 0, n_total)
+    total = np.zeros((n_total,) + per_chunk_eps[0].shape[1:], dtype=per_chunk_eps[0].dtype)
     for eps, chunk in zip(per_chunk_eps, chunks):
-        sums.add(chunk, eps)
-    return sums.mean()
+        total[chunk.start:chunk.stop] += eps
+    return np.divide(total, count.astype(total.dtype)[:, None, None, None], out=total)
 
 
 @dataclass
@@ -723,14 +692,15 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
     chunk writes the deep-feature cache, which a run has only when it
     evaluates a partial chunk, a partial chunk reads it under the configured
     mask variant, and each prediction goes into one per-frame sum, so peak
-    memory does not grow with the overlap.
-    The DDIM update divides the sum by each frame's cover count, which a
-    band counts once per plan, an overlap run's once (a single cover passes
-    through unchanged), and writes into the latents. The oracle
-    evaluates each run of chunks in one call into one scratch buffer of at
-    most ``_RUN_BYTES``, allocated once per run, and adds each chunk's
-    residual from it (module docstring). Under ``hard_skip`` each kept chunk's
-    frames are updated as soon as it is committed instead. ``dtype`` must
+    memory does not grow with the overlap. The DDIM update divides the
+    sum in place by its divisor, each frame's cover count in the run
+    dtype, which a band lays out once per plan, an overlap run's once (a
+    single cover passes through unchanged), and writes into the latents.
+    The oracle evaluates each run of chunks in one call into one scratch
+    buffer of at most ``_RUN_BYTES``, allocated once per run, and adds
+    each chunk's residual from it (module docstring). Under ``hard_skip``
+    there is no sum: each kept chunk's frames are updated as soon as it
+    is committed. ``dtype`` must
     be float32 or float64. Without ``conditions`` the run synthesizes the
     ones its denoiser reads, with the bits ``synthesize_conditions`` gives.
 
@@ -820,14 +790,19 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
         them, in plan order: evaluated here (an oracle's, a run of chunks a
         call), or on the helpers at the other ends of ``conns``, and
         committed here, into ``z``. Each plan is laid out for the band once
-        (``_per_step``): clipped, cut into the oracle's runs and counted."""
-        def layout(chunks):  # a plan clipped to the band, the oracle's runs of it, its covers
+        (``_per_step``): clipped, cut into the oracle's runs and counted
+        into its divisor, each frame's covers in the run dtype. ``sums``,
+        the band's one array, is zeroed each step, takes each prediction
+        as it is committed and is divided in place by the divisor at the
+        update; under hard_skip there is neither."""
+        def layout(chunks):  # a plan clipped to the band, the oracle's runs of it, its divisor
             clipped = _clip(chunks, first, stop)
             return (clipped, _runs(clipped, run_cap) if oracle is not None else None,
-                    None if config.hard_skip else _covers(clipped, first, stop))
+                    None if config.hard_skip
+                    else _covers(clipped, first, stop).astype(dtype)[:, None, None, None])
 
-        band, runs, covers = zip(*_per_step(layout, steps))
-        sums = OverlapSum(stop, first)
+        band, runs, divisors = zip(*_per_step(layout, steps))
+        sums = None if config.hard_skip else np.zeros((stop - first,) + shape[1:], dtype=dtype)
         # frames below at[1] are updated through step at[0], the rest through one step less
         at = [0, first]
         if conns:
@@ -838,13 +813,15 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
             """Step k's DDIM update of frames [at[1], upto) by their overlap
             mean; under hard_skip they had theirs at their commit, if any."""
             if not config.hard_skip:
-                zf = z[at[1]:upto]
-                ddim_step(zf, sums.mean(slice(at[1] - first, upto - first)), k, sched, out=zf)
+                zf, frames = z[at[1]:upto], slice(at[1] - first, upto - first)
+                mean = np.divide(sums[frames], divisors[k][frames], out=sums[frames])
+                ddim_step(zf, mean, k, sched, out=zf)
             at[1] = upto
 
         for k, chunks in enumerate(band):
             at[:] = k, first
-            sums.reset(covers[k])
+            if sums is not None:
+                sums.fill(0)
             if oracle is not None:  # one call a run, into scratch, committed before the next
                 results = (eps for count, starts, length in runs[k]
                            for eps in oracle.eps_for(z_windows(length)[starts], k, starts,
@@ -856,7 +833,7 @@ def run_inference(config: EngineConfig, conditions: Conditions | None = None,
                     zf = z[c.start:c.stop]
                     ddim_step(zf, eps, k, sched, out=zf)
                 else:
-                    sums.add(c, eps)
+                    sums[c.start - first:c.stop - first] += eps
                 if conns and i + 1 < len(chunks):  # so the next step's chunks go out sooner
                     update(k, chunks[i + 1].start)
             update(k, stop)

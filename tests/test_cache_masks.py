@@ -51,6 +51,10 @@ class TestFeatureCache:
         with pytest.raises(ValueError, match="at least one frame"):
             _cache().fetch([])
 
+    def test_empty_store_rejected(self):
+        with pytest.raises(ValueError, match="^store_block needs at least one frame$"):
+            _cache().store_block(3, np.zeros((0,) + SLICE, dtype=np.float32))
+
     def test_slice_shape_enforced(self):
         cache = _cache()
         with pytest.raises(ValueError, match="slice shape"):

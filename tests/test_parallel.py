@@ -34,8 +34,7 @@ import pytest
 import shiftcache
 from shiftcache import scheduler
 from shiftcache.denoiser import OracleDenoiser, ToyDenoiser
-from shiftcache.scheduler import (ChunkMode, OverlapSum, build_plans, run_inference,
-                                  synthesize_conditions)
+from shiftcache.scheduler import ChunkMode, build_plans, run_inference, synthesize_conditions
 from test_golden import CONFIGS, FLOAT64, golden_config
 from test_perfbench_sites import PERFBENCH
 
@@ -314,24 +313,24 @@ def test_band_helper_error_is_raised_with_its_type_and_message(monkeypatch):
 @needs_cores
 @pytest.mark.parametrize("where", ["commit", "dispatch"])
 def test_error_in_this_process_mid_run_leaves_no_process(where, monkeypatch):
-    # "commit": overlap_s4's fourteenth add, in its second step, with
+    # "commit": overlap_s4's fourteenth update, after the fifth commit of
+    # its second step (a toy helper run updates once per commit), with
     # helpers busy on the chunks after it; "dispatch": an interrupt in the
     # fifth request p50_half sends to its helpers
     calls = []
     if where == "commit":
-        name, owner, error, after = "overlap_s4", OverlapSum, ValueError, 9 + 5
-        original = OverlapSum.add
+        name, attr, error, after = "overlap_s4", "ddim_step", ValueError, 9 + 5
     else:
-        name, owner, error, after = "p50_half", scheduler, KeyboardInterrupt, 5
-        original = scheduler._send
+        name, attr, error, after = "p50_half", "_send", KeyboardInterrupt, 5
+    original = getattr(scheduler, attr)
 
-    def patched(*args):
+    def patched(*args, **kwargs):
         calls.append(1)
         if len(calls) == after:
             raise error("failed here")
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, "add" if where == "commit" else "_send", patched)
+    monkeypatch.setattr(scheduler, attr, patched)
     with pytest.raises(error):
         run(name)
     assert len(calls) == after
@@ -396,25 +395,26 @@ def test_band_helper_killed_mid_run_raises_and_leaves_no_process(monkeypatch):
     assert_killed_helper_raises(monkeypatch, "bands")
 
 
-# Runs overlap_s4 with helpers, prints their pids at its fourteenth add
-# (in its second step, with helpers busy) and does {action} there.
+# Runs overlap_s4 with helpers, prints their pids at its fourteenth update
+# (after the fifth commit of its second step, with helpers busy) and does
+# {action} there.
 PROBE = """
 import multiprocessing, os, signal
 from shiftcache import scheduler
-from shiftcache.scheduler import OverlapSum, run_inference, synthesize_conditions
+from shiftcache.scheduler import run_inference, synthesize_conditions
 from test_golden import CONFIGS, golden_config
 
 scheduler._MIN_PARALLEL_FLOPS = 0
-calls, add = [], OverlapSum.add
+calls, update = [], scheduler.ddim_step
 
-def patched(self, *args):
+def patched(*args, **kwargs):
     calls.append(1)
     if len(calls) == 14:
         print(*(child.pid for child in multiprocessing.active_children()), flush=True)
         {action}
-    return add(self, *args)
+    return update(*args, **kwargs)
 
-OverlapSum.add = patched
+scheduler.ddim_step = patched
 config = golden_config(**CONFIGS["overlap_s4"])
 run_inference(config, synthesize_conditions(config))
 """

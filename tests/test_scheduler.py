@@ -195,10 +195,9 @@ def band_calls(monkeypatch, name, **kw):
     return calls
 
 
-class TestOverlapSumCoverCount:
+class TestCoverCount:
     """``_covers`` counts a plan's covers from the chunk bounds, once per
-    plan in each band; the count must equal counting chunk by chunk, and
-    ``OverlapSum.reset`` takes it and zeroes the sum."""
+    plan in each band; the count must equal counting chunk by chunk."""
 
     @pytest.mark.parametrize("chunks", [
         plan_overlap(100, 16, 0),
@@ -220,19 +219,6 @@ class TestOverlapSumCoverCount:
     def test_chunk_past_the_end_rejected(self):
         with pytest.raises(ValueError, match="ends past"):
             scheduler._covers([Chunk(0, 4), Chunk(3, 4)], 0, 6)
-
-    def test_sum_zeroed_every_reset(self):
-        chunks, sums = tuple(plan_overlap(40, 8, 3)), scheduler.OverlapSum(40)
-        count = scheduler._covers(chunks, 0, 40)
-        for _ in range(2):
-            sums.reset(count)
-            assert sums.count is count
-            assert sums.total is None or not sums.total.any()
-            for c in chunks:
-                sums.add(c, np.ones((c.length, 4, 2, 2), dtype=np.float32))
-            assert sums.total.any()
-        np.testing.assert_array_equal(scheduler._covers(tuple(plan_shift(40, 8, 3, 1)), 0, 40),
-                                      np.ones(40))
 
     @pytest.mark.parametrize("kw,counts", [
         (dict(policy="overlap", overlap_s=3), 1),
