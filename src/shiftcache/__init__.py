@@ -24,9 +24,6 @@ from .scheduler import (
     RunStats,
     aggregate_overlaps,
     build_plans,
-    mark_partial,
-    plan_overlap,
-    plan_shift,
     run_inference,
     synthesize_conditions,
 )

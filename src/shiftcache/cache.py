@@ -3,10 +3,10 @@
 Freshness is counted in sampling-step positions: a frame fully computed at
 step position ``k`` and reused at position ``k + d`` has staleness ``d``.
 Staleness 1 is "good", staleness 2 is "bad". The cache holds features
-only: the run's ``FreshnessRecord``, filled by ``mark_partial``, says how
-stale each reused frame is, and ``mark_partial`` guarantees the cap is
-never exceeded (``tests/test_cache_reads.py`` checks this on the
-engine's runs). The features live in a shared mapping, so processes
+only: the run's ``FreshnessRecord``, filled by the marking pass of
+``build_plans``, says how stale each reused frame is, and that pass
+guarantees the cap is never exceeded (``tests/test_cache_reads.py``
+checks this on the engine's runs). The features live in a shared mapping, so processes
 forked after the cache is made store and fetch them as its maker does.
 """
 

@@ -137,17 +137,12 @@ class ChunkPlan:
     chunks: tuple[Chunk, ...]
 
 
-def plan_overlap(n_total: int, chunk_len: int, overlap: int) -> list[Chunk]:
-    """Sliding-window chunks of fixed length sharing ``overlap`` frames.
-
-    Starts advance by ``chunk_len - overlap``; the final start is pulled back
-    so the last chunk ends exactly at ``n_total``. Every chunk has full
-    length, so the union covers [0, n_total).
-    """
-    if not 0 <= overlap < chunk_len:
-        raise ValueError(f"need 0 <= overlap < chunk_len, got {overlap} vs {chunk_len}")
-    if chunk_len > n_total:
-        raise ValueError(f"chunk_len {chunk_len} exceeds video length {n_total}")
+def _plan_overlap(n_total: int, chunk_len: int, overlap: int) -> list[Chunk]:
+    """Sliding-window chunks of fixed length sharing ``overlap`` frames, on
+    fields ``validate`` passed (``build_plans``): starts advance by
+    ``chunk_len - overlap``; the final start is pulled back so the last
+    chunk ends exactly at ``n_total``. Every chunk has full length, so the
+    union covers [0, n_total)."""
     stride = chunk_len - overlap
     starts = [0]
     while starts[-1] + chunk_len < n_total:
@@ -157,26 +152,18 @@ def plan_overlap(n_total: int, chunk_len: int, overlap: int) -> list[Chunk]:
     return [Chunk(start=s, length=chunk_len) for s in starts]
 
 
-def plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
-               mode: str = "fixed", seed: int = 0) -> list[Chunk]:
-    """Disjoint chunks exactly covering [0, n_total), rotated per step.
-
-    The offset is (step_index * delta) mod chunk_len for fixed mode, or a
-    per-step uniform draw from {0..chunk_len-1} for random mode. A nonzero
-    offset produces short leading/trailing edge chunks.
-    """
-    if delta < 0 or mode == "fixed" and delta >= chunk_len:  # only fixed shift reads delta
-        raise ValueError(f"need 0 <= delta, and delta < chunk_len under fixed shift, "
-                         f"got {delta} vs {chunk_len}")
-    if chunk_len > n_total:
-        raise ValueError(f"chunk_len {chunk_len} exceeds video length {n_total}")
+def _plan_shift(n_total: int, chunk_len: int, delta: int, step_index: int,
+                mode: str = "fixed", seed: int = 0) -> list[Chunk]:
+    """Disjoint chunks exactly covering [0, n_total), rotated per step, on
+    fields ``validate`` passed (``build_plans``). The offset is (step_index *
+    delta) mod chunk_len for fixed mode, or a per-step uniform draw from
+    {0..chunk_len-1} for random mode, which reads no ``delta``. A nonzero
+    offset produces short leading/trailing edge chunks."""
     if mode == "fixed":
         offset = (step_index * delta) % chunk_len
-    elif mode == "random":
+    else:
         rng = np.random.default_rng([seed, _STREAM_SHIFT, step_index])
         offset = int(rng.integers(0, chunk_len))
-    else:
-        raise ValueError(f"unknown shift mode: {mode!r}")
 
     chunks = []
     if offset > 0:
@@ -271,9 +258,10 @@ class FreshnessRecord:
     forced_full: int = 0
 
 
-def mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: int,
-                 chunk_len: int) -> tuple[list[list[Chunk]], FreshnessRecord]:
-    """Annotate per-step plans with partial-computation marks.
+def _mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: int,
+                  chunk_len: int) -> tuple[list[list[Chunk]], FreshnessRecord]:
+    """Annotate per-step plans with partial-computation marks, on fields
+    ``validate`` passed (``build_plans``).
 
     Rules, applied in step order with a per-frame freshness simulation:
     first and last steps stay full; short edge chunks stay full; a chunk
@@ -282,8 +270,6 @@ def mark_partial(plans: list[list[Chunk]], p: float, staleness_cap: int, seed: i
     seeded coin with probability ``p``. The simulation is returned as the
     run's FreshnessRecord.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"partial fraction must lie in [0, 1], got {p}")
     num_steps = len(plans)
     n_total = max(c.stop for c in plans[0]) if plans else 0
     record = FreshnessRecord(trace=np.zeros((num_steps, n_total), dtype=np.int64),
@@ -377,9 +363,13 @@ class EngineConfig:
             raise ValueError("latent dims must be even and >= 2")
         if self.garment_tokens < 0:
             raise ValueError("garment_tokens must be >= 0")
-        sched = self.schedule()  # refuses bad betas; ddim_step divides by sqrt(abar)
-        if np.any(sched.alpha_bars[sched.sampling_steps].astype(np.float32) == 0):
+        sched = self.schedule()  # refuses bad betas
+        sampled = sched.alpha_bars[sched.sampling_steps].astype(np.float32)
+        if np.any(sampled == 0):  # ddim_step divides by sqrt(abar)
             raise ValueError("a sampled alpha_bar rounds to 0 in float32, the narrowest run dtype")
+        if self.denoiser == "oracle" and np.any(sampled == 1):  # eps_for, by sqrt(1 - abar)
+            raise ValueError("alpha_bar == 1 at this step; oracle residual undefined (a sampled "
+                             "alpha_bar rounds to 1 in float32)")
 
     def schedule(self) -> NoiseSchedule:
         return make_schedule(self.t_train, self.beta_start, self.beta_end, self.ddim_steps)
@@ -547,19 +537,21 @@ def _synthesize(config: EngineConfig, dtype, readers) -> Conditions:
 def build_plans(config: EngineConfig) -> tuple[list[ChunkPlan], FreshnessRecord]:
     """Per-step chunk plans for a config, with partial marks applied, and
     the freshness record of the marking pass; an overlap run, unmarked,
-    has one ``ChunkPlan`` object for every step. A run with no partial
-    fraction skips the pass: its record is the one marking gives at p = 0,
-    every frame fully computed at every step."""
+    has one ``ChunkPlan`` object for every step. It is the one way to a
+    plan: ``validate`` holds every rule of the chunking fields, and the
+    planners check none again. A run with no partial fraction skips the
+    pass: its record is the one marking gives at p = 0, every frame fully
+    computed at every step."""
     config.validate()
     steps, n = config.ddim_steps, config.n_total
     if config.policy == "overlap":
-        raw = [plan_overlap(n, config.chunk_len, config.overlap_s)] * steps
+        raw = [_plan_overlap(n, config.chunk_len, config.overlap_s)] * steps
     else:
-        raw = [plan_shift(n, config.chunk_len, config.delta, k, mode=config.shift_mode,
-                          seed=config.seed) for k in range(steps)]
+        raw = [_plan_shift(n, config.chunk_len, config.delta, k, mode=config.shift_mode,
+                           seed=config.seed) for k in range(steps)]
     if config.partial_fraction > 0:
-        raw, record = mark_partial(raw, config.partial_fraction, config.staleness_cap,
-                                   config.seed, config.chunk_len)
+        raw, record = _mark_partial(raw, config.partial_fraction, config.staleness_cap,
+                                    config.seed, config.chunk_len)
     else:
         record = FreshnessRecord(trace=np.zeros((steps, n), dtype=np.int64),
                                  last_full=np.full(n, steps - 1, dtype=np.int64))

@@ -28,9 +28,9 @@ from shiftcache.pose_select import (
 from shiftcache.scheduler import (
     ChunkMode,
     EngineConfig,
-    mark_partial,
-    plan_overlap,
-    plan_shift,
+    _mark_partial as mark_partial,
+    _plan_overlap as plan_overlap,
+    _plan_shift as plan_shift,
     run_inference,
     synthesize_conditions,
 )

@@ -182,3 +182,8 @@ class TestBuildMask:
         k = rng.standard_normal((2, 4, 6)).astype(np.float32)
         v = rng.standard_normal((2, 4, 6)).astype(np.float32)
         np.testing.assert_allclose(attention(q, k, v, mask), attention(q, k, v), atol=1e-6)
+
+
+def test_unknown_mask_variant_refused():
+    with pytest.raises(ValueError, match="^unknown mask variant: 'half'$"):
+        build_mask("half", np.array([True, False]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,24 @@ class TestLatentVideo:
     def test_num_frames(self):
         video = LatentVideo(z=np.zeros((5, 4, 2, 2)), freshness=np.zeros(5, dtype=np.int64))
         assert video.num_frames == 5
+
+
+def _schedule_with(**fields):
+    return dataclasses.replace(make_schedule(10, 1e-4, 0.02, 3), **fields)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LatentVideo(z=np.zeros((2, 4, 3)), freshness=np.zeros(2, dtype=np.int64)),
+     r"latents must be \[N, C, H, W\], got \(2, 4, 3\)"),
+    (lambda: _schedule_with(betas=np.full(9, 0.01)), "betas/alpha_bars must have length t_train"),
+    (lambda: _schedule_with(betas=np.r_[0.0, np.full(9, 0.01)]),
+     r"betas must lie strictly inside \(0, 1\)"),
+    (lambda: _schedule_with(sampling_steps=np.array([0, 5, 9])),
+     "sampling_steps must be strictly decreasing"),
+    (lambda: _schedule_with(sampling_steps=np.array([10, 5, 0])), "sampling_steps out of range"),
+    (lambda: make_schedule(0, 1e-4, 0.02, 1), "t_train must be >= 1"),
+], ids=["latent-rank", "betas-length", "beta-zero", "steps-rising", "step-past-t-train",
+        "t-train-zero"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

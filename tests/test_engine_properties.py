@@ -19,6 +19,9 @@ checks, on the code the engine runs, that:
   and ``chunk_cost``, and the freshness trace and forced-full count equal
   a frame-by-frame simulation of the plan's marks;
 * an oracle run at p=0 recovers ``target_x0``.
+
+A second test applies each break to one valid config and has every entry
+refuse it, so each rule is checked whichever breaks the draw reaches.
 """
 
 import dataclasses
@@ -64,6 +67,7 @@ BREAKS = (
     lambda c: dict(t_train=c.ddim_steps - 1),
     lambda c: dict(latent_h=3),
     lambda c: dict(garment_tokens=-1),
+    lambda c: dict(denoiser="oracle", partial_fraction=0.0, beta_start=1e-20),
 )
 
 
@@ -237,3 +241,22 @@ def test_engine_properties(drawn, data):
         target = synthesize_conditions(config, dtype=dtype).target_x0
         tolerance = 1e-4 if dtype is np.float32 else 1e-9
         assert np.max(np.abs(video.z - target)) <= tolerance
+
+
+# A valid base for ``BREAKS`` one at a time: the derandomized draw above
+# reaches only some of them in its 200 examples.
+BASE = EngineConfig(n_total=8, chunk_len=4, policy="shift", delta=1, ddim_steps=2, toy=TOY,
+                    latent_h=2, latent_w=2, garment_tokens=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("index", range(len(BREAKS)))
+def test_every_break_is_refused_by_every_entry(index, dtype):
+    assert is_valid(BASE)
+    config = dataclasses.replace(BASE, **BREAKS[index](BASE))
+    for refuses in (EngineConfig.validate, build_plans,
+                    lambda c: config_from_dict(config_to_dict(c)),
+                    lambda c: synthesize_conditions(c, dtype=dtype),
+                    lambda c: run_inference(c, dtype=dtype)):
+        with pytest.raises(ValueError):
+            refuses(config)

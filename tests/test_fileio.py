@@ -363,3 +363,49 @@ class TestPgm:
         fileio.write_pgm(path, np.full((2, 2), 3.0))
         pixels = np.frombuffer(path.read_bytes()[-4:], dtype=np.uint8)
         assert pixels.tolist() == [0, 0, 0, 0]
+
+
+def _latent_header(dims, tag=0):
+    return fileio.LATENT_MAGIC + struct.pack("<B", tag) + struct.pack("<I", 4) + \
+        struct.pack("<4I", *dims)
+
+
+def _written(name, data):
+    """A call that writes ``data`` (JSON, or bytes as they are) to ``name``
+    under a test's directory and returns the path."""
+    def write(tmp_path):
+        path = tmp_path / name
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
+        return path
+    return write
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda tmp: fileio.save_latents(tmp / "v.lvt", np.zeros((2, 3), dtype=np.float32)),
+     FormatError, "latents must have rank 4, got 2"),
+    (lambda tmp: fileio.load_latents(_written("v.lvt", fileio.LATENT_MAGIC + b"\0")(tmp)),
+     FormatError, "file too short for an LVT1 header"),
+    (lambda tmp: fileio.load_latents(_written("v.lvt", _latent_header((0, 4, 2, 2)))(tmp)),
+     FormatError, r"non-positive dimension in \(0, 4, 2, 2\)"),
+    (lambda tmp: fileio.load_keypoints(_written("k.json", [])(tmp)),
+     FormatError, 'keypoints file must be an object with a "frames" list'),
+    (lambda tmp: fileio.load_joint_specs(_written("j.json", [])(tmp)),
+     FormatError, "joint spec file must be a non-empty list"),
+    (lambda tmp: fileio.load_joint_specs(
+        _written("j.json", [{"triple": ["a", "b"], "target_angle": 90.0}])(tmp)),
+     FormatError, r"\"\[0\].triple\" must name 3 joints, got \['a', 'b'\]"),
+    (lambda tmp: fileio.config_from_dict([]), FormatError, "config must be a JSON object"),
+    (lambda tmp: fileio.config_from_dict({"toy": []}), FormatError, '"toy" must be an object'),
+    (lambda tmp: fileio.config_from_dict({"latent": []}), FormatError,
+     '"latent" must be an object'),
+    (lambda tmp: fileio.write_pgm(tmp / "x.pgm", np.zeros((2, 2, 2))), ValueError,
+     r"PGM dump needs a 2D image, got \(2, 2, 2\)"),
+], ids=["save-rank", "short-header", "zero-dim", "keypoints-not-object", "empty-specs",
+        "two-joint-triple", "config-not-object", "toy-not-object", "latent-not-object",
+        "pgm-rank"])
+def test_refusals(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(tmp_path)

@@ -152,3 +152,13 @@ class TestFlickerIndex:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
             flicker_index(np.zeros((1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ssim(np.zeros((2, 3, 12, 12)), np.zeros((2, 3, 12, 12))),
+     r"expected \[H, W\] or \[C, H, W\], got \(2, 3, 12, 12\)"),
+    (lambda: flicker_index(np.zeros((3, 4, 4))), r"expected \[N, C, H, W\], got \(3, 4, 4\)"),
+], ids=["ssim-rank", "flicker-rank"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -255,3 +255,8 @@ class TestCorrelateSymmetric:
     def test_rejects_kernels_that_are_not_odd_and_symmetric(self, weights):
         with pytest.raises(ValueError, match="symmetric kernel"):
             correlate_symmetric(np.zeros((4, 4)), np.asarray(weights), 0)
+
+
+def test_two_dimensional_frame_indices_refused():
+    with pytest.raises(ValueError, match="^frame_indices must be one-dimensional$"):
+        sinusoidal_encoding_batch(np.zeros((2, 2), dtype=np.int64), 4)

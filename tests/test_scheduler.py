@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import threading
 import time
 import tracemalloc
@@ -20,11 +21,11 @@ from shiftcache.scheduler import (
     EngineConfig,
     _SMOOTH_BLOCK_FRAMES,
     _STREAM_CONDITIONS,
+    _mark_partial as mark_partial,
+    _plan_overlap as plan_overlap,
+    _plan_shift as plan_shift,
     aggregate_overlaps,
     build_plans,
-    mark_partial,
-    plan_overlap,
-    plan_shift,
     run_inference,
     synthesize_conditions,
 )
@@ -70,10 +71,11 @@ class TestPlanOverlap:
             assert np.all(covers_exactly(plan_overlap(n, l, s), n) >= 1)
 
     def test_overlap_must_be_smaller_than_chunk(self):
-        with pytest.raises(ValueError):
-            plan_overlap(32, 16, 16)
-        with pytest.raises(ValueError):
-            plan_overlap(8, 16, 0)
+        # validate holds the rule; the planner, past it, would loop at stride 0
+        with pytest.raises(ValueError, match="need 0 <= overlap_s < chunk_len"):
+            build_plans(EngineConfig(n_total=32, chunk_len=16, policy="overlap", overlap_s=16))
+        with pytest.raises(ValueError, match="need 1 <= chunk_len <= n_total"):
+            build_plans(EngineConfig(n_total=8, chunk_len=16, policy="overlap", overlap_s=0))
 
 
 class TestPlanShift:
@@ -126,10 +128,10 @@ class TestPlanShift:
         assert all(0 < o < 8 for o in offsets)
 
     def test_delta_bounds(self):
-        with pytest.raises(ValueError):
-            plan_shift(32, 8, 8, 0)
-        with pytest.raises(ValueError):
-            plan_shift(4, 8, 0, 0)
+        with pytest.raises(ValueError, match="need 0 <= delta"):
+            build_plans(EngineConfig(n_total=32, chunk_len=8, policy="shift", delta=8))
+        with pytest.raises(ValueError, match="need 1 <= chunk_len <= n_total"):
+            build_plans(EngineConfig(n_total=4, chunk_len=8, policy="shift", delta=0))
 
     @pytest.mark.parametrize("chunk_len", [2, 3, 4])
     def test_random_shift_takes_any_delta_but_a_negative_one(self, chunk_len):
@@ -138,7 +140,8 @@ class TestPlanShift:
                  for k in range(6) for delta in (0, 4)]
         assert plans[0::2] == plans[1::2]
         with pytest.raises(ValueError, match="need 0 <= delta"):
-            plan_shift(8, chunk_len, -1, 0, mode="random")
+            build_plans(EngineConfig(n_total=8, chunk_len=chunk_len, policy="shift", delta=-1,
+                                     shift_mode="random"))
 
     @given(n=st.integers(4, 200), l=st.integers(1, 32), delta=st.integers(0, 31),
            k=st.integers(0, 60))
@@ -370,8 +373,9 @@ class TestMarkPartial:
         assert [[c.mode for c in s] for s in a] == [[c.mode for c in s] for s in b]
 
     def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            mark_partial(all_full_plans(16, 8, 0, 3), 1.5, 2, 0, 8)
+        with pytest.raises(ValueError, match=r"partial_fraction must lie in \[0, 1\]"):
+            build_plans(EngineConfig(n_total=16, chunk_len=8, policy="shift", delta=0,
+                                     ddim_steps=3, partial_fraction=1.5))
 
     def test_record_replays_the_marks(self):
         # the record's trace and last_full follow from the marks alone
@@ -434,6 +438,24 @@ class TestRunInference:
         with pytest.raises(ValueError, match="alpha_bar == 1 at this step; oracle residual undefined"):
             run_inference(cfg)
         assert calls == []
+
+    # 1e-20 rounds the last alpha_bar to 1 in float64 too; 1e-9 in float32 only
+    @pytest.mark.parametrize("beta_start", [1e-20, 1e-9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_oracle_alpha_bar_of_one_refused_by_every_entry(self, beta_start, dtype):
+        cfg = small_config(policy="overlap", overlap_s=4, denoiser="oracle", beta_start=beta_start)
+        assert np.float32(cfg.schedule().alpha_bar_at(cfg.ddim_steps - 1)) == 1
+        messages = set()
+        for entry in (cfg.validate, lambda: build_plans(cfg),
+                      lambda: fileio.config_from_dict(fileio.config_to_dict(cfg)),
+                      lambda: synthesize_conditions(cfg, dtype=dtype),
+                      lambda: run_inference(cfg, dtype=dtype)):
+            with pytest.raises(ValueError, match="alpha_bar == 1 at this step") as raised:
+                entry()
+            messages.add(str(raised.value))
+        assert len(messages) == 1
+        # the rule is the oracle's: the toy divides only by sqrt(alpha_bar)
+        dataclasses.replace(cfg, denoiser="toy").validate()
 
     def test_oracle_float64_recovers_target_tightly(self):
         cfg = small_config(policy="shift", delta=3, denoiser="oracle", ddim_steps=25)
@@ -590,7 +612,7 @@ class TestRunInference:
             raise AssertionError("a run without a partial chunk must not mark or cache")
 
         if not marks:
-            monkeypatch.setattr(scheduler, "mark_partial", forbidden)
+            monkeypatch.setattr(scheduler, "_mark_partial", forbidden)
         monkeypatch.setattr(scheduler, "FeatureCache", forbidden)
         cfg = small_config(ddim_steps=3, **kw)
         _, stats = run_inference(cfg)
@@ -1260,3 +1282,27 @@ class TestHardSkipAblation:
         with pytest.raises(ValueError, match="hard_skip"):
             small_config(policy="overlap", overlap_s=0, hard_skip=True,
                          partial_fraction=0.0).validate()
+
+
+def _send_to_a_closed_pipe():
+    ours, theirs = multiprocessing.Pipe()
+    theirs.close()
+    try:
+        scheduler._send(ours, "request")
+    finally:
+        ours.close()
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Chunk(-1, 2), ValueError, r"bad chunk \[-1, \+2\)"),
+    (lambda: Chunk(0, 0), ValueError, r"bad chunk \[0, \+0\)"),
+    (lambda: aggregate_overlaps([np.zeros((2, 1, 1, 1))], [Chunk(0, 2), Chunk(0, 2)], 2),
+     ValueError, "one eps array per chunk required"),
+    (lambda: aggregate_overlaps([np.zeros((3, 1, 1, 1))], [Chunk(0, 2)], 2),
+     ValueError, "eps length does not match its chunk"),
+    (lambda: scheduler.RunStats(n_total=4).fps_proxy, ValueError, "run recorded no wall time"),
+    (_send_to_a_closed_pipe, RuntimeError, "a helper process ended"),
+], ids=["chunk-start", "chunk-length", "eps-count", "eps-length", "no-wall-time", "closed-pipe"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
